@@ -17,14 +17,11 @@ pinned separately by a regression test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Union
 
+from .exactla import Real, is_exact
 from .marginal_general import DEFAULT_EPS, Feasibility, rationalize, solve_problem
 from .quasi import HOMOGENEOUS, bell_problem, solve_family
 from .singlet import CorrelationTriple, tables_from_correlations
-
-Real = Union[float, Fraction, int]
 
 
 def eight_inequalities(corr: CorrelationTriple, c: Real) -> tuple[Real, ...]:
@@ -61,7 +58,7 @@ def bell_pair(corr: CorrelationTriple, eps: float = DEFAULT_EPS) -> BellVerdict:
     lhs1, rhs1 = 1 + u, abs(v - w)
     lhs2, rhs2 = 1 - u, abs(v + w)
     margin = min(lhs1 - rhs1, lhs2 - rhs2)
-    tol = 0 if corr.is_exact() else eps
+    tol = 0 if is_exact(corr.as_tuple()) else eps
     return BellVerdict(
         ineq1_lhs=lhs1,
         ineq1_rhs=rhs1,

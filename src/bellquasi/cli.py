@@ -69,19 +69,10 @@ def _parse_directions(args) -> tuple[singlet.Direction, singlet.Direction, singl
         parts = args.angles.split(",")
         if len(parts) != 3:
             raise ValueError(f"--angles expects three comma-separated degrees, got {args.angles!r}")
-        a, b, c = (float(p) for p in parts)
-        return (
-            singlet.Direction.from_degrees(a),
-            singlet.Direction.from_degrees(b),
-            singlet.Direction.from_degrees(c),
-        )
+        return tuple(singlet.Direction.from_degrees(float(p)) for p in parts)
     if args.alpha is None or args.beta is None or args.gamma is None:
         raise ValueError("provide either --angles or all of --alpha/--beta/--gamma")
-    return (
-        singlet.Direction.from_string(args.alpha),
-        singlet.Direction.from_string(args.beta),
-        singlet.Direction.from_string(args.gamma),
-    )
+    return tuple(singlet.Direction.from_string(text) for text in (args.alpha, args.beta, args.gamma))
 
 
 def _table_dict(table: singlet.PairTable) -> dict:
@@ -167,6 +158,19 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
     return [start + k * step for k in range(max(n, 1))]
 
 
+def _scan_rows(ab_grid: list[float], ac_grid: list[float], eps: float):
+    """CSV rows of the violation map, one per grid cell, computed lazily."""
+    for theta_ab in ab_grid:
+        for theta_ac in ac_grid:
+            u = -math.cos(math.radians(theta_ab))
+            v = -math.cos(math.radians(theta_ac))
+            w = -math.cos(math.radians(theta_ac - theta_ab))
+            corr = singlet.CorrelationTriple(u, v, w)
+            verdict = quasi.classify(singlet.tables_from_correlations(corr).p_vector, eps)
+            margin = bellcheck.bell_pair(corr, eps).margin
+            yield [_fmt(x) for x in (theta_ab, theta_ac, corr.ab, corr.ac, corr.bc, margin)] + [verdict.tag.value]
+
+
 def cmd_scan(args) -> int:
     try:
         ab_grid = _grid(*_parse_range(args.ab))
@@ -175,34 +179,13 @@ def cmd_scan(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    rows = []
-    for theta_ab in ab_grid:
-        for theta_ac in ac_grid:
-            u = -math.cos(math.radians(theta_ab))
-            v = -math.cos(math.radians(theta_ac))
-            w = -math.cos(math.radians(theta_ac - theta_ab))
-            corr = singlet.CorrelationTriple(u, v, w)
-            verdict = quasi.classify(singlet.tables_from_correlations(corr).p_vector, args.eps)
-            margin = bellcheck.bell_pair(corr, args.eps).margin
-            rows.append(
-                (
-                    _fmt(theta_ab),
-                    _fmt(theta_ac),
-                    _fmt(corr.ab),
-                    _fmt(corr.ac),
-                    _fmt(corr.bc),
-                    _fmt(margin),
-                    verdict.tag.value,
-                )
-            )
-
     header = ["theta_ab", "theta_ac", "corr_ab", "corr_ac", "corr_bc", "margin", "classification"]
     try:
         out = sys.stdout if args.out in (None, "-") else open(args.out, "w", newline="")
         try:
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows(rows)
+            writer.writerows(_scan_rows(ab_grid, ac_grid, args.eps))
         finally:
             if out is not sys.stdout:
                 out.close()
@@ -223,6 +206,8 @@ def _parse_table_entry(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise DocumentError(f"bad table entry {value!r}: not finite")
         return rationalize(value)
     raise DocumentError(f"bad table entry {value!r}")
 
@@ -255,7 +240,10 @@ def load_problem_document(path: str) -> MarginalProblem:
     for entry in observables:
         if not isinstance(entry, dict) or "name" not in entry or "cardinality" not in entry:
             raise DocumentError(f"bad observable entry: {entry!r}")
-        obs.append((str(entry["name"]), int(entry["cardinality"])))
+        card = entry["cardinality"]
+        if not isinstance(card, int) or isinstance(card, bool):
+            raise DocumentError(f"cardinality must be an integer, got {card!r}")
+        obs.append((str(entry["name"]), card))
     constraints = []
     for entry in marginals:
         if not isinstance(entry, dict) or "over" not in entry or "table" not in entry:
@@ -275,10 +263,7 @@ def cmd_solve(args) -> int:
     try:
         problem = load_problem_document(args.path)
         result = solve_problem(problem)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # DocumentError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -306,6 +291,17 @@ def cmd_paper_check(args) -> int:
     return EXIT_OK if passed == len(items) else EXIT_FAILURE
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of ``--eps``: a finite float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellquasi",
@@ -319,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_singlet.add_argument("--alpha", help="axis for A as 'x,y,z' (use --alpha=-1,0,0 for a leading minus)")
     p_singlet.add_argument("--beta", help="axis for B as 'x,y,z'")
     p_singlet.add_argument("--gamma", help="axis for C as 'x,y,z'")
-    p_singlet.add_argument("--eps", type=float, default=DEFAULT_EPS, help="feasibility tolerance")
+    p_singlet.add_argument("--eps", type=_tolerance, default=DEFAULT_EPS, help="feasibility tolerance (finite, >= 0)")
     p_singlet.add_argument("--exact", action="store_true", help="rationalize correlations and run exactly")
     p_singlet.add_argument("--json", action="store_true", help="machine-readable output")
     p_singlet.set_defaults(func=cmd_singlet)
@@ -327,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="angle-grid scan to CSV")
     p_scan.add_argument("--ab", default="0:360:1", help="theta_ab range 'start:stop:step' (degrees)")
     p_scan.add_argument("--ac", default="0:360:1", help="theta_ac range 'start:stop:step' (degrees)")
-    p_scan.add_argument("--eps", type=float, default=DEFAULT_EPS, help="feasibility tolerance")
+    p_scan.add_argument("--eps", type=_tolerance, default=DEFAULT_EPS, help="feasibility tolerance (finite, >= 0)")
     p_scan.add_argument("--out", help="output CSV path (default stdout)")
     p_scan.set_defaults(func=cmd_scan)
 

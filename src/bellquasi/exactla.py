@@ -4,6 +4,8 @@ Everything here runs on :class:`fractions.Fraction`: ranks, null spaces,
 pseudoinverses and linear solves are computed exactly, with no
 floating-point tolerance anywhere.  Conversion to floats, where needed,
 is the caller's job.  Intended for small dense matrices (dimension ~30).
+The package's one rule for telling exact inputs from float ones,
+:func:`is_exact`, lives here too.
 """
 
 from __future__ import annotations
@@ -19,6 +21,21 @@ from typing import Iterable, Optional, Sequence, Union
 Rational = Fraction
 
 RationalLike = Union[int, Fraction, str]
+
+#: Scalar accepted by the dual-mode (exact or float) code paths.
+Real = Union[float, Fraction, int]
+
+
+def is_exact(values: Iterable[Real]) -> bool:
+    """The package's one exactness rule: exact when every value is an int or
+    Fraction.  Exact values are compared exactly (tolerance 0); anything
+    else is compared at a float tolerance."""
+    # A plain loop, not all(<generator>): this runs several times per scan
+    # cell, and the generator costs a few times more.
+    for v in values:
+        if not isinstance(v, (Fraction, int)):
+            return False
+    return True
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -69,11 +86,6 @@ class RatVector:
             raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
         return RatVector(tuple(a - b for a, b in zip(self.entries, other.entries)))
 
-    def __add__(self, other: "RatVector") -> "RatVector":
-        if len(self) != len(other):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-        return RatVector(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
@@ -116,9 +128,6 @@ class RatMatrix:
 
     def row(self, i: int) -> RatVector:
         return RatVector(self.entries[i * self.cols : (i + 1) * self.cols])
-
-    def column(self, j: int) -> RatVector:
-        return RatVector(tuple(self.entries[i * self.cols + j] for i in range(self.rows)))
 
     def row_lists(self) -> list[list[Fraction]]:
         """Mutable copy of the rows, for elimination algorithms."""
@@ -184,7 +193,7 @@ def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns (exact Gauss-Jordan)."""
     rows, pivots = _rref_rows(m.row_lists())
-    return RatMatrix.from_rows(rows) if rows else m, tuple(pivots)
+    return RatMatrix(m.rows, m.cols, tuple(e for row in rows for e in row)), tuple(pivots)
 
 
 def rank(m: RatMatrix) -> int:

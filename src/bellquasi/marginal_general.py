@@ -25,9 +25,9 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .exactla import RatMatrix, RatVector, as_rational, rank, solve_consistent
+from .exactla import RatMatrix, RatVector, Real, as_rational, is_exact, rref
 
 #: Single feasibility tolerance used by all floating-point comparisons in
 #: the package.  Exact-rational code paths ignore it and compare exactly.
@@ -38,8 +38,6 @@ JOINT_SIZE_CAP = 10**6
 
 #: Denominator bound used when floats are rationalized for exact runs.
 RATIONALIZE_DENOMINATOR = 10**6
-
-Real = Union[float, Fraction, int]
 
 
 class Feasibility(Enum):
@@ -62,8 +60,14 @@ def rationalize(value: Real, max_denominator: int = RATIONALIZE_DENOMINATOR) -> 
     raise TypeError(f"cannot rationalize {type(value).__name__}")
 
 
-def _is_exact(values) -> bool:
-    return all(isinstance(v, (Fraction, int)) for v in values)
+def _check_distribution(table: Sequence[Real], what: str) -> None:
+    """Raise unless ``table`` is non-negative and sums to 1: exactly for an
+    exact table, within ``DEFAULT_EPS`` otherwise."""
+    tol = 0 if is_exact(table) else DEFAULT_EPS
+    if any(v < -tol for v in table):
+        raise ValueError(f"negative entry in {what}")
+    if abs(sum(table) - 1) > tol:
+        raise ValueError(f"{what} does not sum to 1")
 
 
 @dataclass(frozen=True)
@@ -118,16 +122,7 @@ class MarginalProblem:
                 raise ValueError(
                     f"table for {subset} has {len(table)} entries, expected {size}"
                 )
-            if _is_exact(table):
-                if any(v < 0 for v in table):
-                    raise ValueError(f"negative entry in table for {subset}")
-                if sum(table) != 1:
-                    raise ValueError(f"table for {subset} does not sum to 1 exactly")
-            else:
-                if any(v < -DEFAULT_EPS for v in table):
-                    raise ValueError(f"negative entry in table for {subset}")
-                if abs(sum(table) - 1) > DEFAULT_EPS:
-                    raise ValueError(f"table for {subset} does not sum to 1")
+            _check_distribution(table, f"table for {subset}")
 
     def joint_size(self) -> int:
         size = 1
@@ -154,11 +149,7 @@ def product_distribution(singles: Sequence[Sequence[Real]]) -> tuple[Real, ...]:
     if not singles:
         raise ValueError("need at least one table")
     for table in singles:
-        if _is_exact(table):
-            if sum(table) != 1 or any(v < 0 for v in table):
-                raise ValueError(f"not a distribution: {tuple(table)}")
-        elif abs(sum(table) - 1) > DEFAULT_EPS or any(v < -DEFAULT_EPS for v in table):
-            raise ValueError(f"not a distribution: {tuple(table)}")
+        _check_distribution(table, f"table {tuple(table)}")
     joint: list[Real] = [1]
     for table in singles:
         joint = [x * p for x in joint for p in table]
@@ -175,10 +166,9 @@ def build_constraint_system(
     normalization row comes last.  With ``drop_redundant`` the final entry
     of each table is omitted: that row is implied by the others together
     with the table summing to 1.  Table entries must be exact rationals
-    (rationalize floats first; :func:`solve_problem` does).
+    (rationalize floats first; :func:`solve_problem` does).  ``prob`` was
+    validated, joint size cap included, when it was constructed.
     """
-    if prob.joint_size() > JOINT_SIZE_CAP:
-        raise ValueError(f"joint outcome count {prob.joint_size()} exceeds cap")
     cards = prob.cardinalities()
     joint_outcomes = list(itertools.product(*(range(c) for c in cards)))
     rows: list[list[Fraction]] = []
@@ -277,22 +267,28 @@ def lp_feasible(mat: RatMatrix, rhs: RatVector) -> FeasibilityResult:
 
     Returns a witness when feasible; ``QuasiOnly`` when the equality system
     is consistent but no non-negative solution exists; ``Inconsistent``
-    when the equality system itself is unsolvable.  The consistency branch
-    uses Gaussian elimination, independent of the simplex.
+    when the equality system itself is unsolvable.  One Gauss-Jordan pass
+    over [mat | rhs] gives both the rank and the consistency verdict; the
+    simplex runs only on consistent systems.
     """
-    hom_dim = mat.cols - rank(mat)
+    if len(rhs) != mat.rows:
+        raise ValueError(f"rhs length {len(rhs)} != rows {mat.rows}")
+    n = mat.cols
+    aug_rows = (mat.entries[i * n : (i + 1) * n] + (rhs[i],) for i in range(mat.rows))
+    _, pivots = rref(RatMatrix(mat.rows, n + 1, tuple(itertools.chain.from_iterable(aug_rows))))
+    if pivots and pivots[-1] == n:  # a pivot in the rhs column: 0 = nonzero
+        return FeasibilityResult(Feasibility.INCONSISTENT, None, n - (len(pivots) - 1))
+    hom_dim = n - len(pivots)
     x = _phase_one_simplex(mat, rhs)
     if x is not None:
         return FeasibilityResult(Feasibility.PROPER, tuple(x), hom_dim)
-    if solve_consistent(mat, rhs) is None:
-        return FeasibilityResult(Feasibility.INCONSISTENT, None, hom_dim)
     return FeasibilityResult(Feasibility.QUASI_ONLY, None, hom_dim)
 
 
 def _rationalized_table(table: tuple[Real, ...]) -> tuple[Fraction, ...]:
     """Exact copy of a table; floats are rationalized and the largest entry
     adjusted so the total is exactly 1 (the adjustment is ~1e-12)."""
-    if _is_exact(table):
+    if is_exact(table):
         return tuple(as_rational(v) for v in table)
     approx = [rationalize(v) for v in table]
     gap = 1 - sum(approx)

@@ -15,9 +15,9 @@ consistency equations on p; a proper probability exists iff some t keeps
 every component non-negative, which reduces to an interval test.
 
 Arithmetic is dual-mode: the structural objects (M, its pseudoinverse,
-xh) are always exact rationals; p vectors may be floats (tolerance
-comparisons, default ``DEFAULT_EPS``) or Fractions (exact comparisons,
-tolerance ignored).
+xh) are always exact rationals; whether a p vector is exact is decided by
+:func:`bellquasi.exactla.is_exact`.  Exact p vectors are compared exactly
+(tolerance ignored), others at tolerance ``eps`` (default ``DEFAULT_EPS``).
 """
 
 from __future__ import annotations
@@ -25,13 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .exactla import RatMatrix, pseudoinverse
-from .marginal_general import DEFAULT_EPS, Feasibility, MarginalProblem, _is_exact
+from .exactla import RatMatrix, Real, is_exact, pseudoinverse
+from .marginal_general import DEFAULT_EPS, Feasibility, MarginalProblem
 from .singlet import CorrelationTriple, PairTable, tables_from_correlations
-
-Real = Union[float, Fraction, int]
 
 #: Kernel direction of the constraint matrix: adding any multiple of it to
 #: a joint vector leaves all pair marginals unchanged.  Entry for outcome
@@ -95,7 +93,7 @@ def check_consistency(p: Sequence[Real], eps: float = DEFAULT_EPS) -> Consistenc
         (p[3] + p[4]) - (p[6] + p[7]),  # AC row sum vs AB row sum
         (p[0] + p[2]) - (p[3] + p[5]),  # BC column sum vs AC column sum
     )
-    tol = 0 if _is_exact(p) else eps
+    tol = 0 if is_exact(p) else eps
     return ConsistencyCheck(ok=all(abs(r) <= tol for r in residuals), residuals=residuals)
 
 
@@ -129,7 +127,7 @@ def solve_family(p: Sequence[Real], eps: float = DEFAULT_EPS) -> Optional[QuasiF
     """
     if not check_consistency(p, eps).ok:
         return None
-    rows = _pseudoinverse_rows() if _is_exact(p) else _pseudoinverse_rows_float()
+    rows = _pseudoinverse_rows() if is_exact(p) else _pseudoinverse_rows_float()
     x0 = tuple(sum(e * v for e, v in zip(row, p)) for row in rows)
     t_lo = max(-x0[i] for i in range(8) if HOMOGENEOUS[i] == 1)
     t_hi = min(x0[i] for i in range(8) if HOMOGENEOUS[i] == -1)
@@ -168,8 +166,7 @@ def classify(p: Sequence[Real], eps: float = DEFAULT_EPS) -> Classification:
     family = solve_family(p, eps)
     if family is None:
         return Classification(Feasibility.INCONSISTENT, None)
-    tol = 0 if _is_exact(p) else eps
-    if family.t_lo > family.t_hi + tol:
+    if not family.interval_nonempty(0 if is_exact(p) else eps):
         return Classification(Feasibility.QUASI_ONLY, None)
     if family.t_lo <= family.t_hi:
         t = min(max(0, family.t_lo), family.t_hi)
@@ -186,11 +183,8 @@ def reconstruct_marginals(
     if len(x) != 8:
         raise ValueError(f"joint vector must have 8 entries, got {len(x)}")
     total = sum(x)
-    if _is_exact(x):
-        if total != 1:
-            raise ValueError(f"joint vector sums to {total}, not 1")
-    elif abs(total - 1) > eps:
-        raise ValueError(f"joint vector sums to {total!r}, not 1")
+    if abs(total - 1) > (0 if is_exact(x) else eps):
+        raise ValueError(f"joint vector sums to {total}, not 1")
 
     def table(i: int, j: int) -> PairTable:
         def cell(vi: int, vj: int) -> Real:

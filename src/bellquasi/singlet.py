@@ -22,22 +22,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+
+from .exactla import Real, is_exact
 
 #: Tolerance used for construction-time sanity checks of floating values.
 NORM_TOL = 1e-12
 #: Input vectors shorter than this are rejected instead of normalized.
 MIN_NORM = 1e-9
 
-Real = Union[float, Fraction, int]
-
 
 @dataclass(frozen=True)
 class Direction:
     """Unit 3-vector for a spin measurement axis.
 
-    Inputs are normalized at construction; vectors with norm below
-    ``MIN_NORM`` are rejected rather than silently blown up.
+    Inputs are normalized at construction; vectors with a non-finite
+    component or with norm below ``MIN_NORM`` are rejected rather than
+    silently blown up.
     """
 
     x: float
@@ -45,6 +45,8 @@ class Direction:
     z: float
 
     def __post_init__(self):
+        if not all(math.isfinite(c) for c in (self.x, self.y, self.z)):
+            raise ValueError(f"direction vector ({self.x}, {self.y}, {self.z}) has a non-finite component")
         n = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
         if n < MIN_NORM:
             raise ValueError(f"direction vector ({self.x}, {self.y}, {self.z}) is too close to zero")
@@ -75,13 +77,11 @@ def _checked_correlation(corr: Real) -> Real:
     Ints are promoted to Fraction so that exact inputs stay exact under
     the true division in the table formulas.
     """
-    if isinstance(corr, (Fraction, int)):
-        if not -1 <= corr <= 1:
-            raise ValueError(f"correlation {corr} outside [-1, 1]")
-        return Fraction(corr)
-    if not -1 - NORM_TOL <= corr <= 1 + NORM_TOL:
+    exact = is_exact((corr,))
+    tol = 0 if exact else NORM_TOL
+    if not -1 - tol <= corr <= 1 + tol:
         raise ValueError(f"correlation {corr} outside [-1, 1]")
-    return min(1.0, max(-1.0, corr))
+    return Fraction(corr) if exact else min(1.0, max(-1.0, corr))
 
 
 def correlation(u: Direction, v: Direction) -> float:
@@ -120,7 +120,11 @@ def pair_table(corr: Real, flip: bool = False) -> PairTable:
     on particle 2 while ``corr`` is the measurable particle-1/particle-2
     correlation.
     """
-    corr = _checked_correlation(corr)
+    return _pair_table(_checked_correlation(corr), flip)
+
+
+def _pair_table(corr: Real, flip: bool) -> PairTable:
+    """:func:`pair_table` for a correlation that is already checked."""
     sign = -1 if flip else 1
     same = (1 + sign * corr) / 4  # outcomes equal: (+,+) and (-,-)
     diff = (1 - sign * corr) / 4  # outcomes differ
@@ -147,9 +151,6 @@ class CorrelationTriple:
     def as_tuple(self) -> tuple[Real, Real, Real]:
         return (self.ab, self.ac, self.bc)
 
-    def is_exact(self) -> bool:
-        return all(isinstance(v, (Fraction, int)) for v in self.as_tuple())
-
 
 @dataclass(frozen=True)
 class BellMarginals:
@@ -170,9 +171,11 @@ class BellMarginals:
         if self.p_vector[9] != 1:
             raise ValueError("last p_vector entry must be exactly 1")
         for table in (self.pab, self.pac, self.pbc):
-            if any(e < -NORM_TOL for e in table.as_tuple()):
+            entries = table.as_tuple()
+            tol = 0 if is_exact(entries) else NORM_TOL
+            if any(e < -tol for e in entries):
                 raise ValueError(f"negative table entry in {table}")
-            if abs(table.total() - 1) > NORM_TOL:
+            if abs(table.total() - 1) > tol:
                 raise ValueError(f"table does not sum to 1: {table}")
 
 
@@ -180,12 +183,13 @@ def tables_from_correlations(corr: CorrelationTriple) -> BellMarginals:
     """Assemble the three singlet pair tables and the rhs vector.
 
     Exact when the correlations are Fractions: every table entry and the
-    final normalization entry stay rational.
+    final normalization entry stay rational.  The correlations were checked
+    when ``corr`` was built, so they are not checked again here.
     """
-    pab = pair_table(corr.ab)
-    pac = pair_table(corr.ac)
-    pbc = pair_table(corr.bc, flip=True)
-    one: Real = Fraction(1) if corr.is_exact() else 1.0
+    pab = _pair_table(corr.ab, flip=False)
+    pac = _pair_table(corr.ac, flip=False)
+    pbc = _pair_table(corr.bc, flip=True)
+    one: Real = Fraction(1) if is_exact(corr.as_tuple()) else 1.0
     p_vector = (
         pbc.pp, pbc.pm, pbc.mp,
         pac.pp, pac.pm, pac.mp,
@@ -196,12 +200,9 @@ def tables_from_correlations(corr: CorrelationTriple) -> BellMarginals:
 
 
 def correlations(alpha: Direction, beta: Direction, gamma: Direction) -> CorrelationTriple:
-    """Measurable correlations of the singlet for the three axes."""
-    return CorrelationTriple(
-        ab=correlation(alpha, beta),
-        ac=correlation(alpha, gamma),
-        bc=correlation(beta, gamma),
-    )
+    """Measurable correlations of the singlet for the three axes; the
+    triple checks and clamps them once."""
+    return CorrelationTriple(ab=-alpha.dot(beta), ac=-alpha.dot(gamma), bc=-beta.dot(gamma))
 
 
 def bell_marginals(alpha: Direction, beta: Direction, gamma: Direction) -> BellMarginals:

@@ -4,7 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from bellquasi.cli import EXIT_INCONSISTENT, EXIT_QUASI_ONLY, EXIT_USAGE, load_problem_document, main
+from bellquasi import cli
+from bellquasi.cli import (
+    EXIT_INCONSISTENT,
+    EXIT_QUASI_ONLY,
+    EXIT_USAGE,
+    DocumentError,
+    load_problem_document,
+    main,
+)
 from bellquasi.reference import REFERENCE_PSEUDOINVERSE, run_reference_check
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -58,6 +66,16 @@ class TestSingletCommand:
     def test_missing_arguments_exit_2(self, capsys):
         code, _, err = run(capsys, "singlet")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "axes",
+        [("--angles", "nan,0,0"), ("--alpha", "nan,0,0", "--beta", "0,1,0", "--gamma", "0,0,1")],
+    )
+    def test_non_finite_axis_exits_2(self, capsys, axes):
+        code, _, err = run(capsys, "singlet", *axes)
+        assert code == EXIT_USAGE
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_exact_mode_outputs_fractions(self, capsys):
         code, out, _ = run(capsys, "singlet", "--angles", "0,60,120", "--exact", "--json")
@@ -128,11 +146,57 @@ class TestScanCommand:
         code, _, err = run(capsys, "scan", "--ab", "0:360:0")
         assert code == EXIT_USAGE
 
+    def test_write_error_mid_stream_reports_error_and_closes_file(self, capsys, tmp_path, monkeypatch):
+        out_path = tmp_path / "scan.csv"
+        opened = []
+
+        class FailingFile:
+            """Accepts the header, then fails the first row's write."""
+
+            def __init__(self, fh):
+                self.fh = fh
+                self.writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(text)
+
+            def close(self):
+                self.fh.close()
+
+        def failing_open(path, *args, **kwargs):
+            opened.append(FailingFile(open(path, *args, **kwargs)))
+            return opened[-1]
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        code, _, err = run(capsys, "scan", "--ab", "0:2:1", "--ac", "0:2:1", "--out", str(out_path))
+        assert code == 1
+        assert err.startswith(f"error: cannot write {out_path}")
+        assert len(opened) == 1 and opened[0].fh.closed
+        assert out_path.read_text().startswith("theta_ab,")
+
     def test_unwritable_path_reports_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "scan", "--ab", "0:1:1", "--ac", "0:1:1",
                            "--out", str(tmp_path / "missing" / "x.csv"))
         assert code == 1
         assert "x.csv" in err
+
+
+@pytest.mark.parametrize("command", [["singlet", "--angles", "0,60,120"], ["scan", "--ab", "0:1:1", "--ac", "0:1:1"]])
+@pytest.mark.parametrize("eps", ["-1", "nan", "inf", "abc"])
+def test_invalid_eps_exits_2(capsys, command, eps):
+    code, out, err = run(capsys, *command, "--eps", eps)
+    assert code == EXIT_USAGE
+    assert "error:" in err and "--eps" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("eps", ["0", "1e-6"])
+def test_valid_eps_accepted(capsys, eps):
+    code, _, _ = run(capsys, "singlet", "--angles", "0,60,120", "--eps", eps)
+    assert code == EXIT_QUASI_ONLY
 
 
 class TestSolveCommand:
@@ -185,6 +249,36 @@ class TestSolveCommand:
         )
         code, _, err = run(capsys, "solve", str(bad))
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "cardinality, table",
+        [
+            # json writes non-finite floats as Infinity/-Infinity/NaN, which json.load accepts
+            pytest.param(2, [float("inf"), 0], id="infinity-entry"),
+            pytest.param(2, [float("-inf"), 1], id="minus-infinity-entry"),
+            pytest.param(2, [float("nan"), 1], id="nan-entry"),
+            pytest.param(2.9, ["1/2", "1/2"], id="float-cardinality"),
+            pytest.param("2", ["1/2", "1/2"], id="string-cardinality"),
+            pytest.param(True, ["1/2", "1/2"], id="bool-cardinality"),
+            pytest.param(None, ["1/2", "1/2"], id="null-cardinality"),
+        ],
+    )
+    def test_bad_document_exits_2(self, capsys, tmp_path, cardinality, table):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            json.dumps(
+                {
+                    "schema": 1,
+                    "observables": [{"name": "A", "cardinality": cardinality}],
+                    "marginals": [{"over": ["A"], "table": table}],
+                }
+            )
+        )
+        with pytest.raises(DocumentError):
+            load_problem_document(str(bad))
+        code, _, err = run(capsys, "solve", str(bad))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:")
 
 
 class TestLoadProblemDocument:

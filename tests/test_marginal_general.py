@@ -1,12 +1,16 @@
 import itertools
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from bellquasi import marginal_general
+from bellquasi.cli import load_problem_document
+from bellquasi.exactla import rank
 from bellquasi.marginal_general import (
     Feasibility,
     JOINT_SIZE_CAP,
@@ -171,6 +175,19 @@ class TestLpFeasible:
         result = solve_problem(prob)
         assert result.status is Feasibility.INCONSISTENT
         assert result.witness is None
+        mat, _ = build_constraint_system(prob)
+        assert result.homogeneous_dim == mat.cols - rank(mat)
+
+    def test_inconsistent_system_never_enters_simplex(self, monkeypatch):
+        def no_simplex(mat, rhs):
+            raise AssertionError("simplex entered on an inconsistent system")
+
+        monkeypatch.setattr(marginal_general, "_phase_one_simplex", no_simplex)
+        prob = load_problem_document(str(Path(__file__).resolve().parent.parent / "problems" / "contradictory.json"))
+        mat, rhs = build_constraint_system(prob)
+        result = lp_feasible(mat, rhs)
+        assert result.status is Feasibility.INCONSISTENT
+        assert result.homogeneous_dim == mat.cols - rank(mat)
 
     def test_witness_validity_random_problems(self):
         rng = random.Random(103)
