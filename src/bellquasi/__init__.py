@@ -9,8 +9,8 @@ solves general finite marginal problems by exact rational LP feasibility.
 
 from .bellcheck import BellVerdict, bell_pair, eight_inequalities, equivalence_check
 from .exactla import (
+    DEFAULT_EPS,
     RatMatrix,
-    Rational,
     RatVector,
     as_rational,
     left_null_space,
@@ -20,7 +20,6 @@ from .exactla import (
     solve_consistent,
 )
 from .marginal_general import (
-    DEFAULT_EPS,
     Feasibility,
     FeasibilityResult,
     MarginalProblem,
@@ -73,7 +72,6 @@ __all__ = [
     "QuasiFamily",
     "RatMatrix",
     "RatVector",
-    "Rational",
     "as_rational",
     "bell_marginals",
     "bell_pair",

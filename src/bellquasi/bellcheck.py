@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactla import Real, is_exact
-from .marginal_general import DEFAULT_EPS, Feasibility, rationalize, solve_problem
+from .exactla import DEFAULT_EPS, Real, tolerance
+from .marginal_general import Feasibility, rationalize, solve_problem
 from .quasi import HOMOGENEOUS, bell_problem, solve_family
 from .singlet import CorrelationTriple, tables_from_correlations
 
@@ -58,7 +58,7 @@ def bell_pair(corr: CorrelationTriple, eps: float = DEFAULT_EPS) -> BellVerdict:
     lhs1, rhs1 = 1 + u, abs(v - w)
     lhs2, rhs2 = 1 - u, abs(v + w)
     margin = min(lhs1 - rhs1, lhs2 - rhs2)
-    tol = 0 if is_exact(corr.as_tuple()) else eps
+    tol = tolerance(corr.as_tuple(), eps)
     return BellVerdict(
         ineq1_lhs=lhs1,
         ineq1_rhs=rhs1,
@@ -69,7 +69,7 @@ def bell_pair(corr: CorrelationTriple, eps: float = DEFAULT_EPS) -> BellVerdict:
     )
 
 
-def equivalence_check(corr: CorrelationTriple, max_denominator: int = 10**6) -> bool:
+def equivalence_check(corr: CorrelationTriple) -> bool:
     """Do the three independent deciders agree on this configuration?
 
     The deciders: the reduced inequality pair, non-emptiness of the family
@@ -77,7 +77,7 @@ def equivalence_check(corr: CorrelationTriple, max_denominator: int = 10**6) -> 
     problem.  Float correlations are rationalized (bounded denominator)
     first so all three run exactly on identical inputs.
     """
-    exact = CorrelationTriple(*(rationalize(v, max_denominator) for v in corr.as_tuple()))
+    exact = CorrelationTriple(*(rationalize(v) for v in corr.as_tuple()))
     bell_ok = bell_pair(exact).satisfied
     family = solve_family(tables_from_correlations(exact).p_vector)
     interval_ok = family is not None and family.interval_nonempty()

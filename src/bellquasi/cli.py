@@ -23,13 +23,17 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import bellcheck, quasi, reference, singlet
-from .marginal_general import DEFAULT_EPS, Feasibility, MarginalProblem, rationalize, solve_problem
+from .exactla import DEFAULT_EPS, Real
+from .marginal_general import Feasibility, MarginalProblem, rationalize, solve_problem
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_QUASI_ONLY = 3
 EXIT_INCONSISTENT = 4
+
+#: Largest ``scan`` grid accepted: the full map at 0.1 degrees.
+MAX_SCAN_CELLS = 3600 * 3600
 
 _STATUS_EXIT = {
     Feasibility.PROPER: EXIT_OK,
@@ -94,6 +98,7 @@ def cmd_singlet(args) -> int:
     family = quasi.solve_family(marg.p_vector, args.eps)
     verdict = quasi.classify(marg.p_vector, args.eps)
     bell = bellcheck.bell_pair(corr, args.eps)
+    empty = verdict.tag is Feasibility.QUASI_ONLY
 
     report = {
         "correlations": {"ab": corr.ab, "ac": corr.ac, "bc": corr.bc},
@@ -106,7 +111,7 @@ def cmd_singlet(args) -> int:
         "x0": list(family.x0) if family else None,
         "t_interval": None
         if family is None
-        else {"lo": family.t_lo, "hi": family.t_hi, "empty": not family.interval_nonempty(args.eps)},
+        else {"lo": family.t_lo, "hi": family.t_hi, "empty": empty},
         "classification": verdict.tag,
         "witness": list(verdict.witness) if verdict.witness else None,
         "bell": {
@@ -128,8 +133,7 @@ def cmd_singlet(args) -> int:
         print(f"consistency: {'PASS' if consistency.ok else 'FAIL'}  residuals: {residuals}")
         if family is not None:
             print("x0: " + "  ".join(_fmt(v) for v in family.x0))
-            empty = "" if family.interval_nonempty(args.eps) else "  (empty)"
-            print(f"t interval: [{_fmt(family.t_lo)}, {_fmt(family.t_hi)}]{empty}")
+            print(f"t interval: [{_fmt(family.t_lo)}, {_fmt(family.t_hi)}]{'  (empty)' if empty else ''}")
         print(f"classification: {verdict.tag.value}")
         if verdict.witness is not None:
             print("witness: " + "  ".join(_fmt(v) for v in verdict.witness))
@@ -141,27 +145,28 @@ def cmd_singlet(args) -> int:
     return _STATUS_EXIT[verdict.tag]
 
 
-def _parse_range(text: str) -> tuple[float, float, float]:
+def _parse_range(text: str) -> tuple[float, float, int]:
+    """(start, step, point count) of a half-open 'start:stop:step' axis."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"expected 'start:stop:step', got {text!r}")
     start, stop, step = (float(p) for p in parts)
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
     if not (0 <= start < 360) or not (start < stop <= 360):
         raise ValueError(f"range must satisfy 0 <= start < stop <= 360, got {text!r}")
-    return start, stop, step
+    span = (stop - start) / step if step > 0 else math.nan
+    if not math.isfinite(span):
+        raise ValueError(f"step must be positive and not vanishingly small, got {step}")
+    return start, step, max(math.ceil(span - 1e-12), 1)
 
 
-def _grid(start: float, stop: float, step: float) -> list[float]:
-    n = math.ceil((stop - start) / step - 1e-12)
-    return [start + k * step for k in range(max(n, 1))]
+def _axis(start: float, step: float, count: int):
+    return (start + k * step for k in range(count))
 
 
-def _scan_rows(ab_grid: list[float], ac_grid: list[float], eps: float):
+def _scan_rows(ab: tuple[float, float, int], ac: tuple[float, float, int], eps: float):
     """CSV rows of the violation map, one per grid cell, computed lazily."""
-    for theta_ab in ab_grid:
-        for theta_ac in ac_grid:
+    for theta_ab in _axis(*ab):
+        for theta_ac in _axis(*ac):
             u = -math.cos(math.radians(theta_ab))
             v = -math.cos(math.radians(theta_ac))
             w = -math.cos(math.radians(theta_ac - theta_ab))
@@ -173,10 +178,13 @@ def _scan_rows(ab_grid: list[float], ac_grid: list[float], eps: float):
 
 def cmd_scan(args) -> int:
     try:
-        ab_grid = _grid(*_parse_range(args.ab))
-        ac_grid = _grid(*_parse_range(args.ac))
+        ab, ac = _parse_range(args.ab), _parse_range(args.ac)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    cells = ab[2] * ac[2]
+    if cells > MAX_SCAN_CELLS:
+        print(f"error: grid has {cells} cells; at most {MAX_SCAN_CELLS} are allowed", file=sys.stderr)
         return EXIT_USAGE
 
     header = ["theta_ab", "theta_ac", "corr_ab", "corr_ac", "corr_bc", "margin", "classification"]
@@ -185,7 +193,7 @@ def cmd_scan(args) -> int:
         try:
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows(_scan_rows(ab_grid, ac_grid, args.eps))
+            writer.writerows(_scan_rows(ab, ac, args.eps))
         finally:
             if out is not sys.stdout:
                 out.close()
@@ -195,7 +203,9 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _parse_table_entry(value) -> Fraction:
+def _parse_table_entry(value) -> Real:
+    """Strings and ints become Fractions; finite floats pass through to
+    :class:`MarginalProblem`, which checks and rationalizes the table once."""
     if isinstance(value, str):
         try:
             return Fraction(value)
@@ -208,7 +218,7 @@ def _parse_table_entry(value) -> Fraction:
     if isinstance(value, float):
         if not math.isfinite(value):
             raise DocumentError(f"bad table entry {value!r}: not finite")
-        return rationalize(value)
+        return value
     raise DocumentError(f"bad table entry {value!r}")
 
 
@@ -219,7 +229,8 @@ def load_problem_document(path: str) -> MarginalProblem:
       "observables": [{"name": str, "cardinality": int >= 2}, ...],
       "marginals":   [{"over": [names], "table": [entries]}, ...]}
     Table entries are strings parseable as decimals or "p/q" fractions
-    (plain integers are accepted; floats are rationalized).
+    (plain integers are accepted; a table with float entries is checked
+    at ``DEFAULT_EPS`` and then rationalized once by ``MarginalProblem``).
     """
     try:
         with open(path) as fh:

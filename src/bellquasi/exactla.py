@@ -1,11 +1,12 @@
 """Exact dense linear algebra over the rationals.
 
-Everything here runs on :class:`fractions.Fraction`: ranks, null spaces,
-pseudoinverses and linear solves are computed exactly, with no
-floating-point tolerance anywhere.  Conversion to floats, where needed,
+The linear algebra here runs on :class:`fractions.Fraction`: ranks, null
+spaces, pseudoinverses and linear solves are computed exactly, with no
+floating-point tolerance.  Conversion to floats, where needed,
 is the caller's job.  Intended for small dense matrices (dimension ~30).
-The package's one rule for telling exact inputs from float ones,
-:func:`is_exact`, lives here too.
+The package's one tolerance policy lives here too: :func:`is_exact` tells
+exact inputs from float ones, :func:`tolerance` turns that into the
+comparison slack, and :func:`check_distribution` applies it to tables.
 """
 
 from __future__ import annotations
@@ -15,15 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-#: Exact scalar type used throughout the package.  ``fractions.Fraction``
-#: already guarantees canonical form: positive denominator and
-#: gcd(|numerator|, denominator) = 1 after every operation.
-Rational = Fraction
-
 RationalLike = Union[int, Fraction, str]
 
 #: Scalar accepted by the dual-mode (exact or float) code paths.
 Real = Union[float, Fraction, int]
+
+#: The package's float tolerance; exact values ignore it (:func:`tolerance`).
+DEFAULT_EPS = 1e-10
 
 
 def is_exact(values: Iterable[Real]) -> bool:
@@ -36,6 +35,22 @@ def is_exact(values: Iterable[Real]) -> bool:
         if not isinstance(v, (Fraction, int)):
             return False
     return True
+
+
+def tolerance(values: Iterable[Real], eps: float = DEFAULT_EPS) -> float:
+    """The package's one comparison rule: the slack when testing ``values``,
+    or quantities derived from them: 0 for exact values, else ``eps``."""
+    return 0 if is_exact(values) else eps
+
+
+def check_distribution(table: Sequence[Real], what: str, eps: float = DEFAULT_EPS) -> None:
+    """Raise ``ValueError`` unless ``table`` is non-negative and sums to 1
+    within ``tolerance(table, eps)``; ``what`` names the table in the error."""
+    tol = tolerance(table, eps)
+    if any(v < -tol for v in table):
+        raise ValueError(f"negative entry in {what}")
+    if abs(sum(table) - 1) > tol:
+        raise ValueError(f"{what} does not sum to 1")
 
 
 def as_rational(value: RationalLike) -> Fraction:

@@ -27,11 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactla import RatMatrix, RatVector, Real, as_rational, is_exact, rref
-
-#: Single feasibility tolerance used by all floating-point comparisons in
-#: the package.  Exact-rational code paths ignore it and compare exactly.
-DEFAULT_EPS = 1e-10
+from .exactla import DEFAULT_EPS, RatMatrix, RatVector, Real, check_distribution, rref
 
 #: Largest joint outcome count accepted before erroring out.
 JOINT_SIZE_CAP = 10**6
@@ -48,26 +44,30 @@ class Feasibility(Enum):
     INCONSISTENT = "Inconsistent"
 
 
-def rationalize(value: Real, max_denominator: int = RATIONALIZE_DENOMINATOR) -> Fraction:
-    """Exact value for ints/Fractions; nearest bounded-denominator fraction
-    for floats.  Documented so oracle-agreement runs are reproducible."""
+def rationalize(value: Real) -> Fraction:
+    """Exact value for ints/Fractions; for floats, the nearest fraction with
+    denominator at most ``RATIONALIZE_DENOMINATOR``.  Documented so
+    oracle-agreement runs are reproducible."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        return Fraction(value).limit_denominator(max_denominator)
+        return Fraction(value).limit_denominator(RATIONALIZE_DENOMINATOR)
     raise TypeError(f"cannot rationalize {type(value).__name__}")
 
 
-def _check_distribution(table: Sequence[Real], what: str) -> None:
-    """Raise unless ``table`` is non-negative and sums to 1: exactly for an
-    exact table, within ``DEFAULT_EPS`` otherwise."""
-    tol = 0 if is_exact(table) else DEFAULT_EPS
-    if any(v < -tol for v in table):
-        raise ValueError(f"negative entry in {what}")
-    if abs(sum(table) - 1) > tol:
-        raise ValueError(f"{what} does not sum to 1")
+def _rationalized_table(table: tuple[Real, ...]) -> tuple[Fraction, ...]:
+    """Exact copy of a checked table; floats are rationalized and the largest
+    entry adjusted so the total is exactly 1 (the adjustment is ~1e-12)."""
+    approx = [rationalize(v) for v in table]
+    gap = 1 - sum(approx)
+    if gap != 0:
+        k = max(range(len(approx)), key=lambda i: approx[i])
+        approx[k] += gap
+        if approx[k] < 0:
+            raise ValueError("cannot rationalize table: sum repair made an entry negative")
+    return tuple(approx)
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,11 @@ class MarginalProblem:
     lists (observable-name subset, prescribed table) pairs.  Tables are
     flattened row-major over the subset's outcome grid, first listed
     observable slowest.  Entries may be exact rationals or floats; each
-    table must be non-negative and sum to 1 (exactly when rational,
-    within ``DEFAULT_EPS`` otherwise).
+    table must be non-negative and sum to 1 within
+    :func:`bellquasi.exactla.tolerance` (exactly when rational, within
+    ``DEFAULT_EPS`` otherwise).  Float tables are then rationalized once
+    (:func:`rationalize`, sum repaired to exactly 1): the stored tables are
+    always exact ``Fraction`` tuples.
     """
 
     observables: tuple[tuple[str, int], ...]
@@ -88,11 +91,6 @@ class MarginalProblem:
     def __post_init__(self):
         object.__setattr__(
             self, "observables", tuple((str(n), int(c)) for n, c in self.observables)
-        )
-        object.__setattr__(
-            self,
-            "constraints",
-            tuple((tuple(names), tuple(table)) for names, table in self.constraints),
         )
         names = [n for n, _ in self.observables]
         if len(set(names)) != len(names):
@@ -107,7 +105,9 @@ class MarginalProblem:
             raise ValueError(
                 f"joint outcome count {self.joint_size()} exceeds cap {JOINT_SIZE_CAP}"
             )
+        constraints = []
         for subset, table in self.constraints:
+            subset, table = tuple(subset), tuple(table)
             if not subset:
                 raise ValueError("empty constraint subset")
             if len(set(subset)) != len(subset):
@@ -122,7 +122,9 @@ class MarginalProblem:
                 raise ValueError(
                     f"table for {subset} has {len(table)} entries, expected {size}"
                 )
-            _check_distribution(table, f"table for {subset}")
+            check_distribution(table, f"table for {subset}")
+            constraints.append((subset, _rationalized_table(table)))
+        object.__setattr__(self, "constraints", tuple(constraints))
 
     def joint_size(self) -> int:
         size = 1
@@ -149,7 +151,7 @@ def product_distribution(singles: Sequence[Sequence[Real]]) -> tuple[Real, ...]:
     if not singles:
         raise ValueError("need at least one table")
     for table in singles:
-        _check_distribution(table, f"table {tuple(table)}")
+        check_distribution(table, f"table {tuple(table)}")
     joint: list[Real] = [1]
     for table in singles:
         joint = [x * p for x in joint for p in table]
@@ -165,9 +167,8 @@ def build_constraint_system(
     given, each table row-major over its outcome grid; the all-ones
     normalization row comes last.  With ``drop_redundant`` the final entry
     of each table is omitted: that row is implied by the others together
-    with the table summing to 1.  Table entries must be exact rationals
-    (rationalize floats first; :func:`solve_problem` does).  ``prob`` was
-    validated, joint size cap included, when it was constructed.
+    with the table summing to 1.  ``prob`` was validated, joint size cap
+    included, and its tables made exact when it was constructed.
     """
     cards = prob.cardinalities()
     joint_outcomes = list(itertools.product(*(range(c) for c in cards)))
@@ -186,7 +187,7 @@ def build_constraint_system(
                     for outcome in joint_outcomes
                 ]
             )
-            rhs.append(as_rational(table[k]))
+            rhs.append(table[k])
     rows.append([one] * len(joint_outcomes))
     rhs.append(one)
     return RatMatrix.from_rows(rows), RatVector(tuple(rhs))
@@ -285,28 +286,6 @@ def lp_feasible(mat: RatMatrix, rhs: RatVector) -> FeasibilityResult:
     return FeasibilityResult(Feasibility.QUASI_ONLY, None, hom_dim)
 
 
-def _rationalized_table(table: tuple[Real, ...]) -> tuple[Fraction, ...]:
-    """Exact copy of a table; floats are rationalized and the largest entry
-    adjusted so the total is exactly 1 (the adjustment is ~1e-12)."""
-    if is_exact(table):
-        return tuple(as_rational(v) for v in table)
-    approx = [rationalize(v) for v in table]
-    gap = 1 - sum(approx)
-    if gap != 0:
-        k = max(range(len(approx)), key=lambda i: approx[i])
-        approx[k] += gap
-        if approx[k] < 0:
-            raise ValueError("cannot rationalize table: sum repair made an entry negative")
-    return tuple(approx)
-
-
 def solve_problem(prob: MarginalProblem, drop_redundant: bool = True) -> FeasibilityResult:
-    """Feasibility of a marginal problem; float tables are rationalized first."""
-    exact = MarginalProblem(
-        observables=prob.observables,
-        constraints=tuple(
-            (subset, _rationalized_table(table)) for subset, table in prob.constraints
-        ),
-    )
-    mat, rhs = build_constraint_system(exact, drop_redundant=drop_redundant)
-    return lp_feasible(mat, rhs)
+    """Feasibility of a marginal problem (its tables are exact since construction)."""
+    return lp_feasible(*build_constraint_system(prob, drop_redundant))

@@ -15,9 +15,9 @@ consistency equations on p; a proper probability exists iff some t keeps
 every component non-negative, which reduces to an interval test.
 
 Arithmetic is dual-mode: the structural objects (M, its pseudoinverse,
-xh) are always exact rationals; whether a p vector is exact is decided by
-:func:`bellquasi.exactla.is_exact`.  Exact p vectors are compared exactly
-(tolerance ignored), others at tolerance ``eps`` (default ``DEFAULT_EPS``).
+xh) are always exact rationals; the slack for a p vector is
+:func:`bellquasi.exactla.tolerance`: 0 for exact p vectors, ``eps``
+(default ``DEFAULT_EPS``, on the Bell-margin scale) for float ones.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .exactla import RatMatrix, Real, is_exact, pseudoinverse
-from .marginal_general import DEFAULT_EPS, Feasibility, MarginalProblem
+from .exactla import DEFAULT_EPS, RatMatrix, Real, is_exact, pseudoinverse, tolerance
+from .marginal_general import Feasibility, MarginalProblem
 from .singlet import CorrelationTriple, PairTable, tables_from_correlations
 
 #: Kernel direction of the constraint matrix: adding any multiple of it to
@@ -93,7 +93,7 @@ def check_consistency(p: Sequence[Real], eps: float = DEFAULT_EPS) -> Consistenc
         (p[3] + p[4]) - (p[6] + p[7]),  # AC row sum vs AB row sum
         (p[0] + p[2]) - (p[3] + p[5]),  # BC column sum vs AC column sum
     )
-    tol = 0 if is_exact(p) else eps
+    tol = tolerance(p, eps)
     return ConsistencyCheck(ok=all(abs(r) <= tol for r in residuals), residuals=residuals)
 
 
@@ -114,7 +114,10 @@ class QuasiFamily:
         return tuple(x + t * h for x, h in zip(self.x0, self.xh))
 
     def interval_nonempty(self, eps: Real = 0) -> bool:
-        return self.t_lo <= self.t_hi + eps
+        """``4 * (t_hi - t_lo) >= -eps``: ``eps`` is on the Bell-margin scale,
+        since for singlet tables ``4 * (t_hi - t_lo)`` is exactly the margin
+        of :func:`bellquasi.bellcheck.bell_pair`."""
+        return 4 * (self.t_hi - self.t_lo) >= -eps
 
 
 def solve_family(p: Sequence[Real], eps: float = DEFAULT_EPS) -> Optional[QuasiFamily]:
@@ -160,13 +163,13 @@ def classify(p: Sequence[Real], eps: float = DEFAULT_EPS) -> Classification:
 
     The witness parameter prefers t = 0 (the minimum-norm solution) when
     feasible, otherwise the nearest interval endpoint.  Boundary
-    configurations, where the interval degenerates within ``eps``, count
-    as Proper.  Exact p vectors are decided exactly.
+    configurations, where the interval is empty by at most ``eps`` on the
+    Bell-margin scale, count as Proper.  Exact p vectors are decided exactly.
     """
     family = solve_family(p, eps)
     if family is None:
         return Classification(Feasibility.INCONSISTENT, None)
-    if not family.interval_nonempty(0 if is_exact(p) else eps):
+    if not family.interval_nonempty(tolerance(p, eps)):
         return Classification(Feasibility.QUASI_ONLY, None)
     if family.t_lo <= family.t_hi:
         t = min(max(0, family.t_lo), family.t_hi)
@@ -175,15 +178,13 @@ def classify(p: Sequence[Real], eps: float = DEFAULT_EPS) -> Classification:
     return Classification(Feasibility.PROPER, family.member(t))
 
 
-def reconstruct_marginals(
-    x: Sequence[Real], eps: float = DEFAULT_EPS
-) -> tuple[PairTable, PairTable, PairTable]:
+def reconstruct_marginals(x: Sequence[Real]) -> tuple[PairTable, PairTable, PairTable]:
     """Pair marginals (AB, AC, BC) implied by a joint vector, including the
     (-, -) entries that the stacked rhs drops as redundant."""
     if len(x) != 8:
         raise ValueError(f"joint vector must have 8 entries, got {len(x)}")
     total = sum(x)
-    if abs(total - 1) > (0 if is_exact(x) else eps):
+    if abs(total - 1) > tolerance(x):
         raise ValueError(f"joint vector sums to {total}, not 1")
 
     def table(i: int, j: int) -> PairTable:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import Real, is_exact
+from .exactla import Real, check_distribution, is_exact
 
 #: Tolerance used for construction-time sanity checks of floating values.
 NORM_TOL = 1e-12
@@ -171,12 +171,7 @@ class BellMarginals:
         if self.p_vector[9] != 1:
             raise ValueError("last p_vector entry must be exactly 1")
         for table in (self.pab, self.pac, self.pbc):
-            entries = table.as_tuple()
-            tol = 0 if is_exact(entries) else NORM_TOL
-            if any(e < -tol for e in entries):
-                raise ValueError(f"negative table entry in {table}")
-            if abs(table.total() - 1) > tol:
-                raise ValueError(f"table does not sum to 1: {table}")
+            check_distribution(table.as_tuple(), "pair table", NORM_TOL)
 
 
 def tables_from_correlations(corr: CorrelationTriple) -> BellMarginals:

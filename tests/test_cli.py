@@ -84,6 +84,15 @@ class TestSingletCommand:
         assert report["correlations"]["ab"] == "-1/2"
         assert report["x0"][0] == "3/16"
 
+    def test_empty_interval_reported_as_decided(self, capsys):
+        code, out, _ = run(capsys, "singlet", "--angles", "0,90,179.9999", "--exact", "--eps", "1e-6", "--json")
+        report = json.loads(out)
+        assert report["classification"] == "QuasiOnly" and code == EXIT_QUASI_ONLY
+        assert report["t_interval"]["empty"] is True
+        code, out, _ = run(capsys, "singlet", "--angles", "0,90,179.9999", "--exact", "--eps", "1e-6")
+        assert "classification: QuasiOnly" in out
+        assert "(empty)" in out
+
     def test_json_contains_every_report_field(self, capsys):
         _, out, _ = run(capsys, "singlet", "--angles", "10,20,30", "--json")
         report = json.loads(out)
@@ -145,6 +154,30 @@ class TestScanCommand:
         assert code == EXIT_USAGE
         code, _, err = run(capsys, "scan", "--ab", "0:360:0")
         assert code == EXIT_USAGE
+
+    def test_classification_agrees_with_margin_at_default_eps(self, capsys):
+        code, out, _ = run(capsys, "scan", "--ab", "90:90.5:1", "--ac", "179.99999999:180:1")
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 1
+        fields = rows[0].split(",")
+        assert -4e-10 < float(fields[5]) < -1e-10
+        assert (fields[6] == "Proper") == (float(fields[5]) >= -1e-10)
+
+    @pytest.mark.parametrize("ab", ["0:1:1e-9", "0:360:1e-320"])
+    def test_huge_grid_exits_2_before_any_row(self, capsys, ab):
+        code, out, err = run(capsys, "scan", "--ab", ab)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_grid_cap_counts_cells(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SCAN_CELLS", 6)
+        code, out, _ = run(capsys, "scan", "--ab", "0:3:1", "--ac", "0:2:1")
+        assert code == 0 and len(out.splitlines()) == 1 + 6
+        code, out, err = run(capsys, "scan", "--ab", "0:3:1", "--ac", "0:3:1")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: grid has 9 cells; at most 6 are allowed\n"
 
     def test_write_error_mid_stream_reports_error_and_closes_file(self, capsys, tmp_path, monkeypatch):
         out_path = tmp_path / "scan.csv"
@@ -235,6 +268,22 @@ class TestSolveCommand:
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", str(tmp_path / "nope.json"))
         assert code == EXIT_USAGE
+
+    def test_float_table_checked_as_a_table(self, capsys, tmp_path):
+        # the float sum is exactly 1.0; the entries rationalized one by one are not
+        doc = tmp_path / "floats.json"
+        doc.write_text(
+            json.dumps(
+                {
+                    "schema": 1,
+                    "observables": [{"name": "A", "cardinality": 3}],
+                    "marginals": [{"over": ["A"], "table": [0.1234567, 0.2345678, 0.6419755]}],
+                }
+            )
+        )
+        code, out, err = run(capsys, "solve", str(doc), "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["status"] == "Proper"
 
     def test_bad_table_length_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

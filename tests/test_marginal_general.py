@@ -249,6 +249,16 @@ class TestSolveProblem:
         assert result.status is Feasibility.PROPER
         assert sum(result.witness) == 1  # exactly, after rationalization
 
+    def test_float_tables_are_stored_exact(self):
+        prob = MarginalProblem(
+            observables=(("A", 3), ("B", 2)),
+            constraints=((("A",), (0.1234567, 0.2345678, 0.6419755)), (("B",), (0.5, 0.5))),
+        )
+        for _, table in prob.constraints:
+            assert all(type(v) is F for v in table)
+            assert sum(table) == 1
+        assert prob.constraints[1][1] == (F(1, 2), F(1, 2))
+
     def test_redundant_rows_never_change_the_answer(self):
         rng = random.Random(113)
         for _ in range(200):

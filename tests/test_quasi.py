@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
+from bellquasi.bellcheck import bell_pair
 from bellquasi.exactla import RatVector, left_null_space, null_space, solve_consistent
 from bellquasi.marginal_general import Feasibility, build_constraint_system, lp_feasible
 from bellquasi.quasi import (
@@ -198,6 +199,17 @@ class TestClassify:
             assert (pac.pp, pac.pm, pac.mp) == (p[3], p[4], p[5])
             assert (pab.pp, pab.pm, pab.mp) == (p[6], p[7], p[8])
         assert seen_proper > 10
+
+    @pytest.mark.parametrize("gap", [2e-10, 5e-11])
+    def test_float_tolerance_on_the_bell_margin_scale(self, gap):
+        # margin -gap: below -DEFAULT_EPS the interval decider and bell_pair
+        # must both reject, above it both accept
+        corr = CorrelationTriple(0.0, 0.5, -0.5 - gap)
+        tag = classify(tables_from_correlations(corr).p_vector).tag
+        bell = bell_pair(corr)
+        assert bell.margin == pytest.approx(-gap, rel=1e-3)
+        assert tag is (Feasibility.QUASI_ONLY if gap > 1e-10 else Feasibility.PROPER)
+        assert bell.satisfied is (tag is Feasibility.PROPER)
 
 
 class TestReconstructMarginals:
