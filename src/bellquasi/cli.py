@@ -94,9 +94,9 @@ def cmd_singlet(args) -> int:
     if args.exact:
         corr = singlet.CorrelationTriple(*(rationalize(v) for v in corr.as_tuple()))
     marg = singlet.tables_from_correlations(corr)
-    consistency = quasi.check_consistency(marg.p_vector, args.eps)
-    family = quasi.solve_family(marg.p_vector, args.eps)
     verdict = quasi.classify(marg.p_vector, args.eps)
+    family = verdict.family
+    consistency = quasi.check_consistency(marg.p_vector, args.eps)
     bell = bellcheck.bell_pair(corr, args.eps)
     empty = verdict.tag is Feasibility.QUASI_ONLY
 
@@ -237,9 +237,9 @@ def load_problem_document(path: str) -> MarginalProblem:
             doc = json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise DocumentError(f"invalid JSON in {path}: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("schema") != 1:
+    if not isinstance(doc, dict) or type(doc.get("schema")) is not int or doc["schema"] != 1:
         raise DocumentError('document must be an object with "schema": 1')
     observables = doc.get("observables")
     marginals = doc.get("marginals")
@@ -252,7 +252,7 @@ def load_problem_document(path: str) -> MarginalProblem:
         if not isinstance(entry, dict) or "name" not in entry or "cardinality" not in entry:
             raise DocumentError(f"bad observable entry: {entry!r}")
         card = entry["cardinality"]
-        if not isinstance(card, int) or isinstance(card, bool):
+        if type(card) is not int:
             raise DocumentError(f"cardinality must be an integer, got {card!r}")
         obs.append((str(entry["name"]), card))
     constraints = []

@@ -3,7 +3,8 @@
 The linear algebra here runs on :class:`fractions.Fraction`: ranks, null
 spaces, pseudoinverses and linear solves are computed exactly, with no
 floating-point tolerance.  Conversion to floats, where needed,
-is the caller's job.  Intended for small dense matrices (dimension ~30).
+is the caller's job.  Sized for small dense matrices: tens of rows and up
+to a few hundred columns, the LPs of :mod:`bellquasi.marginal_general`.
 The package's one tolerance policy lives here too: :func:`is_exact` tells
 exact inputs from float ones, :func:`tolerance` turns that into the
 comparison slack, and :func:`check_distribution` applies it to tables.
@@ -179,6 +180,19 @@ class RatMatrix:
         return RatMatrix(self.rows, other.cols, tuple(flat))
 
 
+def _pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
+    """The one Gauss-Jordan step of every elimination and of the simplex, in
+    place: scale row ``r`` so entry ``c`` is 1, then clear column ``c`` elsewhere."""
+    piv = rows[r][c]
+    if piv != 1:
+        rows[r] = [x / piv for x in rows[r]]
+    pivot_row = rows[r]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if i != r and f != 0:
+            rows[i] = [a - f * p for a, p in zip(row, pivot_row)]
+
+
 def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """In-place reduced row echelon form; returns (rows, pivot column indices)."""
     nrows = len(rows)
@@ -193,13 +207,7 @@ def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
             continue
         if pivot_row != r:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
-        if piv != 1:
-            rows[r] = [x / piv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        _pivot(rows, r, c)
         pivots.append(c)
         r += 1
     return rows, pivots

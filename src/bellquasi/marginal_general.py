@@ -14,9 +14,10 @@ possible answers are:
 
 The decision procedure is an exact rational phase-one simplex with Bland's
 rule, so it terminates and is authoritative on boundary cases where a
-floating solver could not adjudicate.  This module doubles as the
-independent oracle for the specialized three-observable machinery in
-:mod:`bellquasi.quasi`.
+floating solver could not adjudicate.  Its tableau stores no artificial
+columns, and it pivots with the one Gauss-Jordan step of
+:mod:`bellquasi.exactla`.  This module doubles as the independent oracle
+for the specialized three-observable machinery in :mod:`bellquasi.quasi`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactla import DEFAULT_EPS, RatMatrix, RatVector, Real, check_distribution, rref
+from .exactla import DEFAULT_EPS, RatMatrix, RatVector, Real, _pivot, _rref_rows, check_distribution
 
 #: Largest joint outcome count accepted before erroring out.
 JOINT_SIZE_CAP = 10**6
@@ -206,60 +207,47 @@ class FeasibilityResult:
 def _phase_one_simplex(mat: RatMatrix, rhs: RatVector) -> Optional[list[Fraction]]:
     """Exact feasible point of {x : mat x = rhs, x >= 0}, or None.
 
-    Phase-one simplex over Fractions.  Bland's rule on both the entering
-    and the leaving choice guarantees termination.
+    Phase-one simplex over Fractions, minimizing the sum of one artificial
+    per row; Bland's rule on both the entering and the leaving choice
+    guarantees termination.  The tableau holds the ``n`` structural columns
+    and the rhs, plus a last row of reduced costs (minus the objective in
+    its rhs cell); artificial ``i`` is only the basis label ``n + i``.
     """
     m, n = mat.rows, mat.cols
-    rows = mat.row_lists()
-    b = list(rhs)
-    for i in range(m):
-        if b[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            b[i] = -b[i]
-    zero, one = Fraction(0), Fraction(1)
-    # Tableau columns: n structural, m artificial, then the rhs.
-    tableau = [rows[i] + [one if j == i else zero for j in range(m)] + [b[i]] for i in range(m)]
+    tableau = []
+    for row, b in zip(mat.row_lists(), rhs):
+        row.append(b)
+        tableau.append(row if b >= 0 else [-x for x in row])
+    tableau.append([-sum(row[j] for row in tableau) for j in range(n + 1)])
     basis = list(range(n, n + m))
-    # Reduced costs for minimizing the artificial sum; artificial columns
-    # start reduced to zero, the objective cell holds minus the objective.
-    z = [-sum(tableau[i][j] for i in range(m)) for j in range(n)] + [zero] * m + [-sum(b)]
-
-    total_cols = n + m
+    # No artificial column is needed: Bland's rule would let an artificial
+    # re-enter only once every structural reduced cost is >= 0, and then the
+    # artificial sum is already minimal; if positive, no x >= 0 exists, and
+    # if zero, every further pivot would be degenerate and x stays put.
     while True:
-        enter = next((j for j in range(total_cols) if z[j] < 0), None)
+        z = tableau[m]
+        enter = next((j for j in range(n) if z[j] < 0), None)
         if enter is None:
             break
-        leave = None
-        best = None
+        leave = best = None
         for i in range(m):
             coeff = tableau[i][enter]
             if coeff > 0:
-                ratio = tableau[i][total_cols] / coeff
+                ratio = tableau[i][n] / coeff
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
         if leave is None:
             raise AssertionError("phase-one objective is bounded; no leaving row found")
-        # Pivot on (leave, enter).
-        piv = tableau[leave][enter]
-        if piv != 1:
-            tableau[leave] = [x / piv for x in tableau[leave]]
-        pivot_row = tableau[leave]
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [a - f * p for a, p in zip(tableau[i], pivot_row)]
-        if z[enter] != 0:
-            f = z[enter]
-            z = [a - f * p for a, p in zip(z, pivot_row)]
+        _pivot(tableau, leave, enter)
         basis[leave] = enter
 
-    if -z[total_cols] != 0:  # minimal artificial sum is positive
+    if tableau[m][n] != 0:  # minimal artificial sum is positive
         return None
-    x = [zero] * n
+    x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = tableau[i][total_cols]
+            x[var] = tableau[i][n]
     return x
 
 
@@ -275,8 +263,7 @@ def lp_feasible(mat: RatMatrix, rhs: RatVector) -> FeasibilityResult:
     if len(rhs) != mat.rows:
         raise ValueError(f"rhs length {len(rhs)} != rows {mat.rows}")
     n = mat.cols
-    aug_rows = (mat.entries[i * n : (i + 1) * n] + (rhs[i],) for i in range(mat.rows))
-    _, pivots = rref(RatMatrix(mat.rows, n + 1, tuple(itertools.chain.from_iterable(aug_rows))))
+    _, pivots = _rref_rows([row + [b] for row, b in zip(mat.row_lists(), rhs)])
     if pivots and pivots[-1] == n:  # a pivot in the rhs column: 0 = nonzero
         return FeasibilityResult(Feasibility.INCONSISTENT, None, n - (len(pivots) - 1))
     hom_dim = n - len(pivots)

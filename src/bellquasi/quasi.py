@@ -152,10 +152,12 @@ def _pseudoinverse_rows_float() -> tuple[tuple[float, ...], ...]:
 
 @dataclass(frozen=True)
 class Classification:
-    """Three-way verdict plus a witness distribution when one exists."""
+    """Three-way verdict, a witness distribution when one exists, and the
+    family it was decided from (None when Inconsistent)."""
 
     tag: Feasibility
     witness: Optional[tuple[Real, ...]]
+    family: Optional[QuasiFamily] = None
 
 
 def classify(p: Sequence[Real], eps: float = DEFAULT_EPS) -> Classification:
@@ -170,12 +172,12 @@ def classify(p: Sequence[Real], eps: float = DEFAULT_EPS) -> Classification:
     if family is None:
         return Classification(Feasibility.INCONSISTENT, None)
     if not family.interval_nonempty(tolerance(p, eps)):
-        return Classification(Feasibility.QUASI_ONLY, None)
+        return Classification(Feasibility.QUASI_ONLY, None, family)
     if family.t_lo <= family.t_hi:
         t = min(max(0, family.t_lo), family.t_hi)
     else:  # nonempty only within tolerance; split the difference
         t = (family.t_lo + family.t_hi) / 2
-    return Classification(Feasibility.PROPER, family.member(t))
+    return Classification(Feasibility.PROPER, family.member(t), family)
 
 
 def reconstruct_marginals(x: Sequence[Real]) -> tuple[PairTable, PairTable, PairTable]:

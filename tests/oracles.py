@@ -3,12 +3,15 @@
 Nothing here calls into the package's closed-form table builders or the
 pseudoinverse pipeline: pair probabilities come from an explicit 4x4
 projector computation on the singlet state, and family feasibility can be
-brute-forced by sweeping the free parameter.  Keeping these independent is
-the point; do not "simplify" them to reuse package code.
+brute-forced by sweeping the free parameter.  LP feasibility is decided
+by enumerating basic solutions with a separate Fraction elimination.
+Keeping these independent is the point; do not "simplify" them to reuse
+package code.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -91,3 +94,68 @@ def random_rational_distribution(rng: random.Random, size: int, max_weight: int 
         total = sum(weights)
         if total:
             return tuple(Fraction(w, total) for w in weights)
+
+
+def _row_reduce(rows):
+    """Gauss-Jordan elimination of Fraction rows in place, written out here
+    rather than borrowed from the package; returns the pivot columns."""
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        head = rows[r][c]
+        rows[r] = [v / head for v in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f != 0:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots
+
+
+def lp_oracle(a, b):
+    """(verdict, homogeneous dimension) of {x : a x = b, x >= 0} by brute force.
+
+    ``a`` is a list of rows and ``b`` the rhs, both exact.  Inconsistent when
+    appending ``b`` raises the rank.  Otherwise Proper exactly when some
+    column subset of at most rank(a) columns carries a non-negative solution
+    (free variables at 0): if any x >= 0 exists, a basic one does.
+    """
+    n = len(a[0])
+    rank_a = len(_row_reduce([[Fraction(v) for v in row] for row in a]))
+    hom_dim = n - rank_a
+    if len(_row_reduce([[Fraction(v) for v in row] + [Fraction(bi)] for row, bi in zip(a, b)])) > rank_a:
+        return "Inconsistent", hom_dim
+    for size in range(rank_a + 1):
+        for cols in itertools.combinations(range(n), size):
+            rows = [[Fraction(row[j]) for j in cols] + [Fraction(bi)] for row, bi in zip(a, b)]
+            pivots = _row_reduce(rows)
+            if pivots and pivots[-1] == size:
+                continue  # no solution supported on these columns
+            if all(rows[k][size] >= 0 for k in range(len(pivots))):
+                return "Proper", hom_dim
+    return "QuasiOnly", hom_dim
+
+
+def random_lp_system(rng: random.Random):
+    """Small integer system (a, b): entries in -2..2, at most 5 rows by 6
+    columns, a few random rows plus duplicated or summed ones, in shuffled
+    order.  The rhs is a x for a point x with entries in -1..2, so it is
+    often negative; a derived row's rhs is sometimes bumped by 1, which
+    makes the system inconsistent."""
+    n = rng.randint(1, 6)
+    a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+    base = len(a)
+    while len(a) < 5 and rng.random() < 0.6:
+        row = [u + v for u, v in zip(rng.choice(a), rng.choice(a))]
+        a.append(row if all(abs(v) <= 2 for v in row) else list(rng.choice(a)))
+    x = [rng.randint(-1, 2) for _ in range(n)]
+    b = [sum(u * v for u, v in zip(row, x)) for row in a]
+    if len(a) > base and rng.random() < 0.3:
+        b[-1] += rng.choice((-1, 1))
+    order = list(range(len(a)))
+    rng.shuffle(order)
+    return [a[i] for i in order], [b[i] for i in order]

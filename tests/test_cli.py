@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from bellquasi import cli
+from bellquasi import cli, quasi
 from bellquasi.cli import (
     EXIT_INCONSISTENT,
     EXIT_QUASI_ONLY,
@@ -92,6 +92,24 @@ class TestSingletCommand:
         code, out, _ = run(capsys, "singlet", "--angles", "0,90,179.9999", "--exact", "--eps", "1e-6")
         assert "classification: QuasiOnly" in out
         assert "(empty)" in out
+
+    def test_family_solved_once(self, capsys, monkeypatch):
+        calls = {"solve_family": 0, "check_consistency": 0}
+
+        def counted(name):
+            original = getattr(quasi, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(quasi, name, counted(name))
+        assert cli.main(["singlet", "--angles", "0,60,120"]) == EXIT_QUASI_ONLY
+        capsys.readouterr()
+        assert calls == {"solve_family": 1, "check_consistency": 2}
 
     def test_json_contains_every_report_field(self, capsys):
         _, out, _ = run(capsys, "singlet", "--angles", "10,20,30", "--json")
@@ -264,6 +282,31 @@ class TestSolveCommand:
         code, _, err = run(capsys, "solve", str(bad))
         assert code == EXIT_USAGE
         assert "schema" in err
+
+    @pytest.mark.parametrize("schema", [True, 1.0], ids=["bool", "float"])
+    def test_non_integer_schema_exits_2(self, capsys, tmp_path, schema):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            json.dumps(
+                {
+                    "schema": schema,
+                    "observables": [{"name": "A", "cardinality": 2}],
+                    "marginals": [{"over": ["A"], "table": ["1/2", "1/2"]}],
+                }
+            )
+        )
+        code, _, err = run(capsys, "solve", str(bad))
+        assert code == EXIT_USAGE
+        assert "schema" in err
+
+    def test_deeply_nested_document_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 200000 + "]" * 200000)
+        with pytest.raises(DocumentError):
+            load_problem_document(str(bad))
+        code, _, err = run(capsys, "solve", str(bad))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:")
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", str(tmp_path / "nope.json"))

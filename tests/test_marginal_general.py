@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from bellquasi import marginal_general
 from bellquasi.cli import load_problem_document
-from bellquasi.exactla import rank
+from bellquasi.exactla import RatMatrix, RatVector, rank
 from bellquasi.marginal_general import (
     Feasibility,
     JOINT_SIZE_CAP,
@@ -212,6 +213,20 @@ class TestLpFeasible:
             interval_ok = fam.t_lo <= fam.t_hi
             mat, rhs = build_constraint_system(bell_problem(corr))
             assert (lp_feasible(mat, rhs).status is Feasibility.PROPER) == interval_ok
+
+    def test_agrees_with_brute_force_oracle_on_small_systems(self):
+        rng = random.Random(109)
+        seen = Counter()
+        for _ in range(400):
+            a, b = oracles.random_lp_system(rng)
+            result = lp_feasible(RatMatrix.from_rows(a), RatVector.from_values(b))
+            assert (result.status.value, result.homogeneous_dim) == oracles.lp_oracle(a, b), (a, b)
+            seen[result.status] += 1
+            if result.status is Feasibility.PROPER:
+                x = result.witness
+                assert all(v >= 0 for v in x)
+                assert [sum(u * v for u, v in zip(row, x)) for row in a] == b
+        assert min(seen[status] for status in Feasibility) >= 20, seen
 
 
 class TestSolveProblem:
