@@ -203,23 +203,20 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _parse_table_entry(value) -> Real:
-    """Strings and ints become Fractions; finite floats pass through to
-    :class:`MarginalProblem`, which checks and rationalizes the table once."""
+def _parse_table_entry(i: int, j: int, value) -> Real:
+    """Entry ``j`` of marginal ``i``: strings and ints become Fractions; finite
+    floats pass through to :class:`MarginalProblem`, which checks and
+    rationalizes the table once.  Errors name the position, not the value."""
     if isinstance(value, str):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(f"bad table entry {value!r}: {exc}") from None
-    if isinstance(value, bool):
-        raise DocumentError(f"bad table entry {value!r}")
-    if isinstance(value, int):
+        except (ValueError, ZeroDivisionError):
+            raise DocumentError(f"marginal {i}, table entry {j}: not a decimal or p/q string") from None
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise DocumentError(f"bad table entry {value!r}: not finite")
+    if isinstance(value, float) and math.isfinite(value):
         return value
-    raise DocumentError(f"bad table entry {value!r}")
+    raise DocumentError(f"marginal {i}, table entry {j}: not a finite number or numeric string")
 
 
 def load_problem_document(path: str) -> MarginalProblem:
@@ -248,22 +245,16 @@ def load_problem_document(path: str) -> MarginalProblem:
     if not isinstance(marginals, list):
         raise DocumentError('"marginals" must be a list')
     obs = []
-    for entry in observables:
+    for i, entry in enumerate(observables):
         if not isinstance(entry, dict) or "name" not in entry or "cardinality" not in entry:
-            raise DocumentError(f"bad observable entry: {entry!r}")
-        card = entry["cardinality"]
-        if type(card) is not int:
-            raise DocumentError(f"cardinality must be an integer, got {card!r}")
-        obs.append((str(entry["name"]), card))
+            raise DocumentError(f'observable {i}: expected an object with "name" and "cardinality"')
+        obs.append((str(entry["name"]), entry["cardinality"]))
     constraints = []
-    for entry in marginals:
-        if not isinstance(entry, dict) or "over" not in entry or "table" not in entry:
-            raise DocumentError(f"bad marginal entry: {entry!r}")
-        over = entry["over"]
-        table = entry["table"]
-        if not isinstance(over, list) or not isinstance(table, list):
-            raise DocumentError(f"bad marginal entry: {entry!r}")
-        constraints.append((tuple(str(n) for n in over), tuple(_parse_table_entry(v) for v in table)))
+    for i, entry in enumerate(marginals):
+        if not isinstance(entry, dict) or not all(isinstance(entry.get(k), list) for k in ("over", "table")):
+            raise DocumentError(f'marginal {i}: expected an object with "over" and "table" lists')
+        table = tuple(_parse_table_entry(i, j, v) for j, v in enumerate(entry["table"]))
+        constraints.append((tuple(str(n) for n in entry["over"]), table))
     try:
         return MarginalProblem(observables=tuple(obs), constraints=tuple(constraints))
     except ValueError as exc:

@@ -14,15 +14,16 @@ possible answers are:
 
 The decision procedure is an exact rational phase-one simplex with Bland's
 rule, so it terminates and is authoritative on boundary cases where a
-floating solver could not adjudicate.  Its tableau stores no artificial
-columns, and it pivots with the one Gauss-Jordan step of
-:mod:`bellquasi.exactla`.  This module doubles as the independent oracle
+floating solver could not adjudicate.  It starts from the RREF that decides
+rank and consistency, stores no artificial columns, and pivots with the one
+Gauss-Jordan step of :mod:`bellquasi.exactla`.  This module doubles as the independent oracle
 for the specialized three-observable machinery in :mod:`bellquasi.quasi`.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -90,18 +91,17 @@ class MarginalProblem:
     constraints: tuple[tuple[tuple[str, ...], tuple[Real, ...]], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "observables", tuple((str(n), int(c)) for n, c in self.observables)
-        )
+        observables = tuple((str(n), c) for n, c in self.observables)
+        for i, (_, c) in enumerate(observables):
+            if not isinstance(c, numbers.Integral) or c < 2:
+                raise ValueError(f"observable {i}: cardinality must be an integer >= 2")
+        object.__setattr__(self, "observables", tuple((n, int(c)) for n, c in observables))
         names = [n for n, _ in self.observables]
         if len(set(names)) != len(names):
             raise ValueError("observable names must be unique")
         if not names:
             raise ValueError("at least one observable required")
         cards = dict(self.observables)
-        for _, c in self.observables:
-            if c < 2:
-                raise ValueError(f"cardinality must be >= 2, got {c}")
         if self.joint_size() > JOINT_SIZE_CAP:
             raise ValueError(
                 f"joint outcome count {self.joint_size()} exceeds cap {JOINT_SIZE_CAP}"
@@ -204,50 +204,50 @@ class FeasibilityResult:
     homogeneous_dim: int
 
 
-def _phase_one_simplex(mat: RatMatrix, rhs: RatVector) -> Optional[list[Fraction]]:
-    """Exact feasible point of {x : mat x = rhs, x >= 0}, or None.
+def _phase_one_simplex(rows: list[list[Fraction]], pivots: list[int], n: int) -> Optional[list[Fraction]]:
+    """Exact feasible point of {x >= 0 : rows x = rhs}, or None.
 
-    Phase-one simplex over Fractions, minimizing the sum of one artificial
-    per row; Bland's rule on both the entering and the leaving choice
-    guarantees termination.  The tableau holds the ``n`` structural columns
-    and the rhs, plus a last row of reduced costs (minus the objective in
-    its rhs cell); artificial ``i`` is only the basis label ``n + i``.
+    ``rows``, the nonzero rows of the RREF of a consistent [A | b] (``n``
+    coefficients, then the rhs), become the tableau in place; their pivot
+    columns ``pivots`` are the starting basis.  A row with negative rhs is
+    negated and made basic in an artificial (only the label ``n + i``), and
+    phase one minimizes the sum of the artificials, with Bland's rule on
+    both choices so that it terminates.  The reduced costs are the last row.
     """
-    m, n = mat.rows, mat.cols
-    tableau = []
-    for row, b in zip(mat.row_lists(), rhs):
-        row.append(b)
-        tableau.append(row if b >= 0 else [-x for x in row])
-    tableau.append([-sum(row[j] for row in tableau) for j in range(n + 1)])
-    basis = list(range(n, n + m))
-    # No artificial column is needed: Bland's rule would let an artificial
-    # re-enter only once every structural reduced cost is >= 0, and then the
-    # artificial sum is already minimal; if positive, no x >= 0 exists, and
-    # if zero, every further pivot would be degenerate and x stays put.
+    m, basis = len(rows), list(pivots)
+    for i, row in enumerate(rows):
+        if row[n] < 0:
+            rows[i], basis[i] = [-x for x in row], n + i
+    rows.append([-sum(rows[i][j] for i in range(m) if basis[i] >= n) for j in range(n + 1)])
+    # No artificial column is needed, whichever rows started with one: the
+    # reduced-cost row is always -y^T [rows | rhs] for some y, so once no
+    # structural reduced cost is negative, y^T rows <= 0 and the objective
+    # is y^T rhs; any x >= 0 would give y^T rhs = y^T rows x <= 0.  A positive
+    # minimum thus means no x >= 0 exists; a zero one leaves every artificial at 0.
     while True:
-        z = tableau[m]
+        z = rows[m]
         enter = next((j for j in range(n) if z[j] < 0), None)
         if enter is None:
             break
         leave = best = None
         for i in range(m):
-            coeff = tableau[i][enter]
+            coeff = rows[i][enter]
             if coeff > 0:
-                ratio = tableau[i][n] / coeff
+                ratio = rows[i][n] / coeff
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
         if leave is None:
             raise AssertionError("phase-one objective is bounded; no leaving row found")
-        _pivot(tableau, leave, enter)
+        _pivot(rows, leave, enter)
         basis[leave] = enter
 
-    if tableau[m][n] != 0:  # minimal artificial sum is positive
+    if rows[m][n] != 0:  # minimal artificial sum is positive
         return None
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = tableau[i][n]
+            x[var] = rows[i][n]
     return x
 
 
@@ -257,22 +257,21 @@ def lp_feasible(mat: RatMatrix, rhs: RatVector) -> FeasibilityResult:
     Returns a witness when feasible; ``QuasiOnly`` when the equality system
     is consistent but no non-negative solution exists; ``Inconsistent``
     when the equality system itself is unsolvable.  One Gauss-Jordan pass
-    over [mat | rhs] gives both the rank and the consistency verdict; the
-    simplex runs only on consistent systems.
+    over [mat | rhs] gives the rank, the consistency verdict and, without
+    its redundant rows, the system and starting basis of the simplex.
     """
     if len(rhs) != mat.rows:
         raise ValueError(f"rhs length {len(rhs)} != rows {mat.rows}")
     n = mat.cols
-    _, pivots = _rref_rows([row + [b] for row, b in zip(mat.row_lists(), rhs)])
+    rows, pivots = _rref_rows([row + [b] for row, b in zip(mat.row_lists(), rhs)])
     if pivots and pivots[-1] == n:  # a pivot in the rhs column: 0 = nonzero
         return FeasibilityResult(Feasibility.INCONSISTENT, None, n - (len(pivots) - 1))
-    hom_dim = n - len(pivots)
-    x = _phase_one_simplex(mat, rhs)
-    if x is not None:
-        return FeasibilityResult(Feasibility.PROPER, tuple(x), hom_dim)
-    return FeasibilityResult(Feasibility.QUASI_ONLY, None, hom_dim)
+    x = _phase_one_simplex(rows[: len(pivots)], pivots, n)
+    if x is None:
+        return FeasibilityResult(Feasibility.QUASI_ONLY, None, n - len(pivots))
+    return FeasibilityResult(Feasibility.PROPER, tuple(x), n - len(pivots))
 
 
-def solve_problem(prob: MarginalProblem, drop_redundant: bool = True) -> FeasibilityResult:
+def solve_problem(prob: MarginalProblem) -> FeasibilityResult:
     """Feasibility of a marginal problem (its tables are exact since construction)."""
-    return lp_feasible(*build_constraint_system(prob, drop_redundant))
+    return lp_feasible(*build_constraint_system(prob))

@@ -343,6 +343,21 @@ class TestSolveCommand:
         assert code == EXIT_USAGE
 
     @pytest.mark.parametrize(
+        "observables, table",
+        [
+            pytest.param('{"name": "A", "cardinality": 2}', '["' + "1/2" * 2500 + '", "1/2"]', id="long-table-string"),
+            pytest.param("[" * 900 + "]" * 900, '["1/2", "1/2"]', id="deep-observable-entry"),
+        ],
+    )
+    def test_bad_entry_error_is_one_short_line(self, capsys, tmp_path, observables, table):
+        # the message names the entry's position; it does not repeat the entry
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"schema": 1, "observables": [{observables}], "marginals": [{{"over": ["A"], "table": {table}}}]}}')
+        code, _, err = run(capsys, "solve", str(bad))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and err.count("\n") == 1 and len(err) <= 201
+
+    @pytest.mark.parametrize(
         "cardinality, table",
         [
             # json writes non-finite floats as Infinity/-Infinity/NaN, which json.load accepts

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from bellquasi import marginal_general
 from bellquasi.cli import load_problem_document
-from bellquasi.exactla import RatMatrix, RatVector, rank
+from bellquasi.exactla import RatMatrix, RatVector, _pivot, rank
 from bellquasi.marginal_general import (
     Feasibility,
     JOINT_SIZE_CAP,
@@ -136,6 +136,11 @@ class TestBuildConstraintSystem:
         mat, _ = build_constraint_system(prob, drop_redundant=False)
         assert (mat.rows, mat.cols) == (3, 2)  # two entry rows + normalization
 
+    @pytest.mark.parametrize("cardinality", [2.7, "3", 3.0, F(3), None], ids=repr)
+    def test_non_integer_cardinality_rejected(self, cardinality):
+        with pytest.raises(ValueError, match="observable 0: cardinality must be an integer"):
+            MarginalProblem(observables=(("A", cardinality),), constraints=())
+
     def test_size_cap(self):
         observables = tuple((f"O{i}", 2) for i in range(21))  # 2^21 outcomes
         with pytest.raises(ValueError):
@@ -179,8 +184,38 @@ class TestLpFeasible:
         mat, _ = build_constraint_system(prob)
         assert result.homogeneous_dim == mat.cols - rank(mat)
 
+    def test_nonnegative_rref_solution_needs_no_pivot(self, monkeypatch):
+        # the RREF that decides rank and consistency is the simplex's start:
+        # a non-negative basic solution there is a witness without any pivot
+        pivots = []
+
+        def counted_pivot(rows, r, c):
+            pivots.append((r, c))
+            return _pivot(rows, r, c)
+
+        prob = load_problem_document(str(Path(__file__).resolve().parent.parent / "problems" / "bell_uniform.json"))
+        mat, rhs = build_constraint_system(prob)
+        monkeypatch.setattr(marginal_general, "_pivot", counted_pivot)
+        result = lp_feasible(mat, rhs)
+        assert result.status is Feasibility.PROPER
+        assert pivots == []
+        assert all(x >= 0 for x in result.witness)
+        assert tuple(mat.apply(result.witness)) == tuple(rhs)
+
+    @pytest.mark.parametrize(
+        "mat, rhs",
+        [
+            (RatMatrix(0, 2, ()), RatVector(())),
+            (RatMatrix.from_rows([[0, 0]]), RatVector.from_values([0])),
+        ],
+        ids=["no-rows", "zero-row"],
+    )
+    def test_rank_zero_system_is_proper(self, mat, rhs):
+        result = lp_feasible(mat, rhs)
+        assert result == marginal_general.FeasibilityResult(Feasibility.PROPER, (F(0), F(0)), 2)
+
     def test_inconsistent_system_never_enters_simplex(self, monkeypatch):
-        def no_simplex(mat, rhs):
+        def no_simplex(*args):
             raise AssertionError("simplex entered on an inconsistent system")
 
         monkeypatch.setattr(marginal_general, "_phase_one_simplex", no_simplex)
@@ -278,9 +313,8 @@ class TestSolveProblem:
         rng = random.Random(113)
         for _ in range(200):
             prob = random_problem(rng)
-            dropped = solve_problem(prob, drop_redundant=True)
-            retained = solve_problem(prob, drop_redundant=False)
-            assert dropped.status is retained.status
+            retained = lp_feasible(*build_constraint_system(prob, drop_redundant=False))
+            assert solve_problem(prob) == retained
 
 
 class TestRationalize:
