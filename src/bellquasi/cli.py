@@ -206,9 +206,15 @@ def cmd_scan(args) -> int:
 def _parse_table_entry(i: int, j: int, value) -> Real:
     """Entry ``j`` of marginal ``i``: strings and ints become Fractions; finite
     floats pass through to :class:`MarginalProblem`, which checks and
-    rationalizes the table once.  Errors name the position, not the value."""
+    rationalizes the table once.  Errors name the position, not the value.
+    A decimal exponent is checked from the text first: ``Fraction`` would
+    expand it in full, so an entry whose exact value needs more digits than
+    the interpreter's int/str limit is rejected like a longer digit string."""
     if isinstance(value, str):
+        mantissa, _, exponent = value.strip().lower().partition("e")
         try:
+            if exponent and len(mantissa) + abs(int(exponent)) > sys.get_int_max_str_digits():
+                raise ValueError("exponent too large")
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise DocumentError(f"marginal {i}, table entry {j}: not a decimal or p/q string") from None

@@ -1,10 +1,13 @@
 """Exact dense linear algebra over the rationals.
 
-The linear algebra here runs on :class:`fractions.Fraction`: ranks, null
-spaces, pseudoinverses and linear solves are computed exactly, with no
-floating-point tolerance.  Conversion to floats, where needed,
-is the caller's job.  Sized for small dense matrices: tens of rows and up
-to a few hundred columns, the LPs of :mod:`bellquasi.marginal_general`.
+Ranks, null spaces, pseudoinverses and linear solves are computed exactly,
+with no floating-point tolerance.  They take and return
+:class:`fractions.Fraction` values, but every elimination inside works on
+rows of Python ints (each a positive multiple of its rational row, divided
+by its gcd), which costs far less than ``Fraction`` arithmetic.  Conversion
+to floats, where needed, is the caller's job.  Sized for small dense
+matrices: tens of rows and up to a few hundred columns, the LPs of
+:mod:`bellquasi.marginal_general`.
 The package's one tolerance policy lives here too: :func:`is_exact` tells
 exact inputs from float ones, :func:`tolerance` turns that into the
 comparison slack, and :func:`check_distribution` applies it to tables.
@@ -180,21 +183,32 @@ class RatMatrix:
         return RatMatrix(self.rows, other.cols, tuple(flat))
 
 
-def _pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
+def _pivot(rows: list[list[int]], r: int, c: int) -> None:
     """The one Gauss-Jordan step of every elimination and of the simplex, in
-    place: scale row ``r`` so entry ``c`` is 1, then clear column ``c`` elsewhere."""
-    piv = rows[r][c]
-    if piv != 1:
-        rows[r] = [x / piv for x in rows[r]]
+    place, on integer rows that each stand for a positive multiple of a
+    rational row: make entry ``c`` of row ``r`` positive (rather than 1),
+    then clear column ``c`` elsewhere, dividing each updated row by its gcd."""
+    if rows[r][c] < 0:
+        rows[r] = [-x for x in rows[r]]
     pivot_row = rows[r]
+    p = pivot_row[c]
     for i, row in enumerate(rows):
         f = row[c]
         if i != r and f != 0:
-            rows[i] = [a - f * p for a, p in zip(row, pivot_row)]
+            row = [p * a - f * b for a, b in zip(row, pivot_row)]
+            g = math.gcd(*row)
+            rows[i] = [x // g for x in row] if g > 1 else row
 
 
-def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column indices)."""
+def _rref_rows(rational_rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of rational rows; returns (integer rows,
+    pivot column indices).  Each rational row is scaled once to integers by
+    the lcm of its denominators; row ``j`` of the result divided by its
+    pivot entry ``rows[j][pivots[j]]`` (positive) is the rational RREF row."""
+    rows = []
+    for row in rational_rows:
+        scale = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
@@ -216,7 +230,9 @@ def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns (exact Gauss-Jordan)."""
     rows, pivots = _rref_rows(m.row_lists())
-    return RatMatrix(m.rows, m.cols, tuple(e for row in rows for e in row)), tuple(pivots)
+    flat = [Fraction(x, rows[j][c]) for j, c in enumerate(pivots) for x in rows[j]]
+    flat += [Fraction(0)] * ((m.rows - len(pivots)) * m.cols)
+    return RatMatrix(m.rows, m.cols, tuple(flat)), tuple(pivots)
 
 
 def rank(m: RatMatrix) -> int:
@@ -250,7 +266,7 @@ def null_space(m: RatMatrix) -> list[RatVector]:
         vec = [Fraction(0)] * m.cols
         vec[free] = Fraction(1)
         for j, pc in enumerate(pivots):
-            vec[pc] = -rows[j][free]
+            vec[pc] = Fraction(-rows[j][free], rows[j][pc])
         basis.append(_canonical_kernel_vector(vec))
     return basis
 
@@ -265,11 +281,11 @@ def _invert(m: RatMatrix) -> RatMatrix:
     n = m.rows
     if m.cols != n:
         raise ValueError("matrix not square")
-    aug = [list(m.row(i)) + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
+    aug = [list(m.row(i)) + [int(j == i) for j in range(n)] for i in range(n)]
     rows, pivots = _rref_rows(aug)
     if list(pivots) != list(range(n)):
         raise ValueError("matrix is singular")
-    return RatMatrix.from_rows([r[n:] for r in rows])
+    return RatMatrix(n, n, tuple(Fraction(x, row[i]) for i, row in enumerate(rows) for x in row[n:]))
 
 
 def pseudoinverse(m: RatMatrix) -> RatMatrix:
@@ -305,5 +321,5 @@ def solve_consistent(m: RatMatrix, b: RatVector) -> Optional[RatVector]:
         return None  # a pivot in the rhs column: 0 = nonzero
     x = [Fraction(0)] * m.cols
     for j, pc in enumerate(pivots):
-        x[pc] = rows[j][m.cols]
+        x[pc] = Fraction(rows[j][m.cols], rows[j][pc])
     return RatVector(tuple(x))

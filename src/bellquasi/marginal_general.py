@@ -23,6 +23,7 @@ for the specialized three-observable machinery in :mod:`bellquasi.quasi`.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -107,23 +108,21 @@ class MarginalProblem:
                 f"joint outcome count {self.joint_size()} exceeds cap {JOINT_SIZE_CAP}"
             )
         constraints = []
-        for subset, table in self.constraints:
+        # Errors name a constraint by its position, never by its (unbounded) names.
+        for i, (subset, table) in enumerate(self.constraints):
             subset, table = tuple(subset), tuple(table)
             if not subset:
-                raise ValueError("empty constraint subset")
+                raise ValueError(f"constraint {i}: empty subset")
             if len(set(subset)) != len(subset):
-                raise ValueError(f"repeated observable in subset {subset}")
-            unknown = [n for n in subset if n not in cards]
-            if unknown:
-                raise ValueError(f"unknown observables in constraint: {unknown}")
+                raise ValueError(f"constraint {i}: repeated observable")
+            if any(n not in cards for n in subset):
+                raise ValueError(f"constraint {i}: unknown observable")
             size = 1
             for n in subset:
                 size *= cards[n]
             if len(table) != size:
-                raise ValueError(
-                    f"table for {subset} has {len(table)} entries, expected {size}"
-                )
-            check_distribution(table, f"table for {subset}")
+                raise ValueError(f"constraint {i}: table has {len(table)} entries, expected {size}")
+            check_distribution(table, f"table of constraint {i}")
             constraints.append((subset, _rationalized_table(table)))
         object.__setattr__(self, "constraints", tuple(constraints))
 
@@ -151,8 +150,8 @@ def product_distribution(singles: Sequence[Sequence[Real]]) -> tuple[Real, ...]:
     """
     if not singles:
         raise ValueError("need at least one table")
-    for table in singles:
-        check_distribution(table, f"table {tuple(table)}")
+    for i, table in enumerate(singles):
+        check_distribution(table, f"table {i}")
     joint: list[Real] = [1]
     for table in singles:
         joint = [x * p for x in joint for p in table]
@@ -204,38 +203,45 @@ class FeasibilityResult:
     homogeneous_dim: int
 
 
-def _phase_one_simplex(rows: list[list[Fraction]], pivots: list[int], n: int) -> Optional[list[Fraction]]:
+def _phase_one_simplex(rows: list[list[int]], pivots: list[int], n: int) -> Optional[list[Fraction]]:
     """Exact feasible point of {x >= 0 : rows x = rhs}, or None.
 
-    ``rows``, the nonzero rows of the RREF of a consistent [A | b] (``n``
-    coefficients, then the rhs), become the tableau in place; their pivot
-    columns ``pivots`` are the starting basis.  A row with negative rhs is
-    negated and made basic in an artificial (only the label ``n + i``), and
-    phase one minimizes the sum of the artificials, with Bland's rule on
-    both choices so that it terminates.  The reduced costs are the last row.
+    ``rows``, the nonzero integer rows of the RREF of a consistent [A | b]
+    (``n`` coefficients, then the rhs; each a positive multiple of its
+    rational row), become the tableau in place; their pivot columns
+    ``pivots`` are the starting basis.  A row with negative rhs is negated
+    and made basic in an artificial (only the label ``n + i``), and phase
+    one minimizes the sum of the artificials, with Bland's rule on both
+    choices so that it terminates.  The reduced costs are the last row.
     """
     m, basis = len(rows), list(pivots)
     for i, row in enumerate(rows):
         if row[n] < 0:
             rows[i], basis[i] = [-x for x in row], n + i
-    rows.append([-sum(rows[i][j] for i in range(m) if basis[i] >= n) for j in range(n + 1)])
+    # Row i is its rational row times |rows[i][pivots[i]]| (a pivot entry of
+    # the rational RREF is 1), so weighting each artificial row by lcm / that
+    # factor makes the reduced-cost row lcm times minus their rational sum.
+    art = [(rows[i], abs(rows[i][pivots[i]])) for i in range(m) if basis[i] >= n]
+    scale = math.lcm(*(a for _, a in art))
+    rows.append([-sum(scale // a * row[j] for row, a in art) for j in range(n + 1)])
     # No artificial column is needed, whichever rows started with one: the
-    # reduced-cost row is always -y^T [rows | rhs] for some y, so once no
-    # structural reduced cost is negative, y^T rows <= 0 and the objective
-    # is y^T rhs; any x >= 0 would give y^T rhs = y^T rows x <= 0.  A positive
-    # minimum thus means no x >= 0 exists; a zero one leaves every artificial at 0.
+    # reduced-cost row is always -y^T [rows | rhs] for some y, up to a positive
+    # factor (every row stays a positive multiple of its rational row), so
+    # once no structural reduced cost is negative, y^T rows <= 0 and the
+    # objective is y^T rhs; any x >= 0 would give y^T rhs = y^T rows x <= 0.  A
+    # positive minimum thus means no x >= 0 exists; a zero one leaves every artificial at 0.
     while True:
         z = rows[m]
         enter = next((j for j in range(n) if z[j] < 0), None)
         if enter is None:
             break
-        leave = best = None
+        leave = None
         for i in range(m):
             coeff = rows[i][enter]
-            if coeff > 0:
-                ratio = rows[i][n] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+            if coeff > 0:  # ratios rhs / coeff compared by cross-multiplying positive coeffs
+                if leave is not None:
+                    lhs, rhs = rows[i][n] * rows[leave][enter], rows[leave][n] * coeff
+                if leave is None or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise AssertionError("phase-one objective is bounded; no leaving row found")
@@ -247,7 +253,7 @@ def _phase_one_simplex(rows: list[list[Fraction]], pivots: list[int], n: int) ->
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = rows[i][n]
+            x[var] = Fraction(rows[i][n], rows[i][var])
     return x
 
 

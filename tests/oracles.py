@@ -5,6 +5,10 @@ pseudoinverse pipeline: pair probabilities come from an explicit 4x4
 projector computation on the singlet state, and family feasibility can be
 brute-forced by sweeping the free parameter.  LP feasibility is decided
 by enumerating basic solutions with a separate Fraction elimination.
+That elimination, and the ``reference_*`` functions built on it, are the
+all-``Fraction`` Gauss-Jordan step and phase-one simplex that the package
+replaced with integer rows; they make the same choices, so the package
+must return the same values and take the same pivots.
 Keeping these independent is the point; do not "simplify" them to reuse
 package code.
 """
@@ -12,6 +16,7 @@ package code.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -96,6 +101,17 @@ def random_rational_distribution(rng: random.Random, size: int, max_weight: int 
             return tuple(Fraction(w, total) for w in weights)
 
 
+def _fraction_pivot(rows, r, c):
+    """One Gauss-Jordan step on Fraction rows, in place: scale row ``r`` so
+    entry ``c`` is 1, then clear column ``c`` in every other row."""
+    head = rows[r][c]
+    rows[r] = [v / head for v in rows[r]]
+    for i in range(len(rows)):
+        f = rows[i][c]
+        if i != r and f != 0:
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+
+
 def _row_reduce(rows):
     """Gauss-Jordan elimination of Fraction rows in place, written out here
     rather than borrowed from the package; returns the pivot columns."""
@@ -106,12 +122,7 @@ def _row_reduce(rows):
         if k is None:
             continue
         rows[r], rows[k] = rows[k], rows[r]
-        head = rows[r][c]
-        rows[r] = [v / head for v in rows[r]]
-        for i in range(len(rows)):
-            f = rows[i][c]
-            if i != r and f != 0:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        _fraction_pivot(rows, r, c)
         pivots.append(c)
     return pivots
 
@@ -159,3 +170,125 @@ def random_lp_system(rng: random.Random):
     order = list(range(len(a)))
     rng.shuffle(order)
     return [a[i] for i in order], [b[i] for i in order]
+
+
+def _fraction_rows(a):
+    return [[Fraction(v) for v in row] for row in a]
+
+
+def reference_rref(a):
+    """(RREF rows, pivot columns) of the rows ``a``, in Fractions."""
+    rows = _fraction_rows(a)
+    return rows, _row_reduce(rows)
+
+
+def reference_null_space(a, ncols):
+    """Null-space basis of ``a`` (``ncols`` columns), one vector per free
+    column, each scaled to coprime integers with a positive first entry."""
+    rows, pivots = reference_rref(a)
+    basis = []
+    for free in (j for j in range(ncols) if j not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for k, c in enumerate(pivots):
+            vec[c] = -rows[k][free]
+        scale = math.lcm(*(v.denominator for v in vec))
+        ints = [int(v * scale) for v in vec]
+        g = math.gcd(*ints)
+        sign = 1 if next(v for v in ints if v) > 0 else -1
+        basis.append([Fraction(sign * v // g) for v in ints])
+    return basis
+
+
+def _matmul(x, y):
+    return [[sum((u * v for u, v in zip(row, col)), Fraction(0)) for col in zip(*y)] for row in x]
+
+
+def _transpose(x):
+    return [list(col) for col in zip(*x)]
+
+
+def _inverse(x):
+    n = len(x)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(x)]
+    _row_reduce(rows)
+    return [row[n:] for row in rows]
+
+
+def reference_pseudoinverse(a, ncols):
+    """Moore-Penrose pseudoinverse of the rows ``a`` by the full-rank
+    factorization a = F G: Gt (G Gt)^-1 (Ft F)^-1 Ft."""
+    rows, pivots = reference_rref(a)
+    if not pivots:
+        return [[Fraction(0)] * len(a) for _ in range(ncols)]
+    f = [[Fraction(row[c]) for c in pivots] for row in a]
+    g = rows[: len(pivots)]
+    gt, ft = _transpose(g), _transpose(f)
+    return _matmul(_matmul(_matmul(gt, _inverse(_matmul(g, gt))), _inverse(_matmul(ft, f))), ft)
+
+
+def reference_phase_one_simplex(rows, pivots, n):
+    """(feasible point or None, simplex pivots): the phase-one simplex with
+    Bland's rule on the Fraction RREF rows of a consistent [A | b], started
+    from their pivot basis, an artificial (label only) on each row with
+    negative rhs, and the reduced-cost row minus the sum of those rows."""
+    m, basis, steps = len(rows), list(pivots), 0
+    for i, row in enumerate(rows):
+        if row[n] < 0:
+            rows[i], basis[i] = [-x for x in row], n + i
+    rows.append([-sum(rows[i][j] for i in range(m) if basis[i] >= n) for j in range(n + 1)])
+    while True:
+        enter = next((j for j in range(n) if rows[m][j] < 0), None)
+        if enter is None:
+            break
+        leave = best = None
+        for i in range(m):
+            coeff = rows[i][enter]
+            if coeff > 0:
+                ratio = rows[i][n] / coeff
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        _fraction_pivot(rows, leave, enter)
+        basis[leave] = enter
+        steps += 1
+    if rows[m][n] != 0:
+        return None, steps
+    x = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = rows[i][n]
+    return x, steps
+
+
+def reference_lp_feasible(a, b):
+    """(verdict, witness or None, homogeneous dimension, simplex pivots) of
+    {x : a x = b, x >= 0}: one Fraction RREF of [a | b], then the reference
+    phase-one simplex on its nonzero rows."""
+    n = len(a[0])
+    rows = [row + [Fraction(bi)] for row, bi in zip(_fraction_rows(a), b)]
+    pivots = _row_reduce(rows)
+    if pivots and pivots[-1] == n:
+        return "Inconsistent", None, n - (len(pivots) - 1), 0
+    x, steps = reference_phase_one_simplex(rows[: len(pivots)], pivots, n)
+    if x is None:
+        return "QuasiOnly", None, n - len(pivots), steps
+    return "Proper", tuple(x), n - len(pivots), steps
+
+
+def random_rational_matrix(rng: random.Random):
+    """Small rational matrix as a list of rows: entries p/q with |p| <= 6 and
+    q <= 5 (about a third zero), at most 5 rows by 6 columns, sometimes a
+    zero row, a row that sums two others, or a leading zero in the first
+    row, so that eliminations meet negative pivots, zero rows and swaps."""
+    nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+    a = [
+        [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < 0.7 else Fraction(0) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    if nrows > 2 and rng.random() < 0.4:
+        a[rng.randrange(nrows)] = [u + v for u, v in zip(a[0], a[1])]
+    if rng.random() < 0.3:
+        a[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    if rng.random() < 0.5:
+        a[0][0] = Fraction(0)
+    return a

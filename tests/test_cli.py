@@ -358,6 +358,64 @@ class TestSolveCommand:
         assert err.startswith("error:") and err.count("\n") == 1 and len(err) <= 201
 
     @pytest.mark.parametrize(
+        "over, table",
+        [
+            pytest.param(["A", "X" * 5000], ["1/4"] * 4, id="unknown-observable"),
+            pytest.param(["B" * 5000, "B" * 5000], ["1/4"] * 4, id="repeated-observable"),
+            pytest.param(["A", "B" * 5000], ["1/2"] * 2, id="table-length"),
+            pytest.param(["A", "B" * 5000], ["1/2"] * 4, id="not-a-distribution"),
+        ],
+    )
+    def test_constraint_error_is_one_short_line(self, capsys, tmp_path, over, table):
+        # the message names the constraint by position, not by its observable names
+        bad = tmp_path / "bad.json"
+        observables = [{"name": "A", "cardinality": 2}, {"name": "B" * 5000, "cardinality": 2}]
+        bad.write_text(
+            json.dumps(
+                {
+                    "schema": 1,
+                    "observables": observables,
+                    "marginals": [{"over": ["A"], "table": ["1/2", "1/2"]}, {"over": over, "table": table}],
+                }
+            )
+        )
+        code, _, err = run(capsys, "solve", str(bad))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "constraint 1" in err
+        assert err.count("\n") == 1 and len(err) <= 201
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            pytest.param("1e3000000", id="large"),
+            pytest.param("1e-3000000", id="small"),
+            pytest.param(" 1E+3000000", id="spaced-upper-case"),
+            pytest.param("1e" + "9" * 5000, id="exponent-over-digit-limit"),
+        ],
+    )
+    def test_huge_exponent_rejected_from_the_text(self, capsys, tmp_path, monkeypatch, entry):
+        # Fraction would expand the exponent in full; the entry must be refused before that
+        def no_fraction(*args):
+            raise AssertionError("Fraction called on a table entry with a huge exponent")
+
+        monkeypatch.setattr(cli, "Fraction", no_fraction)
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            json.dumps(
+                {
+                    "schema": 1,
+                    "observables": [{"name": "A", "cardinality": 2}],
+                    "marginals": [{"over": ["A"], "table": [entry, "1/2"]}],
+                }
+            )
+        )
+        with pytest.raises(DocumentError, match=r"^marginal 0, table entry 0: "):
+            load_problem_document(str(bad))
+        code, _, err = run(capsys, "solve", str(bad))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: marginal 0, table entry 0: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "cardinality, table",
         [
             # json writes non-finite floats as Infinity/-Infinity/NaN, which json.load accepts
@@ -397,6 +455,20 @@ class TestLoadProblemDocument:
                     "schema": 1,
                     "observables": [{"name": "A", "cardinality": 2}],
                     "marginals": [{"over": ["A"], "table": ["1/4", "0.75"]}],
+                }
+            )
+        )
+        prob = load_problem_document(str(doc))
+        assert prob.constraints[0][1] == (F(1, 4), F(3, 4))
+
+    def test_parses_exponents_within_the_digit_limit(self, tmp_path):
+        doc = tmp_path / "doc.json"
+        doc.write_text(
+            json.dumps(
+                {
+                    "schema": 1,
+                    "observables": [{"name": "A", "cardinality": 2}],
+                    "marginals": [{"over": ["A"], "table": ["25E-2", "0.0075e2"]}],
                 }
             )
         )

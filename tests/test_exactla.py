@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from bellquasi import exactla
 from bellquasi.exactla import (
     RatMatrix,
     RatVector,
@@ -13,6 +15,7 @@ from bellquasi.exactla import (
     null_space,
     pseudoinverse,
     rank,
+    rref,
     solve_consistent,
 )
 from bellquasi.quasi import build_matrix
@@ -204,6 +207,35 @@ class TestSolveConsistent:
             pinv_sol = pseudoinverse(m).apply(list(p))
             coeff = sol.dot(kernel) / kernel.dot(kernel)
             assert sol - kernel.scaled(coeff) == pinv_sol
+
+
+class TestIntegerRowsMatchFractionReference:
+    def test_rref_null_space_pseudoinverse(self, monkeypatch):
+        # integer rows inside, Fractions out: every value equals the all-Fraction elimination's
+        negative_pivots = []
+        step = exactla._pivot
+
+        def watched(rows, r, c):
+            negative_pivots.append(rows[r][c] < 0)
+            return step(rows, r, c)
+
+        monkeypatch.setattr(exactla, "_pivot", watched)
+        rng = random.Random(131)
+        seen = {"negative pivot": 0, "zero row": 0, "swap": 0}
+        for _ in range(300):
+            a = oracles.random_rational_matrix(rng)
+            m, ncols = RatMatrix.from_rows(a), len(a[0])
+            negative_pivots.clear()
+            reduced, pivots = rref(m)
+            ref_rows, ref_pivots = oracles.reference_rref(a)
+            assert (reduced, pivots) == (RatMatrix.from_rows(ref_rows), tuple(ref_pivots)), a
+            assert all(type(v) is F for v in reduced.entries)
+            seen["negative pivot"] += any(negative_pivots)
+            seen["zero row"] += any(all(v == 0 for v in row) for row in a)
+            seen["swap"] += a[0][0] == 0 and any(row[0] != 0 for row in a)
+            assert [list(v) for v in null_space(m)] == oracles.reference_null_space(a, ncols), a
+            assert pseudoinverse(m) == RatMatrix.from_rows(oracles.reference_pseudoinverse(a, ncols)), a
+        assert min(seen.values()) >= 30, seen
 
 
 class TestAsRational:

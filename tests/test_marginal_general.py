@@ -77,6 +77,10 @@ class TestProductDistribution:
         with pytest.raises(ValueError):
             product_distribution([(F(1, 2), F(1, 3))])
 
+    def test_error_names_the_table_by_position(self):
+        with pytest.raises(ValueError, match=r"^table 1 does not sum to 1$"):
+            product_distribution([(F(1, 2), F(1, 2)), (F(1, 3000),) * 2000])
+
     def test_round_trip_exact(self):
         rng = random.Random(101)
         for _ in range(100):
@@ -263,6 +267,32 @@ class TestLpFeasible:
                 assert [sum(u * v for u, v in zip(row, x)) for row in a] == b
         assert min(seen[status] for status in Feasibility) >= 20, seen
 
+    def test_integer_rows_match_fraction_reference(self, monkeypatch):
+        # same status, witness, homogeneous dimension and simplex pivot count
+        # as the all-Fraction elimination and simplex in the oracles
+        steps = []
+
+        def counted_pivot(rows, r, c):
+            steps.append((r, c))
+            return _pivot(rows, r, c)
+
+        monkeypatch.setattr(marginal_general, "_pivot", counted_pivot)
+        rng = random.Random(127)
+        systems = [oracles.random_lp_system(rng) for _ in range(400)]
+        for _ in range(100):
+            mat, rhs = build_constraint_system(random_problem(rng))
+            systems.append(([list(mat.row(i)) for i in range(mat.rows)], list(rhs)))
+        seen = Counter()
+        for a, b in systems:
+            steps.clear()
+            result = lp_feasible(RatMatrix.from_rows(a), RatVector.from_values(b))
+            status, witness, hom_dim, ref_steps = oracles.reference_lp_feasible(a, b)
+            assert result == marginal_general.FeasibilityResult(Feasibility(status), witness, hom_dim), (a, b)
+            assert len(steps) == ref_steps, (a, b)
+            seen[status] += 1
+            seen["pivoted"] += ref_steps > 0
+        assert min(seen.values()) >= 20, seen
+
 
 class TestSolveProblem:
     def test_single_observable_marginals_always_proper(self):
@@ -308,6 +338,17 @@ class TestSolveProblem:
             assert all(type(v) is F for v in table)
             assert sum(table) == 1
         assert prob.constraints[1][1] == (F(1, 2), F(1, 2))
+
+    def test_uniform_ternary_six_cycle_is_proper(self):
+        # 729 joint outcomes: the largest bundled problem
+        prob = load_problem_document(str(Path(__file__).resolve().parent.parent / "problems" / "uniform_ternary_6cycle.json"))
+        assert prob.joint_size() == 3**6
+        result = solve_problem(prob)
+        assert result.status is Feasibility.PROPER
+        assert all(type(v) is F and v >= 0 for v in result.witness)
+        for subset, table in prob.constraints:
+            assert table == (F(1, 9),) * 9
+            assert joint_marginal(prob, result.witness, subset) == table
 
     def test_redundant_rows_never_change_the_answer(self):
         rng = random.Random(113)
