@@ -11,7 +11,6 @@ from .bellcheck import BellVerdict, bell_pair, eight_inequalities, equivalence_c
 from .exactla import (
     DEFAULT_EPS,
     RatMatrix,
-    RatVector,
     as_rational,
     left_null_space,
     null_space,
@@ -71,7 +70,6 @@ __all__ = [
     "PairTable",
     "QuasiFamily",
     "RatMatrix",
-    "RatVector",
     "as_rational",
     "bell_marginals",
     "bell_pair",

@@ -1,8 +1,9 @@
 """Exact dense linear algebra over the rationals.
 
 Ranks, null spaces, pseudoinverses and linear solves are computed exactly,
-with no floating-point tolerance.  They take and return
-:class:`fractions.Fraction` values, but every elimination inside works on
+with no floating-point tolerance.  Matrix entries are ints or
+:class:`fractions.Fraction` values, results are ``Fraction`` values and
+vectors are plain tuples of them, but every elimination inside works on
 rows of Python ints (each a positive multiple of its rational row, divided
 by its gcd), which costs far less than ``Fraction`` arithmetic.  Conversion
 to floats, where needed, is the caller's job.  Sized for small dense
@@ -21,6 +22,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction, str]
+#: An exact matrix entry.
+Rational = Union[int, Fraction]
 
 #: Scalar accepted by the dual-mode (exact or float) code paths.
 Real = Union[float, Fraction, int]
@@ -73,49 +76,13 @@ def as_rational(value: RationalLike) -> Fraction:
 
 
 @dataclass(frozen=True)
-class RatVector:
-    """Immutable vector of exact rationals."""
-
-    entries: tuple[Fraction, ...]
-
-    @classmethod
-    def from_values(cls, values: Iterable[RationalLike]) -> "RatVector":
-        return cls(tuple(as_rational(v) for v in values))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.entries[i]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def dot(self, other: "RatVector") -> Fraction:
-        if len(self) != len(other):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-        return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
-
-    def scaled(self, k: RationalLike) -> "RatVector":
-        k = as_rational(k)
-        return RatVector(tuple(k * e for e in self.entries))
-
-    def __sub__(self, other: "RatVector") -> "RatVector":
-        if len(self) != len(other):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-        return RatVector(tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
-
-@dataclass(frozen=True)
 class RatMatrix:
-    """Immutable dense matrix of exact rationals, stored row-major."""
+    """Immutable dense matrix of exact rationals (ints or Fractions), stored
+    row-major."""
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    entries: tuple[Rational, ...]
 
     def __post_init__(self):
         if len(self.entries) != self.rows * self.cols:
@@ -135,20 +102,16 @@ class RatMatrix:
         return cls(nrows, ncols, tuple(flat))
 
     @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, tuple(Fraction(1 if i == j else 0) for i in range(n) for j in range(n)))
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
         return cls(rows, cols, (Fraction(0),) * (rows * cols))
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> Rational:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> RatVector:
-        return RatVector(self.entries[i * self.cols : (i + 1) * self.cols])
+    def row(self, i: int) -> tuple[Rational, ...]:
+        return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def row_lists(self) -> list[list[Fraction]]:
+    def row_lists(self) -> list[list[Rational]]:
         """Mutable copy of the rows, for elimination algorithms."""
         return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
 
@@ -158,17 +121,6 @@ class RatMatrix:
             self.rows,
             tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
         )
-
-    def apply(self, v: Sequence[RationalLike]) -> RatVector:
-        """Matrix-vector product."""
-        if len(v) != self.cols:
-            raise ValueError(f"vector length {len(v)} != cols {self.cols}")
-        vals = [as_rational(x) for x in v]
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            out.append(sum((self.entries[base + j] * vals[j] for j in range(self.cols)), Fraction(0)))
-        return RatVector(tuple(out))
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -200,7 +152,7 @@ def _pivot(rows: list[list[int]], r: int, c: int) -> None:
             rows[i] = [x // g for x in row] if g > 1 else row
 
 
-def _rref_rows(rational_rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+def _rref_rows(rational_rows: Iterable[Sequence[Rational]]) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form of rational rows; returns (integer rows,
     pivot column indices).  Each rational row is scaled once to integers by
     the lcm of its denominators; row ``j`` of the result divided by its
@@ -241,7 +193,7 @@ def rank(m: RatMatrix) -> int:
     return len(pivots)
 
 
-def _canonical_kernel_vector(v: Sequence[Fraction]) -> RatVector:
+def _canonical_kernel_vector(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Scale so the first nonzero entry is a positive integer and the
     integer entries have content (gcd) 1."""
     denom_lcm = math.lcm(*(x.denominator for x in v)) if v else 1
@@ -252,10 +204,10 @@ def _canonical_kernel_vector(v: Sequence[Fraction]) -> RatVector:
     first = next((x for x in ints if x != 0), 0)
     if first < 0:
         ints = [-x for x in ints]
-    return RatVector(tuple(Fraction(x) for x in ints))
+    return tuple(Fraction(x) for x in ints)
 
 
-def null_space(m: RatMatrix) -> list[RatVector]:
+def null_space(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space {x : m x = 0}, canonicalized."""
     rows, pivots = _rref_rows(m.row_lists())
     pivot_set = set(pivots)
@@ -271,7 +223,7 @@ def null_space(m: RatMatrix) -> list[RatVector]:
     return basis
 
 
-def left_null_space(m: RatMatrix) -> list[RatVector]:
+def left_null_space(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of {y : yᵀ m = 0}, the orthogonal complement of the column space."""
     return null_space(m.transpose())
 
@@ -306,7 +258,7 @@ def pseudoinverse(m: RatMatrix) -> RatMatrix:
     return gt @ _invert(g @ gt) @ _invert(ft @ f) @ ft
 
 
-def solve_consistent(m: RatMatrix, b: RatVector) -> Optional[RatVector]:
+def solve_consistent(m: RatMatrix, b: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:
     """One exact solution of m x = b, or None when the system is inconsistent.
 
     Free variables are set to zero, so the residual of the returned solution
@@ -322,4 +274,4 @@ def solve_consistent(m: RatMatrix, b: RatVector) -> Optional[RatVector]:
     x = [Fraction(0)] * m.cols
     for j, pc in enumerate(pivots):
         x[pc] = Fraction(rows[j][m.cols], rows[j][pc])
-    return RatVector(tuple(x))
+    return tuple(x)

@@ -30,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactla import DEFAULT_EPS, RatMatrix, RatVector, Real, _pivot, _rref_rows, check_distribution
+from .exactla import DEFAULT_EPS, RatMatrix, Real, _pivot, _rref_rows, check_distribution
 
 #: Largest joint outcome count accepted before erroring out.
 JOINT_SIZE_CAP = 10**6
@@ -158,39 +158,35 @@ def product_distribution(singles: Sequence[Sequence[Real]]) -> tuple[Real, ...]:
     return tuple(joint)
 
 
-def build_constraint_system(
-    prob: MarginalProblem, drop_redundant: bool = True
-) -> tuple[RatMatrix, RatVector]:
+def build_constraint_system(prob: MarginalProblem) -> tuple[RatMatrix, tuple[Fraction, ...]]:
     """Linear system "joint sums = prescribed marginal entries" + normalization.
 
-    One row per retained table entry, in the order the constraints were
-    given, each table row-major over its outcome grid; the all-ones
-    normalization row comes last.  With ``drop_redundant`` the final entry
-    of each table is omitted: that row is implied by the others together
-    with the table summing to 1.  ``prob`` was validated, joint size cap
-    included, and its tables made exact when it was constructed.
+    One 0/1 integer row per table entry but the last, in the order the
+    constraints were given, each table row-major over its outcome grid; the
+    all-ones normalization row comes last.  A table's final entry is
+    omitted because its row is implied by the others together with the
+    table summing to 1.  ``prob`` was validated, joint size cap included,
+    and its tables made exact when it was constructed.
     """
     cards = prob.cardinalities()
     joint_outcomes = list(itertools.product(*(range(c) for c in cards)))
-    rows: list[list[Fraction]] = []
+    flat: list[int] = []
     rhs: list[Fraction] = []
-    one = Fraction(1)
-    zero = Fraction(0)
     for subset, table in prob.constraints:
         positions = [prob.index_of(n) for n in subset]
-        grid = list(itertools.product(*(range(cards[p]) for p in positions)))
-        keep = grid[:-1] if drop_redundant else grid
-        for k, combo in enumerate(keep):
-            rows.append(
-                [
-                    one if all(outcome[p] == combo[j] for j, p in enumerate(positions)) else zero
-                    for outcome in joint_outcomes
-                ]
-            )
+        # cell[o]: the table entry, row-major, that joint outcome o adds to
+        cell = []
+        for outcome in joint_outcomes:
+            k = 0
+            for p in positions:
+                k = k * cards[p] + outcome[p]
+            cell.append(k)
+        for k in range(len(table) - 1):
+            flat.extend([int(c == k) for c in cell])
             rhs.append(table[k])
-    rows.append([one] * len(joint_outcomes))
-    rhs.append(one)
-    return RatMatrix.from_rows(rows), RatVector(tuple(rhs))
+    flat.extend([1] * len(joint_outcomes))
+    rhs.append(Fraction(1))
+    return RatMatrix(len(rhs), len(joint_outcomes), tuple(flat)), tuple(rhs)
 
 
 @dataclass(frozen=True)
@@ -257,7 +253,7 @@ def _phase_one_simplex(rows: list[list[int]], pivots: list[int], n: int) -> Opti
     return x
 
 
-def lp_feasible(mat: RatMatrix, rhs: RatVector) -> FeasibilityResult:
+def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
     """Decide {x : mat x = rhs, x >= 0} != {} by exact rational simplex.
 
     Returns a witness when feasible; ``QuasiOnly`` when the equality system

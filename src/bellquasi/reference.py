@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .exactla import RatMatrix, RatVector, left_null_space, null_space, pseudoinverse, rank
+from .exactla import RatMatrix, left_null_space, null_space, pseudoinverse, rank
 from .quasi import build_matrix
 
 REFERENCE_RANK = 7
@@ -47,7 +47,7 @@ class CheckItem:
     detail: str
 
 
-def _spans_match(computed: Sequence[RatVector], expected: Sequence[Sequence[int]]) -> bool:
+def _spans_match(computed: Sequence[Sequence[Fraction]], expected: Sequence[Sequence[int]]) -> bool:
     """True when two vector sets span the same subspace (exact ranks)."""
     if not computed and not expected:
         return True
@@ -61,20 +61,9 @@ def _spans_match(computed: Sequence[RatVector], expected: Sequence[Sequence[int]
     return r_exp == r_comp == r_both
 
 
-def run_reference_check(
-    expected_rank: int = REFERENCE_RANK,
-    expected_homogeneous: Sequence[int] = REFERENCE_HOMOGENEOUS,
-    expected_left_null: Sequence[Sequence[int]] = REFERENCE_LEFT_NULL,
-    expected_pseudoinverse: Optional[Sequence[Sequence[Fraction]]] = None,
-) -> list[CheckItem]:
+def run_reference_check() -> list[CheckItem]:
     """Recompute every structural quantity from scratch and diff it against
-    the given fixtures (defaults: the published values).
-
-    The fixture parameters exist so tests can inject faults and watch the
-    corresponding item fail.
-    """
-    if expected_pseudoinverse is None:
-        expected_pseudoinverse = REFERENCE_PSEUDOINVERSE
+    the published values above."""
     m = build_matrix()
     items = []
 
@@ -82,13 +71,13 @@ def run_reference_check(
     items.append(
         CheckItem(
             name="rank",
-            ok=computed_rank == expected_rank,
-            detail=f"computed {computed_rank}, expected {expected_rank}",
+            ok=computed_rank == REFERENCE_RANK,
+            detail=f"computed {computed_rank}, expected {REFERENCE_RANK}",
         )
     )
 
     kernel = null_space(m)
-    kernel_ok = _spans_match(kernel, [list(expected_homogeneous)])
+    kernel_ok = _spans_match(kernel, [REFERENCE_HOMOGENEOUS])
     items.append(
         CheckItem(
             name="null space",
@@ -102,7 +91,7 @@ def run_reference_check(
     )
 
     left = left_null_space(m)
-    left_ok = _spans_match(left, [list(v) for v in expected_left_null])
+    left_ok = _spans_match(left, REFERENCE_LEFT_NULL)
     items.append(
         CheckItem(
             name="left null space",
@@ -117,10 +106,10 @@ def run_reference_check(
 
     pinv = pseudoinverse(m)
     mismatches = [
-        (i + 1, j + 1, pinv.entry(i, j), expected_pseudoinverse[i][j])
+        (i + 1, j + 1, pinv.entry(i, j), REFERENCE_PSEUDOINVERSE[i][j])
         for i in range(8)
         for j in range(10)
-        if pinv.entry(i, j) != expected_pseudoinverse[i][j]
+        if pinv.entry(i, j) != REFERENCE_PSEUDOINVERSE[i][j]
     ]
     if mismatches:
         shown = "; ".join(

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import Real, check_distribution, is_exact
+from .exactla import Real, is_exact
 
 #: Tolerance used for construction-time sanity checks of floating values.
 NORM_TOL = 1e-12
@@ -158,6 +158,7 @@ class BellMarginals:
 
     ``p_vector`` order: BC(++, +-, -+), AC(++, +-, -+), AB(++, +-, -+), 1.
     ``pbc`` is already the flipped table (B on particle 2 paired with C).
+    The tables are not checked again: they come from a checked triple.
     """
 
     pab: PairTable
@@ -170,8 +171,6 @@ class BellMarginals:
             raise ValueError(f"p_vector must have 10 entries, got {len(self.p_vector)}")
         if self.p_vector[9] != 1:
             raise ValueError("last p_vector entry must be exactly 1")
-        for table in (self.pab, self.pac, self.pbc):
-            check_distribution(table.as_tuple(), "pair table", NORM_TOL)
 
 
 def tables_from_correlations(corr: CorrelationTriple) -> BellMarginals:

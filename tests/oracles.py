@@ -101,6 +101,44 @@ def random_rational_distribution(rng: random.Random, size: int, max_weight: int 
             return tuple(Fraction(w, total) for w in weights)
 
 
+def identity(n):
+    """Rows of the n x n identity matrix."""
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def mat_vec(m, v):
+    """Exact product of a RatMatrix ``m`` (row-major ``entries``) with ``v``."""
+    assert len(v) == m.cols
+    return tuple(dot(m.entries[i * m.cols : (i + 1) * m.cols], v) for i in range(m.rows))
+
+
+def dot(u, v):
+    assert len(u) == len(v)
+    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
+
+
+def remove_component(v, direction):
+    """``v`` minus its orthogonal projection onto ``direction``, exact."""
+    coeff = dot(v, direction) / dot(direction, direction)
+    return tuple(a - coeff * d for a, d in zip(v, direction))
+
+
+def full_constraint_system(prob):
+    """(rows, rhs) of "joint sums = prescribed entries" for a MarginalProblem,
+    one 0/1 row per entry of every table (none dropped as redundant), then
+    the all-ones normalization row; joint outcomes in row-major order."""
+    names = [name for name, _ in prob.observables]
+    outcomes = list(itertools.product(*(range(c) for _, c in prob.observables)))
+    rows, rhs = [], []
+    for subset, table in prob.constraints:
+        positions = [names.index(name) for name in subset]
+        grid = itertools.product(*(range(prob.observables[p][1]) for p in positions))
+        for combo, entry in zip(grid, table):
+            rows.append([int(tuple(o[p] for p in positions) == combo) for o in outcomes])
+            rhs.append(Fraction(entry))
+    return rows + [[1] * len(outcomes)], rhs + [Fraction(1)]
+
+
 def _fraction_pivot(rows, r, c):
     """One Gauss-Jordan step on Fraction rows, in place: scale row ``r`` so
     entry ``c`` is 1, then clear column ``c`` in every other row."""

@@ -1,10 +1,11 @@
+import hashlib
 import json
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from bellquasi import cli, quasi
+from bellquasi import cli, quasi, reference
 from bellquasi.cli import (
     EXIT_INCONSISTENT,
     EXIT_QUASI_ONLY,
@@ -140,6 +141,14 @@ class TestScanCommand:
         run(capsys, "scan", "--ab", "0:90:7.5", "--ac", "0:180:12.5", "--out", str(a))
         run(capsys, "scan", "--ab", "0:90:7.5", "--ac", "0:180:12.5", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_five_degree_scan_digest(self, capsys, tmp_path):
+        # the published 5-degree map: any change to a float path shows here
+        out_path = tmp_path / "scan.csv"
+        code, _, _ = run(capsys, "scan", "--ab", "0:360:5", "--ac", "0:360:5", "--out", str(out_path))
+        assert code == 0
+        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        assert digest == "82dca9cc60a054141913603a4e6f31aac303d3ed808a643b13715c04e0724354"
 
     def test_row_order_and_count(self, capsys, tmp_path):
         out_path = tmp_path / "scan.csv"
@@ -484,18 +493,20 @@ class TestPaperCheckCommand:
         assert "4/4 checks passed" in out
         assert "80 entries match" in out
 
-    def test_altered_pseudoinverse_entry_detected(self):
+    def test_altered_pseudoinverse_entry_detected(self, monkeypatch):
         altered = [list(row) for row in REFERENCE_PSEUDOINVERSE]
         altered[1][1] = F(12, 40)
-        items = run_reference_check(expected_pseudoinverse=altered)
+        monkeypatch.setattr(reference, "REFERENCE_PSEUDOINVERSE", altered)
+        items = run_reference_check()
         by_name = {item.name: item for item in items}
         assert not by_name["pseudoinverse"].ok
         assert "1 of 80 entries differ" in by_name["pseudoinverse"].detail
         assert "(2,2)" in by_name["pseudoinverse"].detail
         assert all(item.ok for name, item in by_name.items() if name != "pseudoinverse")
 
-    def test_altered_rank_detected(self):
-        items = run_reference_check(expected_rank=8)
+    def test_altered_rank_detected(self, monkeypatch):
+        monkeypatch.setattr(reference, "REFERENCE_RANK", 8)
+        items = run_reference_check()
         by_name = {item.name: item for item in items}
         assert not by_name["rank"].ok
         assert by_name["pseudoinverse"].ok

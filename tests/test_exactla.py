@@ -9,7 +9,6 @@ import oracles
 from bellquasi import exactla
 from bellquasi.exactla import (
     RatMatrix,
-    RatVector,
     as_rational,
     left_null_space,
     null_space,
@@ -49,7 +48,7 @@ class TestRank:
         assert rank(build_matrix()) == 7
 
     def test_identity(self):
-        assert rank(RatMatrix.identity(8)) == 8
+        assert rank(RatMatrix.from_rows(oracles.identity(8))) == 8
 
     def test_zero(self):
         assert rank(RatMatrix.zeros(3, 3)) == 0
@@ -68,12 +67,12 @@ class TestNullSpace:
         assert spans_equal(basis, [REFERENCE_HOMOGENEOUS])
 
     def test_full_column_rank(self):
-        assert null_space(RatMatrix.identity(4)) == []
+        assert null_space(RatMatrix.from_rows(oracles.identity(4))) == []
 
     def test_one_equation_kernel_canonicalization(self):
         # first nonzero entry must come out positive with content 1
         basis = null_space(RatMatrix.from_rows([[1, 1]]))
-        assert basis == [RatVector((F(1), F(-1)))]
+        assert basis == [(F(1), F(-1))]
 
     def test_rank_nullity(self):
         rng = random.Random(11)
@@ -86,7 +85,7 @@ class TestNullSpace:
         for _ in range(30):
             m = random_matrix(rng)
             for v in null_space(m):
-                assert m.apply(list(v)).is_zero()
+                assert all(x == 0 for x in oracles.mat_vec(m, v))
 
 
 class TestLeftNullSpace:
@@ -96,16 +95,16 @@ class TestLeftNullSpace:
         assert spans_equal(basis, list(REFERENCE_LEFT_NULL))
 
     def test_full_row_rank(self):
-        assert left_null_space(RatMatrix.identity(5)) == []
+        assert left_null_space(RatMatrix.from_rows(oracles.identity(5))) == []
 
     def test_single_column(self):
         basis = left_null_space(RatMatrix.from_rows([[1], [1]]))
-        assert basis == [RatVector((F(1), F(-1)))]
+        assert basis == [(F(1), F(-1))]
 
     def test_orthogonal_to_columns(self):
         m = build_matrix()
         for v in left_null_space(m):
-            assert m.transpose().apply(list(v)).is_zero()
+            assert all(x == 0 for x in oracles.mat_vec(m.transpose(), v))
 
 
 def penrose_identities_hold(m: RatMatrix) -> bool:
@@ -172,24 +171,24 @@ class TestPseudoinverse:
 
 class TestSolveConsistent:
     def test_identity_system(self):
-        x = solve_consistent(RatMatrix.identity(2), RatVector.from_values([3, "1/2"]))
+        x = solve_consistent(RatMatrix.from_rows(oracles.identity(2)), (F(3), F(1, 2)))
         assert list(x) == [F(3), F(1, 2)]
 
     def test_perturbed_rhs_is_inconsistent(self):
         # nudge the first entry of a valid rhs off the column space
         m = build_matrix()
-        p = RatVector.from_values([F(1, 4)] * 9 + [1])
+        p = (F(1, 4),) * 9 + (F(1),)
         assert solve_consistent(m, p) is not None
-        bad = RatVector((p[0] + F(1, 10),) + p.entries[1:])
-        assert any(v.dot(bad) != 0 for v in left_null_space(m))
+        bad = (p[0] + F(1, 10),) + p[1:]
+        assert any(oracles.dot(v, bad) != 0 for v in left_null_space(m))
         assert solve_consistent(m, bad) is None
 
     def test_underdetermined_residual_zero(self):
         m = RatMatrix.from_rows([[1, 1]])
-        b = RatVector.from_values([1])
+        b = (F(1),)
         x = solve_consistent(m, b)
         assert x[0] + x[1] == 1
-        assert m.apply(list(x)) == b
+        assert oracles.mat_vec(m, x) == b
 
     def test_matches_pseudoinverse_solution_up_to_kernel(self):
         m = build_matrix()
@@ -200,13 +199,12 @@ class TestSolveConsistent:
             x = [F(rng.randint(0, 9), 1) for _ in range(8)]
             total = sum(x) or F(1)
             x = [v / total for v in x]
-            p = m.apply(x)
+            p = oracles.mat_vec(m, x)
             sol = solve_consistent(m, p)
-            assert m.apply(list(sol)) == p
+            assert oracles.mat_vec(m, sol) == p
             # removing the kernel component must recover the min-norm solution
-            pinv_sol = pseudoinverse(m).apply(list(p))
-            coeff = sol.dot(kernel) / kernel.dot(kernel)
-            assert sol - kernel.scaled(coeff) == pinv_sol
+            pinv_sol = oracles.mat_vec(pseudoinverse(m), p)
+            assert oracles.remove_component(sol, kernel) == pinv_sol
 
 
 class TestIntegerRowsMatchFractionReference:

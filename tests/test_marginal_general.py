@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from bellquasi import marginal_general
 from bellquasi.cli import load_problem_document
-from bellquasi.exactla import RatMatrix, RatVector, _pivot, rank
+from bellquasi.exactla import RatMatrix, _pivot, rank
 from bellquasi.marginal_general import (
     Feasibility,
     JOINT_SIZE_CAP,
@@ -121,24 +121,31 @@ class TestBuildConstraintSystem:
         assert [int(x) for x in mat.row(1)] == [1, 0, 1, 0]  # second-observable "+" row
         assert [int(x) for x in mat.row(2)] == [1, 1, 1, 1]
         assert tuple(rhs) == (F(3, 5), F(1, 2), F(1))
+        assert all(type(x) is int for x in mat.entries) and all(type(x) is F for x in rhs)
 
     def test_toy_two_observables_retained(self):
         prob = MarginalProblem(
             observables=(("A", 2), ("B", 2)),
             constraints=((("A",), (F(3, 5), F(2, 5))), (("B",), (F(1, 2), F(1, 2)))),
         )
-        mat, rhs = build_constraint_system(prob, drop_redundant=False)
-        assert (mat.rows, mat.cols) == (5, 4)
-        assert [int(x) for x in mat.row(1)] == [0, 0, 1, 1]  # the redundant "-" row
+        rows, rhs = oracles.full_constraint_system(prob)
+        assert (len(rows), len(rows[0])) == (5, 4)
+        assert rows[1] == [0, 0, 1, 1]  # the redundant "-" row
         assert tuple(rhs) == (F(3, 5), F(2, 5), F(1, 2), F(1, 2), F(1))
+        # the builder keeps every row but each table's last
+        mat, kept = build_constraint_system(prob)
+        assert [list(mat.row(i)) for i in range(mat.rows)] == [rows[0], rows[2], rows[4]]
+        assert kept == (rhs[0], rhs[2], rhs[4])
 
     def test_single_observable(self):
         prob = MarginalProblem(
             observables=(("A", 2),),
             constraints=((("A",), (F(1, 4), F(3, 4))),),
         )
-        mat, _ = build_constraint_system(prob, drop_redundant=False)
-        assert (mat.rows, mat.cols) == (3, 2)  # two entry rows + normalization
+        rows, _ = oracles.full_constraint_system(prob)
+        assert (len(rows), len(rows[0])) == (3, 2)  # two entry rows + normalization
+        mat, _ = build_constraint_system(prob)
+        assert (mat.rows, mat.cols) == (2, 2)
 
     @pytest.mark.parametrize("cardinality", [2.7, "3", 3.0, F(3), None], ids=repr)
     def test_non_integer_cardinality_rejected(self, cardinality):
@@ -160,9 +167,9 @@ class TestLpFeasible:
         assert result.homogeneous_dim == 1
         # witness is exact and satisfies every constraint
         assert all(x >= 0 for x in result.witness)
-        assert tuple(mat.apply(result.witness)) == tuple(rhs)
+        assert oracles.mat_vec(mat, result.witness) == tuple(rhs)
         # the uniform table is a member of the solution set
-        assert tuple(mat.apply([F(1, 8)] * 8)) == tuple(rhs)
+        assert oracles.mat_vec(mat, [F(1, 8)] * 8) == tuple(rhs)
 
     def test_canonical_violation_is_quasi_only(self):
         corr = CorrelationTriple(F(-1, 2), F(1, 2), F(-1, 2))
@@ -204,13 +211,13 @@ class TestLpFeasible:
         assert result.status is Feasibility.PROPER
         assert pivots == []
         assert all(x >= 0 for x in result.witness)
-        assert tuple(mat.apply(result.witness)) == tuple(rhs)
+        assert oracles.mat_vec(mat, result.witness) == tuple(rhs)
 
     @pytest.mark.parametrize(
         "mat, rhs",
         [
-            (RatMatrix(0, 2, ()), RatVector(())),
-            (RatMatrix.from_rows([[0, 0]]), RatVector.from_values([0])),
+            (RatMatrix(0, 2, ()), ()),
+            (RatMatrix.from_rows([[0, 0]]), (F(0),)),
         ],
         ids=["no-rows", "zero-row"],
     )
@@ -239,7 +246,7 @@ class TestLpFeasible:
             if result.status is Feasibility.PROPER:
                 proper += 1
                 assert all(x >= 0 for x in result.witness)
-                assert tuple(mat.apply(result.witness)) == tuple(rhs)
+                assert oracles.mat_vec(mat, result.witness) == tuple(rhs)
                 for subset, table in prob.constraints:
                     assert joint_marginal(prob, result.witness, subset) == tuple(table)
         assert proper > 20
@@ -258,7 +265,7 @@ class TestLpFeasible:
         seen = Counter()
         for _ in range(400):
             a, b = oracles.random_lp_system(rng)
-            result = lp_feasible(RatMatrix.from_rows(a), RatVector.from_values(b))
+            result = lp_feasible(RatMatrix.from_rows(a), [F(v) for v in b])
             assert (result.status.value, result.homogeneous_dim) == oracles.lp_oracle(a, b), (a, b)
             seen[result.status] += 1
             if result.status is Feasibility.PROPER:
@@ -285,7 +292,7 @@ class TestLpFeasible:
         seen = Counter()
         for a, b in systems:
             steps.clear()
-            result = lp_feasible(RatMatrix.from_rows(a), RatVector.from_values(b))
+            result = lp_feasible(RatMatrix.from_rows(a), [F(v) for v in b])
             status, witness, hom_dim, ref_steps = oracles.reference_lp_feasible(a, b)
             assert result == marginal_general.FeasibilityResult(Feasibility(status), witness, hom_dim), (a, b)
             assert len(steps) == ref_steps, (a, b)
@@ -309,7 +316,7 @@ class TestSolveProblem:
             # the product distribution is an independent witness
             product = product_distribution(tables)
             mat, rhs = build_constraint_system(prob)
-            assert tuple(mat.apply(list(product))) == tuple(rhs)
+            assert oracles.mat_vec(mat, product) == tuple(rhs)
 
     def test_bell_violation_document_level(self):
         corr = CorrelationTriple(F(-1, 2), F(1, 2), F(-1, 2))
@@ -354,7 +361,8 @@ class TestSolveProblem:
         rng = random.Random(113)
         for _ in range(200):
             prob = random_problem(rng)
-            retained = lp_feasible(*build_constraint_system(prob, drop_redundant=False))
+            rows, rhs = oracles.full_constraint_system(prob)
+            retained = lp_feasible(RatMatrix.from_rows(rows), rhs)
             assert solve_problem(prob) == retained
 
 

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from bellquasi.exactla import check_distribution
 from bellquasi.quasi import check_consistency
 from bellquasi.singlet import (
+    NORM_TOL,
     BellMarginals,
     CorrelationTriple,
     Direction,
@@ -163,6 +165,17 @@ class TestBellMarginals:
         table = PairTable(F(1, 4), F(1, 4), F(1, 4), F(1, 4))
         with pytest.raises(ValueError):
             BellMarginals(pab=table, pac=table, pbc=table, p_vector=(F(1, 4),) * 10)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.tuples(*[st.fractions(min_value=-1, max_value=1, max_denominator=10**6)] * 3)
+        | st.tuples(*[st.sampled_from((1.0, -1.0, 1 + 1e-13, -1 - 1e-13)) | st.floats(-1, 1)] * 3)
+    )
+    def test_tables_of_a_checked_triple_are_distributions(self, triple):
+        # why BellMarginals need not check its tables again
+        marg = tables_from_correlations(CorrelationTriple(*triple))
+        for table in (marg.pab, marg.pac, marg.pbc):
+            check_distribution(table.as_tuple(), "pair table", NORM_TOL)
 
     def test_table_invariants_random_triples(self):
         rng = random.Random(31)
