@@ -5,8 +5,9 @@ with no floating-point tolerance.  Matrix entries are ints or
 :class:`fractions.Fraction` values, results are ``Fraction`` values and
 vectors are plain tuples of them, but every elimination inside works on
 rows of Python ints (each a positive multiple of its rational row, divided
-by its gcd), which costs far less than ``Fraction`` arithmetic.  Conversion
-to floats, where needed, is the caller's job.  Sized for small dense
+by its gcd), which costs far less than ``Fraction`` arithmetic, and its one
+step (:func:`_pivot`) touches only the nonzero columns of the pivot row.
+Conversion to floats, where needed, is the caller's job.  Sized for small
 matrices: tens of rows and up to a few hundred columns, the LPs of
 :mod:`bellquasi.marginal_general`.
 The package's one tolerance policy lives here too: :func:`is_exact` tells
@@ -139,28 +140,41 @@ def _pivot(rows: list[list[int]], r: int, c: int) -> None:
     """The one Gauss-Jordan step of every elimination and of the simplex, in
     place, on integer rows that each stand for a positive multiple of a
     rational row: make entry ``c`` of row ``r`` positive (rather than 1),
-    then clear column ``c`` elsewhere, dividing each updated row by its gcd."""
+    then clear column ``c`` elsewhere, dividing each updated row by its gcd.
+    A row is updated only at the nonzero columns of the pivot row: it is
+    copied when the pivot entry is 1 and scaled by that entry otherwise."""
     if rows[r][c] < 0:
         rows[r] = [-x for x in rows[r]]
-    pivot_row = rows[r]
-    p = pivot_row[c]
+    p = rows[r][c]
+    nonzeros = [(j, b) for j, b in enumerate(rows[r]) if b]
     for i, row in enumerate(rows):
         f = row[c]
         if i != r and f != 0:
-            row = [p * a - f * b for a, b in zip(row, pivot_row)]
+            row = row[:] if p == 1 else [p * a for a in row]
+            for j, b in nonzeros:
+                row[j] -= f * b
             g = math.gcd(*row)
             rows[i] = [x // g for x in row] if g > 1 else row
 
 
-def _rref_rows(rational_rows: Iterable[Sequence[Rational]]) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form of rational rows; returns (integer rows,
-    pivot column indices).  Each rational row is scaled once to integers by
-    the lcm of its denominators; row ``j`` of the result divided by its
-    pivot entry ``rows[j][pivots[j]]`` (positive) is the rational RREF row."""
+def _integer_rows(rational_rows: Iterable[Sequence[Rational]]) -> list[list[int]]:
+    """Each rational row scaled once to integers by the lcm of its denominators."""
     rows = []
     for row in rational_rows:
-        scale = math.lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (scale // x.denominator) for x in row])
+        scale = math.lcm(*{x.denominator for x in row})
+        if scale == 1:  # ints, or Fractions that are whole
+            rows.append([x.numerator for x in row])
+        else:
+            rows.append([x.numerator * (scale // x.denominator) for x in row])
+    return rows
+
+
+def _rref_rows(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form, in place, of integer rows that each stand
+    for a positive multiple of a rational row (see :func:`_integer_rows`);
+    returns (rows, pivot column indices).  Row ``j`` of the result divided
+    by its pivot entry ``rows[j][pivots[j]]`` (positive) is the rational
+    RREF row."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
@@ -181,7 +195,7 @@ def _rref_rows(rational_rows: Iterable[Sequence[Rational]]) -> tuple[list[list[i
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns (exact Gauss-Jordan)."""
-    rows, pivots = _rref_rows(m.row_lists())
+    rows, pivots = _rref_rows(_integer_rows(m.row_lists()))
     flat = [Fraction(x, rows[j][c]) for j, c in enumerate(pivots) for x in rows[j]]
     flat += [Fraction(0)] * ((m.rows - len(pivots)) * m.cols)
     return RatMatrix(m.rows, m.cols, tuple(flat)), tuple(pivots)
@@ -189,7 +203,7 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
 
 def rank(m: RatMatrix) -> int:
     """Exact rank via rational Gaussian elimination."""
-    _, pivots = _rref_rows(m.row_lists())
+    _, pivots = _rref_rows(_integer_rows(m.row_lists()))
     return len(pivots)
 
 
@@ -209,7 +223,7 @@ def _canonical_kernel_vector(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 def null_space(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space {x : m x = 0}, canonicalized."""
-    rows, pivots = _rref_rows(m.row_lists())
+    rows, pivots = _rref_rows(_integer_rows(m.row_lists()))
     pivot_set = set(pivots)
     basis = []
     for free in range(m.cols):
@@ -234,7 +248,7 @@ def _invert(m: RatMatrix) -> RatMatrix:
     if m.cols != n:
         raise ValueError("matrix not square")
     aug = [list(m.row(i)) + [int(j == i) for j in range(n)] for i in range(n)]
-    rows, pivots = _rref_rows(aug)
+    rows, pivots = _rref_rows(_integer_rows(aug))
     if list(pivots) != list(range(n)):
         raise ValueError("matrix is singular")
     return RatMatrix(n, n, tuple(Fraction(x, row[i]) for i, row in enumerate(rows) for x in row[n:]))
@@ -268,7 +282,7 @@ def solve_consistent(m: RatMatrix, b: Sequence[Fraction]) -> Optional[tuple[Frac
     if len(b) != m.rows:
         raise ValueError(f"rhs length {len(b)} != rows {m.rows}")
     aug = [list(m.row(i)) + [b[i]] for i in range(m.rows)]
-    rows, pivots = _rref_rows(aug)
+    rows, pivots = _rref_rows(_integer_rows(aug))
     if pivots and pivots[-1] == m.cols:
         return None  # a pivot in the rhs column: 0 = nonzero
     x = [Fraction(0)] * m.cols

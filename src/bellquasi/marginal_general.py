@@ -30,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactla import DEFAULT_EPS, RatMatrix, Real, _pivot, _rref_rows, check_distribution
+from .exactla import DEFAULT_EPS, RatMatrix, Real, _integer_rows, _pivot, _rref_rows, check_distribution
 
 #: Largest joint outcome count accepted before erroring out.
 JOINT_SIZE_CAP = 10**6
@@ -199,8 +199,8 @@ class FeasibilityResult:
     homogeneous_dim: int
 
 
-def _phase_one_simplex(rows: list[list[int]], pivots: list[int], n: int) -> Optional[list[Fraction]]:
-    """Exact feasible point of {x >= 0 : rows x = rhs}, or None.
+def _phase_one_simplex(rows: list[list[int]], pivots: list[int], n: int, rhs_scale: int) -> Optional[list[Fraction]]:
+    """Exact feasible point of {x >= 0 : rows x = rhs / rhs_scale}, or None.
 
     ``rows``, the nonzero integer rows of the RREF of a consistent [A | b]
     (``n`` coefficients, then the rhs; each a positive multiple of its
@@ -249,7 +249,7 @@ def _phase_one_simplex(rows: list[list[int]], pivots: list[int], n: int) -> Opti
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = Fraction(rows[i][n], rows[i][var])
+            x[var] = Fraction(rows[i][n], rows[i][var] * rhs_scale)
     return x
 
 
@@ -260,15 +260,19 @@ def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
     is consistent but no non-negative solution exists; ``Inconsistent``
     when the equality system itself is unsolvable.  One Gauss-Jordan pass
     over [mat | rhs] gives the rank, the consistency verdict and, without
-    its redundant rows, the system and starting basis of the simplex.
+    its redundant rows, the system and starting basis of the simplex.  The
+    rhs is scaled once, by the lcm of its denominators, so that the table
+    denominators stay out of the coefficients; the witness is divided by
+    that scale at the end.
     """
     if len(rhs) != mat.rows:
         raise ValueError(f"rhs length {len(rhs)} != rows {mat.rows}")
     n = mat.cols
-    rows, pivots = _rref_rows([row + [b] for row, b in zip(mat.row_lists(), rhs)])
+    scale = math.lcm(*(b.denominator for b in rhs))
+    rows, pivots = _rref_rows(_integer_rows(row + [b * scale] for row, b in zip(mat.row_lists(), rhs)))
     if pivots and pivots[-1] == n:  # a pivot in the rhs column: 0 = nonzero
         return FeasibilityResult(Feasibility.INCONSISTENT, None, n - (len(pivots) - 1))
-    x = _phase_one_simplex(rows[: len(pivots)], pivots, n)
+    x = _phase_one_simplex(rows[: len(pivots)], pivots, n, scale)
     if x is None:
         return FeasibilityResult(Feasibility.QUASI_ONLY, None, n - len(pivots))
     return FeasibilityResult(Feasibility.PROPER, tuple(x), n - len(pivots))

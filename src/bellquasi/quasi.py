@@ -22,6 +22,7 @@ xh) are always exact rationals; the slack for a p vector is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -130,24 +131,32 @@ def solve_family(p: Sequence[Real], eps: float = DEFAULT_EPS) -> Optional[QuasiF
     """
     if not check_consistency(p, eps).ok:
         return None
-    rows = _pseudoinverse_rows() if is_exact(p) else _pseudoinverse_rows_float()
-    x0 = tuple(sum(e * v for e, v in zip(row, p)) for row in rows)
+    if is_exact(p):  # integer numerators over one denominator: one Fraction per entry
+        rows, den = _pseudoinverse_numerators()
+        d = math.lcm(*(v.denominator for v in p))
+        p_num = [v.numerator * (d // v.denominator) for v in p]
+        x0 = tuple(Fraction(sum(e * v for e, v in zip(row, p_num)), den * d) for row in rows)
+    else:
+        x0 = tuple(sum(e * v for e, v in zip(row, p)) for row in _pseudoinverse_rows_float())
     t_lo = max(-x0[i] for i in range(8) if HOMOGENEOUS[i] == 1)
     t_hi = min(x0[i] for i in range(8) if HOMOGENEOUS[i] == -1)
     return QuasiFamily(x0=x0, t_lo=t_lo, t_hi=t_hi)
 
 
 @lru_cache(maxsize=1)
-def _pseudoinverse_rows() -> tuple[tuple[Fraction, ...], ...]:
+def _pseudoinverse_numerators() -> tuple[tuple[tuple[int, ...], ...], int]:
+    # exact copy: the entries times their common denominator, and that denominator
     m = pseudoinverse_matrix()
-    return tuple(tuple(m.row(i)) for i in range(m.rows))
+    den = math.lcm(*(e.denominator for e in m.entries))
+    return tuple(tuple(e.numerator * (den // e.denominator) for e in m.row(i)) for i in range(m.rows)), den
 
 
 @lru_cache(maxsize=1)
 def _pseudoinverse_rows_float() -> tuple[tuple[float, ...], ...]:
     # float copy for the inexact path; spares a Fraction->float conversion
     # per entry per application.
-    return tuple(tuple(float(e) for e in row) for row in _pseudoinverse_rows())
+    m = pseudoinverse_matrix()
+    return tuple(tuple(float(e) for e in m.row(i)) for i in range(m.rows))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -234,6 +235,48 @@ class TestIntegerRowsMatchFractionReference:
             assert [list(v) for v in null_space(m)] == oracles.reference_null_space(a, ncols), a
             assert pseudoinverse(m) == RatMatrix.from_rows(oracles.reference_pseudoinverse(a, ncols)), a
         assert min(seen.values()) >= 30, seen
+
+
+def is_positive_multiple(ints, fractions) -> bool:
+    """Is the integer row ``t`` times the Fraction row, for some t > 0?"""
+    lead = next((j for j, v in enumerate(fractions) if v != 0), None)
+    if lead is None:
+        return not any(ints)
+    t = F(ints[lead]) / fractions[lead]
+    return t > 0 and all(a == t * v for a, v in zip(ints, fractions))
+
+
+def small_integer_rows(ncols):
+    """Rows of ``ncols`` integers in -3..3, mostly zeros, some with one nonzero entry."""
+    dense = st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -3)), min_size=ncols, max_size=ncols)
+    single = st.tuples(st.integers(0, ncols - 1), st.sampled_from((1, -1, 2, -2, 3, -3))).map(
+        lambda t: [t[1] if j == t[0] else 0 for j in range(ncols)]
+    )
+    return st.lists(st.one_of(dense, single), min_size=1, max_size=6)
+
+
+class TestSparsePivotStep:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8).flatmap(small_integer_rows), st.integers(0, 10**6))
+    @example([[1, 2, 0, -1], [3, 0, 1, 0], [0, 0, 2, 0], [-2, -4, 0, 2]], 0)  # pivot entry 1: copy
+    @example([[-2, 1, 0], [3, 0, 1], [0, 1, 1], [1, 0, 0]], 0)  # pivot entry -2, made 2: scale
+    def test_matches_fraction_step(self, rows, pick):
+        # after the integer step every row is a positive multiple of the
+        # Fraction step's row; updated rows are coprime, other rows untouched
+        nonzero = [(i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v != 0]
+        assume(nonzero)
+        r, c = nonzero[pick % len(nonzero)]
+        ints = [list(row) for row in rows]
+        exactla._pivot(ints, r, c)
+        ref = [[F(v) for v in row] for row in rows]
+        oracles._fraction_pivot(ref, r, c)
+        assert ints[r][c] > 0
+        for i, (before, after) in enumerate(zip(rows, ints)):
+            assert is_positive_multiple(after, ref[i]), (rows, r, c)
+            if i != r and before[c] != 0:
+                assert math.gcd(*after) == (1 if any(after) else 0), (rows, r, c)
+            elif i != r:
+                assert after == before
 
 
 class TestAsRational:

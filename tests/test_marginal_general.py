@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bellquasi import marginal_general
+from bellquasi import exactla, marginal_general
 from bellquasi.cli import load_problem_document
 from bellquasi.exactla import RatMatrix, _pivot, rank
 from bellquasi.marginal_general import (
@@ -289,6 +289,18 @@ class TestLpFeasible:
         for _ in range(100):
             mat, rhs = build_constraint_system(random_problem(rng))
             systems.append(([list(mat.row(i)) for i in range(mat.rows)], list(rhs)))
+        # rational coefficients, whose rows have different denominators than
+        # the rhs: rhs = a x for a small rational x, sometimes bumped
+        for _ in range(300):
+            a = oracles.random_rational_matrix(rng)
+            x = [F(rng.randint(-2, 3), rng.randint(1, 4)) for _ in a[0]]
+            b = [sum(u * v for u, v in zip(row, x)) for row in a]
+            if rng.random() < 0.3:
+                b[rng.randrange(len(b))] += F(1, rng.randint(1, 5))
+            systems.append((a, b))
+        for _ in range(60):  # Bell systems with table denominators near 10**6
+            mat, rhs = build_constraint_system(bell_problem(oracles.random_rational_correlations(rng)))
+            systems.append(([list(mat.row(i)) for i in range(mat.rows)], list(rhs)))
         seen = Counter()
         for a, b in systems:
             steps.clear()
@@ -298,6 +310,30 @@ class TestLpFeasible:
             assert len(steps) == ref_steps, (a, b)
             seen[status] += 1
             seen["pivoted"] += ref_steps > 0
+        assert min(seen.values()) >= 20, seen
+
+    def test_rhs_denominators_stay_out_of_the_coefficients(self, monkeypatch):
+        # the rhs is scaled once per LP, so the tables' denominators (near
+        # 10**6) never multiply the 0/1 coefficients of a Bell system
+        largest = []
+
+        def recorded(step):
+            def recording_step(rows, r, c):
+                step(rows, r, c)
+                largest.append(max(abs(v) for row in rows for v in row[:-1]))
+
+            return recording_step
+
+        monkeypatch.setattr(exactla, "_pivot", recorded(exactla._pivot))
+        monkeypatch.setattr(marginal_general, "_pivot", recorded(marginal_general._pivot))
+        rng = random.Random(139)
+        seen = Counter()
+        for _ in range(200):
+            steps = len(largest)
+            status = solve_problem(bell_problem(oracles.random_rational_correlations(rng))).status
+            seen[status] += 1
+            seen["simplex"] += len(largest) - steps > 7  # the RREF takes at most 7
+        assert max(largest) <= 2
         assert min(seen.values()) >= 20, seen
 
 
