@@ -11,7 +11,6 @@ from .bellcheck import BellVerdict, bell_pair, eight_inequalities, equivalence_c
 from .exactla import (
     DEFAULT_EPS,
     RatMatrix,
-    as_rational,
     left_null_space,
     null_space,
     pseudoinverse,
@@ -70,7 +69,6 @@ __all__ = [
     "PairTable",
     "QuasiFamily",
     "RatMatrix",
-    "as_rational",
     "bell_marginals",
     "bell_pair",
     "bell_problem",

@@ -188,16 +188,19 @@ def cmd_scan(args) -> int:
         return EXIT_USAGE
 
     header = ["theta_ab", "theta_ac", "corr_ab", "corr_ac", "corr_bc", "margin", "classification"]
+    to_stdout = args.out in (None, "-")
     try:
-        out = sys.stdout if args.out in (None, "-") else open(args.out, "w", newline="")
+        out = sys.stdout if to_stdout else open(args.out, "w", newline="")
         try:
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(_scan_rows(ab, ac, args.eps))
         finally:
-            if out is not sys.stdout:
+            if not to_stdout:
                 out.close()
     except OSError as exc:
+        if to_stdout:
+            raise  # reported once, in main
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     return EXIT_OK
@@ -240,7 +243,7 @@ def load_problem_document(path: str) -> MarginalProblem:
             doc = json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, int digit limit; nested too deeply
         raise DocumentError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(doc, dict) or type(doc.get("schema")) is not int or doc["schema"] != 1:
         raise DocumentError('document must be an object with "schema": 1')
@@ -353,7 +356,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except OSError as exc:  # stdout's: every other file is handled where it is opened
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    return code
 
 
 def app() -> None:

@@ -1,14 +1,15 @@
 """Exact dense linear algebra over the rationals.
 
 Ranks, null spaces, pseudoinverses and linear solves are computed exactly,
-with no floating-point tolerance.  Matrix entries are ints or
-:class:`fractions.Fraction` values, results are ``Fraction`` values and
-vectors are plain tuples of them, but every elimination inside works on
-rows of Python ints (each a positive multiple of its rational row, divided
-by its gcd), which costs far less than ``Fraction`` arithmetic, and its one
-step (:func:`_pivot`) touches only the nonzero columns of the pivot row.
-Conversion to floats, where needed, is the caller's job.  Sized for small
-matrices: tens of rows and up to a few hundred columns, the LPs of
+with no floating-point tolerance; the pseudoinverse solves the stacked
+normal equations [aᵀa; Nᵀ] X = [aᵀ; 0] in one elimination.  Matrix entries
+are ints or :class:`fractions.Fraction` values, results are ``Fraction``
+values and vectors are plain tuples of them, but every elimination inside
+works on rows of Python ints (each a positive multiple of its rational row,
+divided by its gcd), which costs far less than ``Fraction`` arithmetic, and
+its one step (:func:`_pivot`) touches only the nonzero columns of the pivot
+row.  Conversion to floats, where needed, is the caller's job.  Sized for
+small matrices: tens of rows and up to a few hundred columns, the LPs of
 :mod:`bellquasi.marginal_general`.
 The package's one tolerance policy lives here too: :func:`is_exact` tells
 exact inputs from float ones, :func:`tolerance` turns that into the
@@ -18,11 +19,11 @@ comparison slack, and :func:`check_distribution` applies it to tables.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-RationalLike = Union[int, Fraction, str]
 #: An exact matrix entry.
 Rational = Union[int, Fraction]
 
@@ -61,21 +62,6 @@ def check_distribution(table: Sequence[Real], what: str, eps: float = DEFAULT_EP
         raise ValueError(f"{what} does not sum to 1")
 
 
-def as_rational(value: RationalLike) -> Fraction:
-    """Coerce ints, Fractions and numeric strings ("3/40", "0.25") to Fraction.
-
-    Floats are rejected on purpose: a binary float rarely equals the decimal
-    it prints as, so callers must rationalize explicitly.
-    """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational value, got {type(value).__name__}")
-
-
 @dataclass(frozen=True)
 class RatMatrix:
     """Immutable dense matrix of exact rationals (ints or Fractions), stored
@@ -92,19 +78,19 @@ class RatMatrix:
             )
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[RationalLike]]) -> "RatMatrix":
+    def from_rows(cls, rows: Sequence[Sequence[Rational]]) -> "RatMatrix":
+        """Fractions from rows of ints and Fractions; floats must be rationalized first."""
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
         flat = []
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            flat.extend(as_rational(v) for v in r)
+            for v in r:
+                if not isinstance(v, (int, Fraction)):
+                    raise TypeError(f"expected an exact rational value, got {type(v).__name__}")
+                flat.append(Fraction(v))
         return cls(nrows, ncols, tuple(flat))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
 
     def entry(self, i: int, j: int) -> Rational:
         return self.entries[i * self.cols + j]
@@ -122,18 +108,6 @@ class RatMatrix:
             self.rows,
             tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
         )
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        flat = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = Fraction(0)
-                for k in range(self.cols):
-                    acc += self.entries[i * self.cols + k] * other.entries[k * other.cols + j]
-                flat.append(acc)
-        return RatMatrix(self.rows, other.cols, tuple(flat))
 
 
 def _pivot(rows: list[list[int]], r: int, c: int) -> None:
@@ -193,14 +167,6 @@ def _rref_rows(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return rows, pivots
 
 
-def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns (exact Gauss-Jordan)."""
-    rows, pivots = _rref_rows(_integer_rows(m.row_lists()))
-    flat = [Fraction(x, rows[j][c]) for j, c in enumerate(pivots) for x in rows[j]]
-    flat += [Fraction(0)] * ((m.rows - len(pivots)) * m.cols)
-    return RatMatrix(m.rows, m.cols, tuple(flat)), tuple(pivots)
-
-
 def rank(m: RatMatrix) -> int:
     """Exact rank via rational Gaussian elimination."""
     _, pivots = _rref_rows(_integer_rows(m.row_lists()))
@@ -242,34 +208,23 @@ def left_null_space(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     return null_space(m.transpose())
 
 
-def _invert(m: RatMatrix) -> RatMatrix:
-    """Inverse of a square nonsingular matrix via Gauss-Jordan on [m | I]."""
-    n = m.rows
-    if m.cols != n:
-        raise ValueError("matrix not square")
-    aug = [list(m.row(i)) + [int(j == i) for j in range(n)] for i in range(n)]
-    rows, pivots = _rref_rows(_integer_rows(aug))
-    if list(pivots) != list(range(n)):
-        raise ValueError("matrix is singular")
-    return RatMatrix(n, n, tuple(Fraction(x, row[i]) for i, row in enumerate(rows) for x in row[n:]))
-
-
 def pseudoinverse(m: RatMatrix) -> RatMatrix:
-    """Exact Moore-Penrose pseudoinverse via full-rank factorization.
+    """Exact Moore-Penrose pseudoinverse from the stacked normal equations.
 
-    With m = F G (F the pivot columns of m, G the nonzero rows of the RREF),
-    the pseudoinverse is Gᵀ (G Gᵀ)⁻¹ (Fᵀ F)⁻¹ Fᵀ.  Satisfies all four
-    Penrose identities exactly; never leaves rational arithmetic.
+    With a = d m, scaled to integers by the lcm d of m's denominators, and N
+    a null-space basis of m, pinv(a) is the unique X with aᵀa X = aᵀ and
+    Nᵀ X = 0, and pinv(m) = d pinv(a).  That system has full column rank, so
+    one elimination of [aᵀa | aᵀ] over [Nᵀ | 0] leaves row i with its pivot
+    in column i.  Exact: satisfies all four Penrose identities.
     """
-    reduced, pivots = rref(m)
-    r = len(pivots)
-    if r == 0:
-        return RatMatrix.zeros(m.cols, m.rows)
-    f = RatMatrix.from_rows([[m.entry(i, c) for c in pivots] for i in range(m.rows)])
-    g = RatMatrix.from_rows([list(reduced.row(i)) for i in range(r)])
-    gt = g.transpose()
-    ft = f.transpose()
-    return gt @ _invert(g @ gt) @ _invert(ft @ f) @ ft
+    d = math.lcm(*(x.denominator for x in m.entries))
+    ints = [x.numerator * (d // x.denominator) for x in m.entries]
+    at = [ints[j :: m.cols] for j in range(m.cols)]  # the rows of aᵀ
+    rows = [[sum(map(operator.mul, u, v)) for v in at] + u for u in at]
+    rows += [[x.numerator for x in v] + [0] * m.rows for v in null_space(m)]
+    rows, _ = _rref_rows(rows)
+    n = m.cols
+    return RatMatrix(n, m.rows, tuple(Fraction(d * x, row[i]) for i, row in enumerate(rows[:n]) for x in row[n:]))
 
 
 def solve_consistent(m: RatMatrix, b: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:

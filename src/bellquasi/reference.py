@@ -76,33 +76,13 @@ def run_reference_check() -> list[CheckItem]:
         )
     )
 
-    kernel = null_space(m)
-    kernel_ok = _spans_match(kernel, [REFERENCE_HOMOGENEOUS])
-    items.append(
-        CheckItem(
-            name="null space",
-            ok=kernel_ok,
-            detail=(
-                f"{len(kernel)} basis vector(s); span "
-                + ("matches" if kernel_ok else "does NOT match")
-                + " the reference kernel direction"
-            ),
-        )
-    )
-
-    left = left_null_space(m)
-    left_ok = _spans_match(left, REFERENCE_LEFT_NULL)
-    items.append(
-        CheckItem(
-            name="left null space",
-            ok=left_ok,
-            detail=(
-                f"{len(left)} basis vector(s); span "
-                + ("matches" if left_ok else "does NOT match")
-                + " the reference complement"
-            ),
-        )
-    )
+    for name, basis, expected, what in (
+        ("null space", null_space(m), [REFERENCE_HOMOGENEOUS], "the reference kernel direction"),
+        ("left null space", left_null_space(m), REFERENCE_LEFT_NULL, "the reference complement"),
+    ):
+        ok = _spans_match(basis, expected)
+        detail = f"{len(basis)} basis vector(s); span {'matches' if ok else 'does NOT match'} {what}"
+        items.append(CheckItem(name, ok, detail))
 
     pinv = pseudoinverse(m)
     mismatches = [

@@ -255,7 +255,10 @@ def _inverse(x):
 
 def reference_pseudoinverse(a, ncols):
     """Moore-Penrose pseudoinverse of the rows ``a`` by the full-rank
-    factorization a = F G: Gt (G Gt)^-1 (Ft F)^-1 Ft."""
+    factorization a = F G: Gt (G Gt)^-1 (Ft F)^-1 Ft.  This was the
+    package's own algorithm before it solved the stacked normal equations
+    in one integer elimination; it is kept here as the independent
+    reference."""
     rows, pivots = reference_rref(a)
     if not pivots:
         return [[Fraction(0)] * len(a) for _ in range(ncols)]

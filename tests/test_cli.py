@@ -1,5 +1,9 @@
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -17,6 +21,7 @@ from bellquasi.cli import (
 from bellquasi.reference import REFERENCE_PSEUDOINVERSE, run_reference_check
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -317,6 +322,19 @@ class TestSolveCommand:
         assert code == EXIT_USAGE
         assert err.startswith("error:")
 
+    def test_integer_over_the_digit_limit_names_the_document(self, capsys, tmp_path):
+        # json.load raises a plain ValueError, not a JSONDecodeError, for an int past the int/str limit
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"schema": 1, "observables": [{"name": "A", "cardinality": 2}], '
+            '"marginals": [{"over": ["A"], "table": [' + "1" * 5000 + ", 0]}]}"
+        )
+        with pytest.raises(DocumentError, match=r"^invalid JSON in "):
+            load_problem_document(str(bad))
+        code, _, err = run(capsys, "solve", str(bad))
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: invalid JSON in {bad}: ") and err.count("\n") == 1
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", str(tmp_path / "nope.json"))
         assert code == EXIT_USAGE
@@ -518,3 +536,42 @@ class TestExitCodeContract:
 
     def test_no_command_exits_2(self, capsys):
         assert run(capsys)[0] == EXIT_USAGE
+
+
+CLOSED_STDOUT_COMMANDS = [
+    ["paper-check"],
+    ["singlet", "--angles", "0,60,120"],
+    ["solve", str(PROBLEMS / "bell_uniform.json")],
+    ["scan", "--ab", "0:2:1", "--ac", "0:2:1"],
+]
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", CLOSED_STDOUT_COMMANDS, ids=lambda argv: argv[0])
+    def test_broken_pipe_is_one_error_line(self, capsys, monkeypatch, argv):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(argv)
+        assert code == 1
+        assert capsys.readouterr().err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+    def test_closed_pipe_leaves_no_traceback_at_exit(self):
+        # the read end is closed before the start, so every write gets EPIPE;
+        # the interpreter's own exit-time flush of stdout must not fail either
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            for argv in CLOSED_STDOUT_COMMANDS:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "bellquasi.cli", *argv],
+                    stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+                )
+                assert proc.returncode == 1, (argv, proc.stderr)
+                assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+                assert proc.stderr == "error: cannot write stdout: [Errno 32] Broken pipe\n", (argv, proc.stderr)
+        finally:
+            os.close(write_end)
