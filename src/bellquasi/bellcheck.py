@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .exactla import DEFAULT_EPS, Real, tolerance
 from .marginal_general import Feasibility, rationalize, solve_problem
 from .quasi import HOMOGENEOUS, bell_problem, solve_family
-from .singlet import CorrelationTriple, tables_from_correlations
+from .singlet import CorrelationTriple, rhs_from_correlations
 
 
 def eight_inequalities(corr: CorrelationTriple, c: Real) -> tuple[Real, ...]:
@@ -32,7 +32,7 @@ def eight_inequalities(corr: CorrelationTriple, c: Real) -> tuple[Real, ...]:
     parameter t = c/8 has a non-negative k-th component.  Exact for
     rational correlations and c.
     """
-    family = solve_family(tables_from_correlations(corr).p_vector)
+    family = solve_family(rhs_from_correlations(corr))
     assert family is not None  # singlet-form tables are always consistent
     return tuple(8 * x + c * h for x, h in zip(family.x0, HOMOGENEOUS))
 
@@ -79,7 +79,7 @@ def equivalence_check(corr: CorrelationTriple) -> bool:
     """
     exact = CorrelationTriple(*(rationalize(v) for v in corr.as_tuple()))
     bell_ok = bell_pair(exact).satisfied
-    family = solve_family(tables_from_correlations(exact).p_vector)
+    family = solve_family(rhs_from_correlations(exact))
     interval_ok = family is not None and family.interval_nonempty()
     lp_ok = solve_problem(bell_problem(exact)).status is Feasibility.PROPER
     return bell_ok == interval_ok == lp_ok

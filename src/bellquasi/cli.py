@@ -48,8 +48,6 @@ class DocumentError(ValueError):
 
 def _fmt(value) -> str:
     """Human/CSV formatting: fractions verbatim, floats at 12 significant digits."""
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
@@ -160,20 +158,25 @@ def _parse_range(text: str) -> tuple[float, float, int]:
 
 
 def _axis(start: float, step: float, count: int):
-    return (start + k * step for k in range(count))
+    """Per grid point: the angle, its correlation -cos(angle) once checked
+    (as the triple holds it), and both as the CSV prints them."""
+    for k in range(count):
+        theta = start + k * step
+        corr = singlet._checked_correlation(-math.cos(math.radians(theta)))
+        yield theta, corr, _fmt(theta), _fmt(corr)
 
 
 def _scan_rows(ab: tuple[float, float, int], ac: tuple[float, float, int], eps: float):
-    """CSV rows of the violation map, one per grid cell, computed lazily."""
-    for theta_ab in _axis(*ab):
-        for theta_ac in _axis(*ac):
-            u = -math.cos(math.radians(theta_ab))
-            v = -math.cos(math.radians(theta_ac))
-            w = -math.cos(math.radians(theta_ac - theta_ab))
-            corr = singlet.CorrelationTriple(u, v, w)
-            verdict = quasi.classify(singlet.tables_from_correlations(corr).p_vector, eps)
+    """CSV rows of the violation map, one per grid cell, computed lazily.
+    Only <BC>, the verdict and the margin depend on both angles: the rest
+    of a row is worked out once per row, or once per scan for the inner axis."""
+    inner = list(_axis(*ac))
+    for theta_ab, u, fmt_ab, fmt_u in _axis(*ab):
+        for theta_ac, v, fmt_ac, fmt_v in inner:
+            corr = singlet.CorrelationTriple(u, v, -math.cos(math.radians(theta_ac - theta_ab)))
+            verdict = quasi.classify(singlet.rhs_from_correlations(corr), eps)
             margin = bellcheck.bell_pair(corr, eps).margin
-            yield [_fmt(x) for x in (theta_ab, theta_ac, corr.ab, corr.ac, corr.bc, margin)] + [verdict.tag.value]
+            yield [fmt_ab, fmt_ac, fmt_u, fmt_v, _fmt(corr.bc), _fmt(margin), verdict.tag.value]
 
 
 def cmd_scan(args) -> int:

@@ -39,9 +39,10 @@ def is_exact(values: Iterable[Real]) -> bool:
     Fraction.  Exact values are compared exactly (tolerance 0); anything
     else is compared at a float tolerance."""
     # A plain loop, not all(<generator>): this runs several times per scan
-    # cell, and the generator costs a few times more.
+    # cell, and the generator costs a few times more.  Floats leave first:
+    # Fraction is an ABC, and its isinstance test is the slow one.
     for v in values:
-        if not isinstance(v, (Fraction, int)):
+        if isinstance(v, float) or not isinstance(v, (Fraction, int)):
             return False
     return True
 

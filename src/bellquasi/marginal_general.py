@@ -170,23 +170,26 @@ def build_constraint_system(prob: MarginalProblem) -> tuple[RatMatrix, tuple[Fra
     """
     cards = prob.cardinalities()
     joint_outcomes = list(itertools.product(*(range(c) for c in cards)))
+    size = len(joint_outcomes)
     flat: list[int] = []
     rhs: list[Fraction] = []
     for subset, table in prob.constraints:
         positions = [prob.index_of(n) for n in subset]
-        # cell[o]: the table entry, row-major, that joint outcome o adds to
-        cell = []
-        for outcome in joint_outcomes:
+        last = len(table) - 1
+        # row k of this table has a 1 at each joint outcome o that adds to
+        # entry k (row-major): one pass over the outcomes fills all its rows
+        block = [0] * (last * size)
+        for o, outcome in enumerate(joint_outcomes):
             k = 0
             for p in positions:
                 k = k * cards[p] + outcome[p]
-            cell.append(k)
-        for k in range(len(table) - 1):
-            flat.extend([int(c == k) for c in cell])
-            rhs.append(table[k])
-    flat.extend([1] * len(joint_outcomes))
+            if k < last:
+                block[k * size + o] = 1
+        flat.extend(block)
+        rhs.extend(table[:last])
+    flat.extend([1] * size)
     rhs.append(Fraction(1))
-    return RatMatrix(len(rhs), len(joint_outcomes), tuple(flat)), tuple(rhs)
+    return RatMatrix(len(rhs), size, tuple(flat)), tuple(rhs)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ xh) are always exact rationals; the slack for a p vector is
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -36,6 +37,11 @@ from .singlet import CorrelationTriple, PairTable, tables_from_correlations
 #: a joint vector leaves all pair marginals unchanged.  Entry for outcome
 #: (a, b, c) is -a*b*c.
 HOMOGENEOUS: tuple[int, ...] = (-1, 1, 1, -1, 1, -1, -1, 1)
+
+#: The x0 entries at the indices where HOMOGENEOUS is +1, which bound t
+#: from below, and where it is -1, which bound it from above.
+_T_LO = operator.itemgetter(*(i for i, h in enumerate(HOMOGENEOUS) if h == 1))
+_T_HI = operator.itemgetter(*(i for i, h in enumerate(HOMOGENEOUS) if h == -1))
 
 #: Joint outcomes in index order, entries in {+1, -1}.
 OUTCOMES: tuple[tuple[int, int, int], ...] = tuple(
@@ -89,13 +95,11 @@ def check_consistency(p: Sequence[Real], eps: float = DEFAULT_EPS) -> Consistenc
     Exact p vectors are checked exactly; floats at tolerance ``eps``.
     """
     _check_p(p)
-    residuals = (
-        (p[0] + p[1]) - (p[6] + p[8]),  # BC row sum vs AB column sum
-        (p[3] + p[4]) - (p[6] + p[7]),  # AC row sum vs AB row sum
-        (p[0] + p[2]) - (p[3] + p[5]),  # BC column sum vs AC column sum
-    )
+    r0 = (p[0] + p[1]) - (p[6] + p[8])  # BC row sum vs AB column sum
+    r1 = (p[3] + p[4]) - (p[6] + p[7])  # AC row sum vs AB row sum
+    r2 = (p[0] + p[2]) - (p[3] + p[5])  # BC column sum vs AC column sum
     tol = tolerance(p, eps)
-    return ConsistencyCheck(ok=all(abs(r) <= tol for r in residuals), residuals=residuals)
+    return ConsistencyCheck(ok=abs(r0) <= tol and abs(r1) <= tol and abs(r2) <= tol, residuals=(r0, r1, r2))
 
 
 @dataclass(frozen=True)
@@ -137,9 +141,10 @@ def solve_family(p: Sequence[Real], eps: float = DEFAULT_EPS) -> Optional[QuasiF
         p_num = [v.numerator * (d // v.denominator) for v in p]
         x0 = tuple(Fraction(sum(e * v for e, v in zip(row, p_num)), den * d) for row in rows)
     else:
-        x0 = tuple(sum(e * v for e, v in zip(row, p)) for row in _pseudoinverse_rows_float())
-    t_lo = max(-x0[i] for i in range(8) if HOMOGENEOUS[i] == 1)
-    t_hi = min(x0[i] for i in range(8) if HOMOGENEOUS[i] == -1)
+        # sum(), not a chain of +: sum() compensates float sums since Python 3.12
+        x0 = tuple([sum(map(operator.mul, row, p)) for row in _pseudoinverse_rows_float()])
+    t_lo = max(map(operator.neg, _T_LO(x0)))
+    t_hi = min(_T_HI(x0))
     return QuasiFamily(x0=x0, t_lo=t_lo, t_hi=t_hi)
 
 

@@ -10,7 +10,8 @@ downstream modules solve for is over (A on particle 1, B on particle 2,
 C on particle 2).  The B/C statistics that are actually measurable pair
 B on particle 1 with C on particle 2, and the singlet forces the two B
 readings to be opposite.  The BC table therefore carries a sign flip
-relative to the AB and AC tables: ``pair_table(corr, flip=True)``.
+relative to the AB and AC tables: :func:`rhs_from_correlations` applies it
+for a triple, ``pair_table(corr, flip=True)`` for one table.
 
 All table builders accept either floats or exact ``Fraction`` values for
 the correlations and preserve the type, so the downstream solvers can run
@@ -120,11 +121,7 @@ def pair_table(corr: Real, flip: bool = False) -> PairTable:
     on particle 2 while ``corr`` is the measurable particle-1/particle-2
     correlation.
     """
-    return _pair_table(_checked_correlation(corr), flip)
-
-
-def _pair_table(corr: Real, flip: bool) -> PairTable:
-    """:func:`pair_table` for a correlation that is already checked."""
+    corr = _checked_correlation(corr)
     sign = -1 if flip else 1
     same = (1 + sign * corr) / 4  # outcomes equal: (+,+) and (-,-)
     diff = (1 - sign * corr) / 4  # outcomes differ
@@ -145,8 +142,9 @@ class CorrelationTriple:
     bc: Real
 
     def __post_init__(self):
-        for name in ("ab", "ac", "bc"):
-            object.__setattr__(self, name, _checked_correlation(getattr(self, name)))
+        object.__setattr__(self, "ab", _checked_correlation(self.ab))
+        object.__setattr__(self, "ac", _checked_correlation(self.ac))
+        object.__setattr__(self, "bc", _checked_correlation(self.bc))
 
     def as_tuple(self) -> tuple[Real, Real, Real]:
         return (self.ab, self.ac, self.bc)
@@ -173,24 +171,33 @@ class BellMarginals:
             raise ValueError("last p_vector entry must be exactly 1")
 
 
-def tables_from_correlations(corr: CorrelationTriple) -> BellMarginals:
-    """Assemble the three singlet pair tables and the rhs vector.
+def rhs_from_correlations(corr: CorrelationTriple) -> tuple[Real, ...]:
+    """The 10-entry rhs vector of a checked triple, in ``p_vector`` order:
+    BC(++, +-, -+), AC(++, +-, -+), AB(++, +-, -+), 1.
 
-    Exact when the correlations are Fractions: every table entry and the
-    final normalization entry stay rational.  The correlations were checked
-    when ``corr`` was built, so they are not checked again here.
+    Each table entry is (1 +- corr)/4, the same-outcome entries first; BC
+    takes the flipped sign (B on particle 2).  Exact when the correlations
+    are Fractions.  The correlations were checked when ``corr`` was built,
+    so they are not checked again here.
     """
-    pab = _pair_table(corr.ab, flip=False)
-    pac = _pair_table(corr.ac, flip=False)
-    pbc = _pair_table(corr.bc, flip=True)
-    one: Real = Fraction(1) if is_exact(corr.as_tuple()) else 1.0
-    p_vector = (
-        pbc.pp, pbc.pm, pbc.mp,
-        pac.pp, pac.pm, pac.mp,
-        pab.pp, pab.pm, pab.mp,
-        one,
+    ab, ac, bc = corr.ab, corr.ac, corr.bc
+    bc_same, bc_diff = (1 - bc) / 4, (1 + bc) / 4
+    ac_same, ac_diff = (1 + ac) / 4, (1 - ac) / 4
+    ab_same, ab_diff = (1 + ab) / 4, (1 - ab) / 4
+    one: Real = Fraction(1) if is_exact((ab, ac, bc)) else 1.0
+    return (bc_same, bc_diff, bc_diff, ac_same, ac_diff, ac_diff, ab_same, ab_diff, ab_diff, one)
+
+
+def tables_from_correlations(corr: CorrelationTriple) -> BellMarginals:
+    """Assemble the three singlet pair tables and the rhs vector, the
+    tables from the entries of :func:`rhs_from_correlations`."""
+    p = rhs_from_correlations(corr)
+    return BellMarginals(
+        pab=PairTable(pp=p[6], pm=p[7], mp=p[8], mm=p[6]),
+        pac=PairTable(pp=p[3], pm=p[4], mp=p[5], mm=p[3]),
+        pbc=PairTable(pp=p[0], pm=p[1], mp=p[2], mm=p[0]),
+        p_vector=p,
     )
-    return BellMarginals(pab=pab, pac=pac, pbc=pbc, p_vector=p_vector)
 
 
 def correlations(alpha: Direction, beta: Direction, gamma: Direction) -> CorrelationTriple:

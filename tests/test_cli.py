@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bellquasi import cli, quasi, reference
+from bellquasi import bellcheck, cli, quasi, reference
 from bellquasi.cli import (
     EXIT_INCONSISTENT,
     EXIT_QUASI_ONLY,
@@ -19,6 +20,7 @@ from bellquasi.cli import (
     main,
 )
 from bellquasi.reference import REFERENCE_PSEUDOINVERSE, run_reference_check
+from bellquasi.singlet import CorrelationTriple, tables_from_correlations
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -148,12 +150,21 @@ class TestScanCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_five_degree_scan_digest(self, capsys, tmp_path):
-        # the published 5-degree map: any change to a float path shows here
+        # the published 5-degree map, and the 2-degree map at a wide eps: any
+        # change to a float path shows here.  Both digests are the same on
+        # Python 3.10 to 3.13; the --eps 0 maps are not (sum() rounds
+        # differently since 3.12), so none is pinned.
+        cases = [
+            (("--ab", "0:360:5", "--ac", "0:360:5"),
+             "82dca9cc60a054141913603a4e6f31aac303d3ed808a643b13715c04e0724354"),
+            (("--ab", "0:360:2", "--ac", "0:360:2", "--eps", "1e-3"),
+             "58a8fdd20624035161b0c3f2c81ee1399f1e0ac7d0c457d5a3ec64739b1cc66c"),
+        ]
         out_path = tmp_path / "scan.csv"
-        code, _, _ = run(capsys, "scan", "--ab", "0:360:5", "--ac", "0:360:5", "--out", str(out_path))
-        assert code == 0
-        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
-        assert digest == "82dca9cc60a054141913603a4e6f31aac303d3ed808a643b13715c04e0724354"
+        for args, expected in cases:
+            code, _, _ = run(capsys, "scan", *args, "--out", str(out_path))
+            assert code == 0
+            assert hashlib.sha256(out_path.read_bytes()).hexdigest() == expected, args
 
     def test_row_order_and_count(self, capsys, tmp_path):
         out_path = tmp_path / "scan.csv"
@@ -168,6 +179,8 @@ class TestScanCommand:
         out_path = tmp_path / "full.csv"
         code, _, _ = run(capsys, "scan", "--out", str(out_path))
         assert code == 0
+        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        assert digest == "c8f6b612aca422dab9ec2f7c8132ba5fc55498173207dae3bf50917715d43030"
         rows = out_path.read_text().splitlines()[1:]
         assert len(rows) == 129_600
         eps = 1e-10
@@ -178,6 +191,31 @@ class TestScanCommand:
                 assert verdict == "Proper"
             if margin < -1e-6:
                 assert verdict == "QuasiOnly"
+
+    @pytest.mark.parametrize("eps", ["0", "1e-16", "1e-10", "1e-3"])
+    def test_rows_agree_with_singlet_pipeline(self, capsys, tmp_path, eps):
+        # every cell of a non-integer grid, at any eps: the scan prints what
+        # the triple, its pair tables, classify and bell_pair give for it
+        out_path = tmp_path / "scan.csv"
+        code, _, _ = run(capsys, "scan", "--ab", "0.5:360:7.3", "--ac", "1.25:360:6.1",
+                         "--eps", eps, "--out", str(out_path))
+        assert code == 0
+        thetas_ab = [0.5 + k * 7.3 for k in range(50)]
+        thetas_ac = [1.25 + k * 6.1 for k in range(59)]
+        assert thetas_ab[-1] < 360 <= 0.5 + 50 * 7.3 and thetas_ac[-1] < 360 <= 1.25 + 59 * 6.1
+        expected = []
+        for theta_ab in thetas_ab:
+            for theta_ac in thetas_ac:
+                corr = CorrelationTriple(
+                    -math.cos(math.radians(theta_ab)),
+                    -math.cos(math.radians(theta_ac)),
+                    -math.cos(math.radians(theta_ac - theta_ab)),
+                )
+                tag = quasi.classify(tables_from_correlations(corr).p_vector, float(eps)).tag
+                margin = bellcheck.bell_pair(corr, float(eps)).margin
+                fields = [format(x, ".12g") for x in (theta_ab, theta_ac, *corr.as_tuple(), margin)]
+                expected.append(",".join(fields + [tag.value]))
+        assert out_path.read_text().splitlines()[1:] == expected
 
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(capsys, "scan", "--ab", "0:400:1")

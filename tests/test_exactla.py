@@ -1,7 +1,9 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -285,3 +287,26 @@ class TestFromRows:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             RatMatrix.from_rows([[F(1, 4), 0.25]])
+
+
+class TestExactnessRule:
+    # exact iff every value is an int (bool too) or a Fraction, wherever a
+    # float or float subclass (numpy.float64) stands
+    @pytest.mark.parametrize(
+        "values, exact",
+        [
+            ((), True),
+            ((0, 1, -7, True, False), True),
+            ((F(1, 3), F(-2, 5), F(0)), True),
+            ((0.5, F(1, 2), 1), False),
+            ((F(1, 2), F(1, 3), 0.25), False),
+            ((F(1, 2), np.float64(0.5)), False),
+            ((np.float64(1.0),), False),
+            ((F(1, 2), Decimal("0.5")), False),
+        ],
+    )
+    def test_is_exact_and_tolerance(self, values, exact):
+        assert exactla.is_exact(values) is exact
+        assert exactla.is_exact(iter(values)) is exact
+        assert exactla.tolerance(values, 1e-7) == (0 if exact else 1e-7)
+        assert exactla.tolerance(values) == (0 if exact else exactla.DEFAULT_EPS)
