@@ -54,8 +54,12 @@ def tolerance(values: Iterable[Real], eps: float = DEFAULT_EPS) -> float:
 
 
 def check_distribution(table: Sequence[Real], what: str, eps: float = DEFAULT_EPS) -> None:
-    """Raise ``ValueError`` unless ``table`` is non-negative and sums to 1
-    within ``tolerance(table, eps)``; ``what`` names the table in the error."""
+    """Raise ``ValueError`` unless ``table`` is finite, non-negative and sums
+    to 1 within ``tolerance(table, eps)``; ``what`` names the table in the
+    error."""
+    # NaN fails every comparison, so it would pass the two tests below.
+    if not all(-math.inf < v < math.inf for v in table):
+        raise ValueError(f"non-finite entry in {what}")
     tol = tolerance(table, eps)
     if any(v < -tol for v in table):
         raise ValueError(f"negative entry in {what}")

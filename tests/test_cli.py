@@ -328,6 +328,22 @@ class TestSolveCommand:
         for value in report["witness"]:
             F(value)  # every entry parses back as an exact fraction
 
+    @pytest.mark.parametrize(
+        "name, expected_code, digest",
+        [
+            ("bell_0_60_120", EXIT_QUASI_ONLY, "b39c0559bd8aff40ca3c5dd4778bc61c779be9549b5947d45ece24d587701d18"),
+            ("bell_uniform", 0, "881422e2ec5ada6d6b2a142b43815e24c49195aa1d10707e1e1b97125dd51199"),
+            ("contradictory", EXIT_INCONSISTENT, "d0f82e7390cabcf20c2e31b6943fad8eecd223cf60b150197170ae969397565a"),
+            ("uniform_ternary_6cycle", 0, "9c4c262c0d3b891436df69b9c2d6b97a163dd2c8a4f7b02cc09947d6e268001c"),
+        ],
+    )
+    def test_bundled_json_reports_are_pinned(self, capsys, name, expected_code, digest):
+        # the whole --json report, witness included, byte for byte: a change
+        # to the exact LP's pivot path or witness read-out shows here
+        code, out, _ = run(capsys, "solve", str(PROBLEMS / f"{name}.json"), "--json")
+        assert code == expected_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_schema_violation_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": 2, "observables": [], "marginals": []}))

@@ -310,3 +310,38 @@ class TestExactnessRule:
         assert exactla.is_exact(iter(values)) is exact
         assert exactla.tolerance(values, 1e-7) == (0 if exact else 1e-7)
         assert exactla.tolerance(values) == (0 if exact else exactla.DEFAULT_EPS)
+
+
+class TestCheckDistribution:
+    @pytest.mark.parametrize(
+        "table",
+        [(F(1, 4), F(3, 4)), (0.25, 0.75), (1, 0), (F(1, 2), 0.5)],
+        ids=["exact", "float", "int", "mixed"],
+    )
+    def test_accepts_distribution(self, table):
+        exactla.check_distribution(table, "table 0")
+
+    # NaN fails both the sign and the sum comparison, so it needs its own test;
+    # an infinite entry must not surface as a sign or sum error either
+    @pytest.mark.parametrize(
+        "table",
+        [
+            (math.nan, 1.0),
+            (F(1, 2), math.nan, F(1, 2)),
+            (math.inf, 1.0),
+            (0.5, -math.inf),
+            (math.inf, -math.inf),
+            (np.float64("nan"), 1.0),
+        ],
+        ids=["nan", "nan-among-fractions", "inf", "minus-inf", "inf-minus-inf", "numpy-nan"],
+    )
+    def test_rejects_non_finite_entry_naming_the_table(self, table):
+        with pytest.raises(ValueError, match=r"^non-finite entry in pair table AB$"):
+            exactla.check_distribution(table, "pair table AB")
+
+    def test_huge_exact_entries_are_compared_exactly(self):
+        # the finiteness test compares, it never converts to float
+        with pytest.raises(ValueError, match=r"^negative entry in table 3$"):
+            exactla.check_distribution((10**400, 1 - 10**400), "table 3")
+        with pytest.raises(ValueError, match=r"^table 3 does not sum to 1$"):
+            exactla.check_distribution((F(10**400, 3), F(1, 3)), "table 3")

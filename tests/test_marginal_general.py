@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -81,6 +82,11 @@ class TestProductDistribution:
         with pytest.raises(ValueError, match=r"^table 1 does not sum to 1$"):
             product_distribution([(F(1, 2), F(1, 2)), (F(1, 3000),) * 2000])
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_rejects_non_finite_entry(self, entry):
+        with pytest.raises(ValueError, match=r"^non-finite entry in table 1$"):
+            product_distribution([(0.5, 0.5), (entry, 1.0)])
+
     def test_round_trip_exact(self):
         rng = random.Random(101)
         for _ in range(100):
@@ -151,6 +157,14 @@ class TestBuildConstraintSystem:
     def test_non_integer_cardinality_rejected(self, cardinality):
         with pytest.raises(ValueError, match="observable 0: cardinality must be an integer"):
             MarginalProblem(observables=(("A", cardinality),), constraints=())
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_non_finite_table_entry_rejected(self, entry):
+        with pytest.raises(ValueError, match=r"^non-finite entry in table of constraint 1$"):
+            MarginalProblem(
+                observables=(("A", 2), ("B", 2)),
+                constraints=((("A",), (0.5, 0.5)), (("B",), (1.0, entry))),
+            )
 
     def test_size_cap(self):
         observables = tuple((f"O{i}", 2) for i in range(21))  # 2^21 outcomes
@@ -314,27 +328,123 @@ class TestLpFeasible:
 
     def test_rhs_denominators_stay_out_of_the_coefficients(self, monkeypatch):
         # the rhs is scaled once per LP, so the tables' denominators (near
-        # 10**6) never multiply the 0/1 coefficients of a Bell system
+        # 10**6) never multiply the 0/1 coefficients of a Bell system: not
+        # in the matrix's one (cached) elimination, not in any simplex step
         largest = []
 
-        def recorded(step):
+        def recorded(step, stage):
             def recording_step(rows, r, c):
                 step(rows, r, c)
-                largest.append(max(abs(v) for row in rows for v in row[:-1]))
+                largest.append((stage, max(abs(v) for row in rows for v in row[:-1])))
 
             return recording_step
 
-        monkeypatch.setattr(exactla, "_pivot", recorded(exactla._pivot))
-        monkeypatch.setattr(marginal_general, "_pivot", recorded(marginal_general._pivot))
+        monkeypatch.setattr(exactla, "_pivot", recorded(exactla._pivot, "elimination"))
+        monkeypatch.setattr(marginal_general, "_pivot", recorded(marginal_general._pivot, "simplex"))
+        marginal_general._eliminated.cache_clear()
         rng = random.Random(139)
         seen = Counter()
         for _ in range(200):
             steps = len(largest)
             status = solve_problem(bell_problem(oracles.random_rational_correlations(rng))).status
             seen[status] += 1
-            seen["simplex"] += len(largest) - steps > 7  # the RREF takes at most 7
-        assert max(largest) <= 2
+            seen["simplex"] += any(stage == "simplex" for stage, _ in largest[steps:])
+        assert {stage for stage, _ in largest} == {"elimination", "simplex"}
+        assert max(v for _, v in largest) <= 2
         assert min(seen.values()) >= 20, seen
+
+
+def four_cycle_problem(rng: random.Random, status: Feasibility) -> MarginalProblem:
+    """Ternary 4-cycle (pair tables on X0X1, X1X2, X2X3, X3X0), its status
+    fixed by construction.  Proper: the pair marginals of a mixture of six
+    assignments.  Inconsistent: the same with mass moved inside one table,
+    so that it disagrees with its neighbour on one observable.  QuasiOnly:
+    weight p >= 0.96 on X(i+1) = Xi in each table, but on X0 = X3 + 1 in the
+    closing one.  No assignment meets all four relations, so a distribution
+    gives them a mean probability of at most 3/4, while every single
+    marginal is uniform."""
+    n, k = 4, 3
+    if status is Feasibility.QUASI_ONLY:
+        p = 1 - F(2, 3) * F(rng.randint(0, 60), 1000)
+        on, off = p / k, (1 - p) / (k * (k - 1))
+        tables = [[on if b == (a + (i == n - 1)) % k else off for a in range(k) for b in range(k)] for i in range(n)]
+    else:
+        weights = Counter()
+        for _ in range(6):
+            weights[tuple(rng.randrange(k) for _ in range(n))] += rng.randint(1, 97)
+        total = sum(weights.values())
+        tables = [[F(0)] * (k * k) for _ in range(n)]
+        for outcome, w in weights.items():
+            for i in range(n):
+                tables[i][outcome[i] * k + outcome[(i + 1) % n]] += F(w, total)
+        if status is Feasibility.INCONSISTENT:
+            table = tables[rng.randrange(n)]
+            src = max(range(k * k), key=lambda c: table[c])
+            dst = (src + k) % (k * k)  # the same X(i+1) outcome, the next Xi outcome
+            moved = table[src] / 2
+            table[src] -= moved
+            table[dst] += moved
+    names = [f"X{i}" for i in range(n)]
+    return MarginalProblem(
+        observables=tuple((name, k) for name in names),
+        constraints=tuple(((names[i], names[(i + 1) % n]), tuple(t)) for i, t in enumerate(tables)),
+    )
+
+
+class TestEliminationCache:
+    def test_reused_elimination_matches_cold_calls_and_reference(self, monkeypatch):
+        # lp_feasible eliminates each matrix once and then only transforms
+        # each rhs: back-to-back calls on two fixed matrices, the verdicts
+        # interleaved, must match a cold-cache call and the all-Fraction
+        # reference in status, witness, homogeneous dimension and pivots
+        steps = []
+
+        def counted_pivot(rows, r, c):
+            steps.append((r, c))
+            return _pivot(rows, r, c)
+
+        monkeypatch.setattr(marginal_general, "_pivot", counted_pivot)
+        rng = random.Random(149)
+        bell = build_matrix()
+        systems = []
+        for i in range(51):
+            # Bell: random singlet correlations (mostly QuasiOnly), correlations
+            # of size at most 1/3 (Proper), and a table entry bumped (Inconsistent)
+            if i % 3 == 1:
+                corr = CorrelationTriple(*(F(rng.randint(-99, 99), 297) for _ in range(3)))
+            else:
+                corr = oracles.random_rational_correlations(rng)
+            rhs = list(tables_from_correlations(corr).p_vector)
+            if i % 3 == 2:
+                rhs[rng.randrange(len(rhs))] += F(1, rng.randint(2, 9))
+            systems.append((bell, rhs))
+            mat, rhs = build_constraint_system(four_cycle_problem(rng, list(Feasibility)[i % 3]))
+            systems.append((mat, list(rhs)))
+        cycle = systems[1][0]
+        assert all(mat == (bell, cycle)[i % 2] for i, (mat, _) in enumerate(systems))
+
+        def solve_all(cold):
+            results = []
+            marginal_general._eliminated.cache_clear()
+            for mat, rhs in systems:
+                if cold:
+                    marginal_general._eliminated.cache_clear()
+                steps.clear()
+                results.append((lp_feasible(mat, rhs), len(steps)))
+            return results
+
+        warm = solve_all(cold=False)
+        assert marginal_general._eliminated.cache_info().misses == 2
+        assert solve_all(cold=True) == warm
+        seen = Counter()
+        for (mat, rhs), (result, pivots) in zip(systems, warm):
+            a = [list(mat.row(i)) for i in range(mat.rows)]
+            status, witness, hom_dim, ref_steps = oracles.reference_lp_feasible(a, rhs)
+            assert result == marginal_general.FeasibilityResult(Feasibility(status), witness, hom_dim)
+            assert pivots == ref_steps
+            seen[mat.cols, status] += 1
+            seen[mat.cols, "pivoted"] += pivots > 0
+        assert len(seen) == 8 and min(seen.values()) >= 10, seen
 
 
 class TestSolveProblem:
