@@ -207,7 +207,7 @@ class FeasibilityResult:
     homogeneous_dim: int
 
 
-def _phase_one_simplex(rows: list[list[int]], pivots: list[int], n: int, rhs_scale: int) -> Optional[list[Fraction]]:
+def _phase_one_simplex(rows: list[list[int]], pivots: Sequence[int], n: int, rhs_scale: int) -> Optional[list[Fraction]]:
     """Exact feasible point of {x >= 0 : rows x = rhs / rhs_scale}, or None.
 
     ``rows``, the nonzero integer rows of the RREF of a consistent [A | b]
@@ -312,7 +312,7 @@ def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
         b = sum(map(operator.mul, row[n:], scaled))
         g = math.gcd(g, b)
         tableau.append([x // g for x in row[:n]] + [b // g] if g > 1 else [*row[:n], b])
-    x = _phase_one_simplex(tableau, list(pivots), n, scale)
+    x = _phase_one_simplex(tableau, pivots, n, scale)
     if x is None:
         return FeasibilityResult(Feasibility.QUASI_ONLY, None, n - rank)
     return FeasibilityResult(Feasibility.PROPER, tuple(x), n - rank)
