@@ -148,14 +148,17 @@ def _integer_rows(rational_rows: Iterable[Sequence[Rational]]) -> list[list[int]
     return rows
 
 
-def _rref_rows(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+def _rref_rows(rows: list[list[int]], ncols: Optional[int] = None) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form, in place, of integer rows that each stand
     for a positive multiple of a rational row (see :func:`_integer_rows`);
     returns (rows, pivot column indices).  Row ``j`` of the result divided
     by its pivot entry ``rows[j][pivots[j]]`` (positive) is the rational
-    RREF row."""
+    RREF row.  With ``ncols``, only the first ``ncols`` columns get pivots;
+    the columns after them are carried along unreduced, and the rows past
+    the rank are zero in the first ``ncols``."""
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    if ncols is None:
+        ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):

@@ -18,7 +18,14 @@ floating solver could not adjudicate.  It starts from the RREF that decides
 rank and consistency, stores no artificial columns, and pivots with the one
 Gauss-Jordan step of :mod:`bellquasi.exactla`.  A constraint matrix is
 eliminated once, with an identity block that records the row operations,
-and every LP on it then only transforms its rhs.  This module doubles as
+and every LP on it then only transforms its rhs.  Before the simplex, a
+forcing-row presolve drops the joint outcomes that cannot carry mass: a
+constraint row with rhs 0 and entries of one sign (a zero cell of a
+prescribed table) is 0 on its whole support in every non-negative
+solution, so the simplex pivots only on the other columns.  This is the
+possibilistic reasoning of "nonlocality without inequalities": on
+GHZ-Mermin or Hardy tables no joint outcome, or only one, survives, and
+``QuasiOnly`` follows without a pivot.  This module doubles as
 the independent oracle for the specialized three-observable machinery in
 :mod:`bellquasi.quasi`.
 """
@@ -262,26 +269,38 @@ def _phase_one_simplex(rows: list[list[int]], pivots: Sequence[int], n: int, rhs
 
 
 @functools.lru_cache(maxsize=8)
-def _eliminated(mat: RatMatrix) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
-    """(rows, pivots, gcds): the integer RREF of [mat | I_m], once per matrix.
+def _eliminated(
+    mat: RatMatrix,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]:
+    """(rows, pivots, gcds, forcing): the integer RREF of [mat | I_m] in the
+    ``mat`` columns, and the one-signed rows of ``mat``, once per matrix.
 
     Row i < rank = ``len(pivots)`` is a positive multiple of (R_i | T_i),
     where R is the rational RREF of ``mat`` and T mat = R, so T_i b is the
     rhs entry of the rational RREF of [mat | b] for every consistent b;
     ``gcds[i]`` is the gcd of its ``mat`` part.  The other rows have a zero
-    ``mat`` part; b is consistent exactly when their I parts (a basis of the
-    left null space) are orthogonal to it.  Rows are tuples, so no caller
-    can change a cached entry.  One entry, an m x (n + m) tableau and its
-    m x n key, takes 0.6 MB for the bundled 729-column ternary 6-cycle
-    (m = 49): eight cover the few matrices a caller sweeps at once (the
-    Bell matrix, one per n-cycle shape) in about 5 MB at that size.
+    ``mat`` part, and their I parts span the left null space: b is
+    consistent exactly when they are all orthogonal to it.  Only the ``mat``
+    columns get pivots, so T_i may differ from a full RREF's by a left null
+    vector, which leaves T_i b unchanged for every consistent b.
+    ``forcing`` holds (i, support) for each row i of ``mat`` whose entries
+    are all >= 0 or all <= 0: when rhs entry i is 0, every x >= 0 is 0 on
+    that support.  Rows are tuples, so no caller can change a cached entry.
+    One entry, an m x (n + m) tableau and its m x n key, takes 0.6 MB for
+    the bundled 729-column ternary 6-cycle (m = 49): eight cover the few
+    matrices a caller sweeps at once (the Bell matrix, one per n-cycle
+    shape) in about 5 MB at that size.
     """
     m, n = mat.rows, mat.cols
     unit = (0,) * m
-    rows, pivots = _rref_rows(_integer_rows(mat.row(i) + unit[:i] + (1,) + unit[i + 1 :] for i in range(m)))
-    rank = sum(c < n for c in pivots)
+    rows, pivots = _rref_rows(_integer_rows(mat.row(i) + unit[:i] + (1,) + unit[i + 1 :] for i in range(m)), n)
     rows = tuple(tuple(row) for row in rows)
-    return rows, tuple(pivots[:rank]), tuple(math.gcd(*row[:n]) for row in rows[:rank])
+    forcing = tuple(
+        (i, tuple(itertools.compress(range(n), row)))
+        for i, row in enumerate(map(mat.row, range(m)))
+        if min(row, default=0) >= 0 or max(row, default=0) <= 0
+    )
+    return rows, tuple(pivots), tuple(math.gcd(*row[:n]) for row in rows[: len(pivots)]), forcing
 
 
 def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
@@ -296,26 +315,68 @@ def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
     (:func:`_eliminated`): each call only transforms its rhs.  That gives
     the consistency verdict and, since the rational RREF of [mat | rhs] is
     unique, exactly its nonzero rows: the system and starting basis of the
-    simplex.
+    simplex.  A row of ``mat`` with rhs 0 and entries of one sign forces
+    its support to 0 in every non-negative solution (a zero table cell: no
+    joint outcome that hits it can carry mass).  When some column is
+    forced, the simplex runs on the other, live columns only, from the RREF
+    of [mat_live | rhs] (:func:`_live_simplex`), and the witness is 0 on the
+    forced columns.  A pivot in that RREF's rhs column means ``QuasiOnly``
+    with no simplex pivot, since [mat | rhs] is consistent.
     """
     if len(rhs) != mat.rows:
         raise ValueError(f"rhs length {len(rhs)} != rows {mat.rows}")
     n = mat.cols
     scale = math.lcm(*(b.denominator for b in rhs))
     scaled = [b.numerator * (scale // b.denominator) for b in rhs]
-    rows, pivots, gcds = _eliminated(mat)
+    rows, pivots, gcds, forcing = _eliminated(mat)
     rank = len(pivots)
     if any(sum(map(operator.mul, row[n:], scaled)) for row in rows[rank:]):  # 0 = nonzero
         return FeasibilityResult(Feasibility.INCONSISTENT, None, n - rank)
-    tableau = []
-    for row, g in zip(rows, gcds):
-        b = sum(map(operator.mul, row[n:], scaled))
-        g = math.gcd(g, b)
-        tableau.append([x // g for x in row[:n]] + [b // g] if g > 1 else [*row[:n], b])
-    x = _phase_one_simplex(tableau, pivots, n, scale)
+    tb = [sum(map(operator.mul, row[n:], scaled)) for row in rows[:rank]]
+    forced = {j for i, support in forcing if not scaled[i] for j in support}
+    if not forced:
+        tableau = []
+        for row, g, b in zip(rows, gcds, tb):
+            g = math.gcd(g, b)
+            tableau.append([x // g for x in row[:n]] + [b // g] if g > 1 else [*row[:n], b])
+        x = _phase_one_simplex(tableau, pivots, n, scale)
+    else:
+        x = _live_simplex(rows, tb, forced, n, scale)
     if x is None:
         return FeasibilityResult(Feasibility.QUASI_ONLY, None, n - rank)
     return FeasibilityResult(Feasibility.PROPER, tuple(x), n - rank)
+
+
+def _live_simplex(
+    rows: Sequence[Sequence[int]], tb: Sequence[int], forced: set[int], n: int, scale: int
+) -> Optional[list[Fraction]]:
+    """:func:`_phase_one_simplex` on the columns outside ``forced``, its
+    witness scattered back into ``n`` entries with 0 on ``forced``.
+
+    ``rows`` are the rows (R_i | T_i) of :func:`_eliminated` and ``tb`` the
+    rank entries T_i b.  The rank rows' R parts restricted to the live
+    columns, with rhs T_i b, span the rows of [mat_live | b], so one more
+    elimination gives its RREF.  That elimination is always needed: a
+    forcing row is the combination of the R_i whose coefficients are its
+    entries at their pivot columns, so its support holds a pivot column.
+    """
+    live = [j for j in range(n) if j not in forced]
+    tableau = []
+    for row, b in zip(rows, tb):
+        r = [row[j] for j in live]
+        r.append(b)
+        g = math.gcd(*r)
+        tableau.append([v // g for v in r] if g > 1 else r)
+    tableau, basis = _rref_rows(tableau)
+    if basis and basis[-1] == len(live):  # 0 = nonzero: x >= 0 would need a forced column
+        return None
+    x_live = _phase_one_simplex(tableau[: len(basis)], basis, len(live), scale)
+    if x_live is None:
+        return None
+    x = [Fraction(0)] * n
+    for j, v in zip(live, x_live):
+        x[j] = v
+    return x
 
 
 def solve_problem(prob: MarginalProblem) -> FeasibilityResult:

@@ -301,19 +301,37 @@ def reference_phase_one_simplex(rows, pivots, n):
     return x, steps
 
 
-def reference_lp_feasible(a, b):
+def reference_lp_feasible(a, b, presolve=True):
     """(verdict, witness or None, homogeneous dimension, simplex pivots) of
-    {x : a x = b, x >= 0}: one Fraction RREF of [a | b], then the reference
-    phase-one simplex on its nonzero rows."""
+    {x : a x = b, x >= 0}: one Fraction RREF of [a | b] decides consistency
+    and the homogeneous dimension, then the reference phase-one simplex runs
+    on the nonzero rows of an RREF.  With ``presolve``, a row with b_i = 0
+    whose entries share one sign forces its support to 0 in every x >= 0:
+    that RREF is then of [a_S | b] over the other columns S (a pivot in its
+    rhs column means QuasiOnly, with no simplex pivot), and the witness is 0
+    off S.  Without it, the RREF is the one of [a | b]."""
     n = len(a[0])
     rows = [row + [Fraction(bi)] for row, bi in zip(_fraction_rows(a), b)]
     pivots = _row_reduce(rows)
     if pivots and pivots[-1] == n:
         return "Inconsistent", None, n - (len(pivots) - 1), 0
-    x, steps = reference_phase_one_simplex(rows[: len(pivots)], pivots, n)
-    if x is None:
-        return "QuasiOnly", None, n - len(pivots), steps
-    return "Proper", tuple(x), n - len(pivots), steps
+    hom_dim, live = n - len(pivots), list(range(n))
+    if presolve:
+        one_signed = [
+            row for row, bi in zip(a, b) if bi == 0 and (all(v >= 0 for v in row) or all(v <= 0 for v in row))
+        ]
+        live = [j for j in range(n) if all(row[j] == 0 for row in one_signed)]
+        rows = [[Fraction(row[j]) for j in live] + [Fraction(bi)] for row, bi in zip(a, b)]
+        pivots = _row_reduce(rows)
+        if pivots and pivots[-1] == len(live):
+            return "QuasiOnly", None, hom_dim, 0
+    x_live, steps = reference_phase_one_simplex(rows[: len(pivots)], pivots, len(live))
+    if x_live is None:
+        return "QuasiOnly", None, hom_dim, steps
+    x = [Fraction(0)] * n
+    for j, v in zip(live, x_live):
+        x[j] = v
+    return "Proper", tuple(x), hom_dim, steps
 
 
 def random_rational_matrix(rng: random.Random):

@@ -447,6 +447,80 @@ class TestEliminationCache:
         assert len(seen) == 8 and min(seen.values()) >= 10, seen
 
 
+def counting_pivots(monkeypatch) -> list:
+    """Record every simplex pivot of ``lp_feasible`` in the returned list."""
+    steps = []
+
+    def counted_pivot(rows, r, c):
+        steps.append((r, c))
+        return _pivot(rows, r, c)
+
+    monkeypatch.setattr(marginal_general, "_pivot", counted_pivot)
+    return steps
+
+
+class TestForcingRows:
+    def test_no_zero_rhs_matches_reference_without_presolve(self, monkeypatch):
+        # a forcing row needs a zero rhs entry: without one, lp_feasible
+        # pivots on the full RREF of [A | b], and its witness and pivot count
+        # are those of the reference simplex with no forcing rule at all
+        steps = counting_pivots(monkeypatch)
+        rng = random.Random(151)
+        systems = [oracles.random_lp_system(rng) for _ in range(400)]
+        for k in range(60):
+            corr = oracles.random_rational_correlations(rng)
+            if k % 2:  # correlations of size at most 1/3: Proper, no zero cell
+                corr = CorrelationTriple(*(F(rng.randint(-99, 99), 297) for _ in range(3)))
+            mat, rhs = build_constraint_system(bell_problem(corr))
+            systems.append(([list(mat.row(i)) for i in range(mat.rows)], list(rhs)))
+        seen = Counter()
+        for a, b in systems:
+            if not all(b):
+                continue
+            steps.clear()
+            result = lp_feasible(RatMatrix.from_rows(a), [F(v) for v in b])
+            status, witness, hom_dim, ref_steps = oracles.reference_lp_feasible(a, b, presolve=False)
+            assert result == marginal_general.FeasibilityResult(Feasibility(status), witness, hom_dim), (a, b)
+            assert len(steps) == ref_steps, (a, b)
+            seen[status] += 1
+            seen["pivoted"] += ref_steps > 0
+        assert min(seen.values()) >= 20, seen
+
+    def test_nonlocality_without_inequalities_needs_no_pivot(self, monkeypatch):
+        # GHZ-Mermin: X and Y of three parties, parity even on XXX and odd on
+        # XYY, YXY and YYX; every joint outcome hits a zero cell.  Hardy: half
+        # a Popescu-Rohrlich box plus half the deterministic box 0000 on the
+        # four pairs (Ax, By); only the all-0 outcome avoids every zero cell,
+        # and it cannot give the tables.  Both are decided before any simplex
+        # pivot.
+        steps = counting_pivots(monkeypatch)
+        ghz = MarginalProblem(
+            observables=tuple((party + s, 2) for party in "ABC" for s in "XY"),
+            constraints=tuple(
+                (("A" + a, "B" + b, "C" + c), tuple(F(parity == sum(o) % 2, 4) for o in itertools.product(range(2), repeat=3)))
+                for (a, b, c), parity in (("XXX", 0), ("XYY", 1), ("YXY", 1), ("YYX", 1))
+            ),
+        )
+        hardy = MarginalProblem(
+            observables=tuple((party + s, 2) for party in "AB" for s in "01"),
+            constraints=tuple(
+                ((f"A{x}", f"B{y}"), tuple(F((a ^ b) == x * y, 4) + F(a == b == 0, 2) for a in range(2) for b in range(2)))
+                for x in range(2)
+                for y in range(2)
+            ),
+        )
+        for prob, cols in ((ghz, 64), (hardy, 16)):
+            mat, rhs = build_constraint_system(prob)
+            assert mat.cols == cols
+            steps.clear()
+            result = lp_feasible(mat, rhs)
+            assert result.status is Feasibility.QUASI_ONLY and result.witness is None
+            assert steps == []
+            a = [list(mat.row(i)) for i in range(mat.rows)]
+            assert result.homogeneous_dim == oracles.reference_lp_feasible(a, list(rhs))[2]
+            assert oracles.reference_lp_feasible(a, list(rhs), presolve=False)[0] == "QuasiOnly"
+
+
 class TestSolveProblem:
     def test_single_observable_marginals_always_proper(self):
         rng = random.Random(109)
