@@ -54,19 +54,14 @@ def bell_pair(corr: CorrelationTriple, eps: float = DEFAULT_EPS) -> BellVerdict:
 
     Exact correlations are decided exactly; floats at tolerance ``eps``.
     """
-    u, v, w = corr.ab, corr.ac, corr.bc
-    lhs1, rhs1 = 1 + u, abs(v - w)
-    lhs2, rhs2 = 1 - u, abs(v + w)
-    margin = min(lhs1 - rhs1, lhs2 - rhs2)
-    tol = tolerance(corr.as_tuple(), eps)
-    return BellVerdict(
-        ineq1_lhs=lhs1,
-        ineq1_rhs=rhs1,
-        ineq2_lhs=lhs2,
-        ineq2_rhs=rhs2,
-        satisfied=margin >= -tol,
-        margin=margin,
-    )
+    lhs1, rhs1, lhs2, rhs2, margin = _inequalities(corr.ab, corr.ac, corr.bc)
+    return BellVerdict(lhs1, rhs1, lhs2, rhs2, satisfied=margin >= -tolerance(corr.as_tuple(), eps), margin=margin)
+
+
+def _inequalities(u: Real, v: Real, w: Real) -> tuple[Real, Real, Real, Real, Real]:
+    # both sides of each inequality at <AB>, <AC>, <BC> = u, v, w, then the margin
+    lhs1, rhs1, lhs2, rhs2 = 1 + u, abs(v - w), 1 - u, abs(v + w)
+    return lhs1, rhs1, lhs2, rhs2, min(lhs1 - rhs1, lhs2 - rhs2)
 
 
 def equivalence_check(corr: CorrelationTriple) -> bool:

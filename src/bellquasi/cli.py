@@ -169,14 +169,15 @@ def _axis(start: float, step: float, count: int):
 def _scan_rows(ab: tuple[float, float, int], ac: tuple[float, float, int], eps: float):
     """CSV rows of the violation map, one per grid cell, computed lazily.
     Only <BC>, the verdict and the margin depend on both angles: the rest
-    of a row is worked out once per row, or once per scan for the inner axis."""
+    of a row is worked out once per row, or once per scan for the inner axis.
+    A cell calls the private formulas behind ``classify`` and ``bell_pair``
+    (at tolerance ``eps``: its values are floats) and builds no result object."""
     inner = list(_axis(*ac))
     for theta_ab, u, fmt_ab, fmt_u in _axis(*ab):
         for theta_ac, v, fmt_ac, fmt_v in inner:
-            corr = singlet.CorrelationTriple(u, v, -math.cos(math.radians(theta_ac - theta_ab)))
-            verdict = quasi.classify(singlet.rhs_from_correlations(corr), eps)
-            margin = bellcheck.bell_pair(corr, eps).margin
-            yield [fmt_ab, fmt_ac, fmt_u, fmt_v, _fmt(corr.bc), _fmt(margin), verdict.tag.value]
+            w = singlet._checked_correlation(-math.cos(math.radians(theta_ac - theta_ab)))
+            tag = quasi._verdict(quasi._family(singlet._rhs(u, v, w, 1.0), eps), eps)
+            yield [fmt_ab, fmt_ac, fmt_u, fmt_v, _fmt(w), _fmt(bellcheck._inequalities(u, v, w)[4]), tag.value]
 
 
 def cmd_scan(args) -> int:

@@ -95,11 +95,43 @@ def check_consistency(p: Sequence[Real], eps: float = DEFAULT_EPS) -> Consistenc
     Exact p vectors are checked exactly; floats at tolerance ``eps``.
     """
     _check_p(p)
-    r0 = (p[0] + p[1]) - (p[6] + p[8])  # BC row sum vs AB column sum
-    r1 = (p[3] + p[4]) - (p[6] + p[7])  # AC row sum vs AB row sum
-    r2 = (p[0] + p[2]) - (p[3] + p[5])  # BC column sum vs AC column sum
-    tol = tolerance(p, eps)
-    return ConsistencyCheck(ok=abs(r0) <= tol and abs(r1) <= tol and abs(r2) <= tol, residuals=(r0, r1, r2))
+    return ConsistencyCheck(ok=_family(p, tolerance(p, eps)) is not None, residuals=_residuals(p))
+
+
+def _residuals(p: Sequence[Real]) -> tuple[Real, Real, Real]:
+    return (
+        (p[0] + p[1]) - (p[6] + p[8]),  # BC row sum vs AB column sum
+        (p[3] + p[4]) - (p[6] + p[7]),  # AC row sum vs AB row sum
+        (p[0] + p[2]) - (p[3] + p[5]),  # BC column sum vs AC column sum
+    )
+
+
+def _family(p: Sequence[Real], tol: Real) -> Optional[tuple[tuple[Real, ...], Real, Real]]:
+    """``(x0, t_lo, t_hi)`` for rhs p, or None when a consistency residual
+    exceeds ``tol``.  x0 is the pseudoinverse application (exact matrix;
+    result type follows p).  The feasible interval splits the componentwise
+    constraints x0[i] + t*xh[i] >= 0 by the sign of xh[i]:  t >= -x0[i]
+    where xh[i] is +1 and t <= x0[i] where it is -1."""
+    r0, r1, r2 = _residuals(p)
+    if not (abs(r0) <= tol and abs(r1) <= tol and abs(r2) <= tol):
+        return None
+    if is_exact(p):  # integer numerators over one denominator: one Fraction per entry
+        rows, den = _pseudoinverse_numerators()
+        d = math.lcm(*(v.denominator for v in p))
+        p_num = [v.numerator * (d // v.denominator) for v in p]
+        x0 = tuple(Fraction(sum(e * v for e, v in zip(row, p_num)), den * d) for row in rows)
+    else:
+        # sum(), not a chain of +: sum() compensates float sums since Python 3.12
+        x0 = tuple([sum(map(operator.mul, row, p)) for row in _pseudoinverse_rows_float()])
+    return x0, max(map(operator.neg, _T_LO(x0))), min(_T_HI(x0))
+
+
+def _verdict(family: Optional[tuple[tuple[Real, ...], Real, Real]], tol: Real) -> Feasibility:
+    """Verdict on a :func:`_family` result, by :meth:`QuasiFamily.interval_nonempty`'s test."""
+    if family is None:
+        return Feasibility.INCONSISTENT
+    _, t_lo, t_hi = family
+    return Feasibility.PROPER if 4 * (t_hi - t_lo) >= -tol else Feasibility.QUASI_ONLY
 
 
 @dataclass(frozen=True)
@@ -122,30 +154,14 @@ class QuasiFamily:
         """``4 * (t_hi - t_lo) >= -eps``: ``eps`` is on the Bell-margin scale,
         since for singlet tables ``4 * (t_hi - t_lo)`` is exactly the margin
         of :func:`bellquasi.bellcheck.bell_pair`."""
-        return 4 * (self.t_hi - self.t_lo) >= -eps
+        return _verdict((self.x0, self.t_lo, self.t_hi), eps) is Feasibility.PROPER
 
 
 def solve_family(p: Sequence[Real], eps: float = DEFAULT_EPS) -> Optional[QuasiFamily]:
-    """Quasiprobability family for rhs p, or None when p is inconsistent.
-
-    x0 is the pseudoinverse application (exact matrix; result type follows
-    p).  The feasible interval splits the componentwise constraints
-    x0[i] + t*xh[i] >= 0 by the sign of xh[i]:  t >= -x0[i] where xh[i] is
-    +1 and t <= x0[i] where it is -1.
-    """
-    if not check_consistency(p, eps).ok:
-        return None
-    if is_exact(p):  # integer numerators over one denominator: one Fraction per entry
-        rows, den = _pseudoinverse_numerators()
-        d = math.lcm(*(v.denominator for v in p))
-        p_num = [v.numerator * (d // v.denominator) for v in p]
-        x0 = tuple(Fraction(sum(e * v for e, v in zip(row, p_num)), den * d) for row in rows)
-    else:
-        # sum(), not a chain of +: sum() compensates float sums since Python 3.12
-        x0 = tuple([sum(map(operator.mul, row, p)) for row in _pseudoinverse_rows_float()])
-    t_lo = max(map(operator.neg, _T_LO(x0)))
-    t_hi = min(_T_HI(x0))
-    return QuasiFamily(x0=x0, t_lo=t_lo, t_hi=t_hi)
+    """Quasiprobability family for rhs p, or None when p is inconsistent."""
+    _check_p(p)
+    family = _family(p, tolerance(p, eps))
+    return None if family is None else QuasiFamily(*family)
 
 
 @lru_cache(maxsize=1)

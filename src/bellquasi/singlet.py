@@ -181,10 +181,13 @@ def rhs_from_correlations(corr: CorrelationTriple) -> tuple[Real, ...]:
     so they are not checked again here.
     """
     ab, ac, bc = corr.ab, corr.ac, corr.bc
+    return _rhs(ab, ac, bc, Fraction(1) if is_exact((ab, ac, bc)) else 1.0)
+
+
+def _rhs(ab: Real, ac: Real, bc: Real, one: Real) -> tuple[Real, ...]:
     bc_same, bc_diff = (1 - bc) / 4, (1 + bc) / 4
     ac_same, ac_diff = (1 + ac) / 4, (1 - ac) / 4
     ab_same, ab_diff = (1 + ab) / 4, (1 - ab) / 4
-    one: Real = Fraction(1) if is_exact((ab, ac, bc)) else 1.0
     return (bc_same, bc_diff, bc_diff, ac_same, ac_diff, ac_diff, ab_same, ab_diff, ab_diff, one)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bellquasi import bellcheck, cli, quasi, reference
+from bellquasi import bellcheck, cli, quasi, reference, singlet
 from bellquasi.cli import (
     EXIT_INCONSISTENT,
     EXIT_QUASI_ONLY,
@@ -117,7 +117,7 @@ class TestSingletCommand:
             monkeypatch.setattr(quasi, name, counted(name))
         assert cli.main(["singlet", "--angles", "0,60,120"]) == EXIT_QUASI_ONLY
         capsys.readouterr()
-        assert calls == {"solve_family": 1, "check_consistency": 2}
+        assert calls == {"solve_family": 1, "check_consistency": 1}
 
     def test_json_contains_every_report_field(self, capsys):
         _, out, _ = run(capsys, "singlet", "--angles", "10,20,30", "--json")
@@ -165,6 +165,22 @@ class TestScanCommand:
             code, _, _ = run(capsys, "scan", *args, "--out", str(out_path))
             assert code == 0
             assert hashlib.sha256(out_path.read_bytes()).hexdigest() == expected, args
+
+    def test_cells_build_no_result_objects(self, capsys, tmp_path, monkeypatch):
+        # a cell runs the deciders' formulas, not the deciders: with every
+        # result type unusable the map is still written, byte for byte
+        args = ("scan", "--ab", "0:360:15", "--ac", "0:360:15", "--eps", "1e-3")
+        before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+        assert run(capsys, *args, "--out", str(before))[0] == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scan cell built a result object")
+
+        for module, name in ((quasi, "Classification"), (quasi, "QuasiFamily"), (quasi, "ConsistencyCheck"),
+                             (bellcheck, "BellVerdict"), (singlet, "CorrelationTriple")):
+            monkeypatch.setattr(module, name, refuse)
+        assert run(capsys, *args, "--out", str(after))[0] == 0
+        assert after.read_bytes() == before.read_bytes()
 
     def test_row_order_and_count(self, capsys, tmp_path):
         out_path = tmp_path / "scan.csv"

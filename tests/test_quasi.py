@@ -4,8 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
+from bellquasi import bellcheck, quasi, singlet
 from bellquasi.bellcheck import bell_pair
-from bellquasi.exactla import left_null_space, null_space, solve_consistent
+from bellquasi.exactla import left_null_space, null_space, solve_consistent, tolerance
 from bellquasi.marginal_general import Feasibility, build_constraint_system, lp_feasible
 from bellquasi.quasi import (
     HOMOGENEOUS,
@@ -17,7 +18,7 @@ from bellquasi.quasi import (
     reconstruct_marginals,
     solve_family,
 )
-from bellquasi.singlet import CorrelationTriple, bell_marginals, tables_from_correlations
+from bellquasi.singlet import CorrelationTriple, bell_marginals, rhs_from_correlations, tables_from_correlations
 
 UNIFORM_P = tuple([F(1, 4)] * 9 + [F(1)])
 
@@ -207,6 +208,73 @@ class TestClassify:
         assert bell.margin == pytest.approx(-gap, rel=1e-3)
         assert tag is (Feasibility.QUASI_ONLY if gap > 1e-10 else Feasibility.PROPER)
         assert bell.satisfied is (tag is Feasibility.PROPER)
+
+
+class TestSharedCores:
+    """``scan`` calls the private formulas behind ``classify`` and ``bell_pair``
+    directly; they must give what the public deciders give, also on the
+    inconsistent p vectors that a scan never builds."""
+
+    EPS = [0, 1e-16, 1e-10, 1e-3]
+
+    @staticmethod
+    def triples(rng):
+        # random triples, triples on the Bell boundary and just off it; each
+        # exact and as floats
+        exact = [oracles.random_rational_correlations(rng).as_tuple() for _ in range(40)]
+        while len(exact) < 120:
+            u, v = (F(rng.randint(-1000, 1000), 1000) for _ in range(2))
+            w = v - (1 + u)  # the first inequality is tight
+            if -1 <= w <= 1 and abs(v + w) <= 1 - u:
+                exact.append((u, v, w))
+                for d in (F(1, 10**16), F(1, 10**10), F(2, 10**10), F(1, 1000)):
+                    exact += [(u, v, w + s * d) for s in (1, -1) if -1 <= w + s * d <= 1]
+        for t in exact:
+            yield CorrelationTriple(*t)
+            yield CorrelationTriple(*(float(x) for x in t))
+
+    @classmethod
+    def p_vectors(cls, rng):
+        # singlet rhs vectors, images of random joint vectors with some mass
+        # moved below zero, and both perturbed out of consistency
+        consistent = [rhs_from_correlations(corr) for corr in cls.triples(rng)]
+        for _ in range(40):
+            x = list(oracles.random_rational_distribution(rng, 8))
+            (i, j), shift = rng.sample(range(8), 2), F(rng.randint(0, 50), 100)
+            x[i], x[j] = x[i] - shift, x[j] + shift
+            p = oracles.mat_vec(build_matrix(), x)
+            consistent += [p, tuple(float(v) for v in p[:9]) + (1.0,)]
+        for p in consistent:
+            yield p
+            k = rng.randrange(9)
+            for d in (F(1, 10**16), F(1, 10**10), F(1, 1000), F(1, 100)):
+                bumped = list(p)
+                bumped[k] += d if isinstance(p[k], F) else float(d)
+                yield tuple(bumped)
+
+    @pytest.mark.parametrize("eps", EPS)
+    def test_verdict_path_matches_classify(self, eps):
+        tags = set()
+        for p in self.p_vectors(random.Random(1401)):
+            tol = tolerance(p, eps)
+            tag = quasi._verdict(quasi._family(p, tol), tol)
+            assert tag is classify(p, eps).tag, p
+            tags.add(tag)
+        assert tags == set(Feasibility)
+
+    @pytest.mark.parametrize("eps", EPS)
+    def test_margin_and_rhs_match_the_public_functions(self, eps):
+        for corr in self.triples(random.Random(1402)):
+            u, v, w = corr.as_tuple()
+            bell = bell_pair(corr, eps)
+            sides = (bell.ineq1_lhs, bell.ineq1_rhs, bell.ineq2_lhs, bell.ineq2_rhs, bell.margin)
+            assert bellcheck._inequalities(u, v, w) == sides
+            margin = sides[4]
+            exact = isinstance(u, F)
+            p = singlet._rhs(u, v, w, F(1) if exact else 1.0)
+            assert p == rhs_from_correlations(corr)
+            if exact:  # the two deciders agree exactly: Proper iff the margin is >= 0
+                assert (quasi._verdict(quasi._family(p, 0), 0) is Feasibility.PROPER) == (margin >= 0)
 
 
 class TestReconstructMarginals:
