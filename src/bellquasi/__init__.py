@@ -37,7 +37,6 @@ from .quasi import (
     check_consistency,
     classify,
     pseudoinverse_matrix,
-    reconstruct_marginals,
     solve_family,
 )
 from .singlet import (
@@ -89,7 +88,6 @@ __all__ = [
     "pseudoinverse_matrix",
     "rank",
     "rationalize",
-    "reconstruct_marginals",
     "solve_consistent",
     "solve_family",
     "solve_problem",

@@ -18,6 +18,7 @@ comparison slack, and :func:`check_distribution` applies it to tables.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -57,13 +58,21 @@ def check_distribution(table: Sequence[Real], what: str, eps: float = DEFAULT_EP
     """Raise ``ValueError`` unless ``table`` is finite, non-negative and sums
     to 1 within ``tolerance(table, eps)``; ``what`` names the table in the
     error."""
+    if is_exact(table):
+        # Finite by type; one lcm of the denominators puts the entries on a
+        # common denominator, so the sign and sum tests run on integers.
+        if any(v.numerator < 0 for v in table):
+            raise ValueError(f"negative entry in {what}")
+        d = math.lcm(*[v.denominator for v in table])
+        if sum([v.numerator * (d // v.denominator) for v in table]) != d:
+            raise ValueError(f"{what} does not sum to 1")
+        return
     # NaN fails every comparison, so it would pass the two tests below.
     if not all(-math.inf < v < math.inf for v in table):
         raise ValueError(f"non-finite entry in {what}")
-    tol = tolerance(table, eps)
-    if any(v < -tol for v in table):
+    if any(v < -eps for v in table):
         raise ValueError(f"negative entry in {what}")
-    if abs(sum(table) - 1) > tol:
+    if abs(sum(table) - 1) > eps:
         raise ValueError(f"{what} does not sum to 1")
 
 
@@ -81,6 +90,15 @@ class RatMatrix:
             raise ValueError(
                 f"entry count {len(self.entries)} != rows*cols = {self.rows * self.cols}"
             )
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.rows, self.cols, self.entries))
+
+    def __hash__(self) -> int:
+        # Hashed once, not on every call: a matrix keys the elimination cache
+        # of each LP on it, and its m*n entries would be hashed every time.
+        return self._hash
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Rational]]) -> "RatMatrix":

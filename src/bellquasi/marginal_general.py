@@ -42,7 +42,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactla import DEFAULT_EPS, RatMatrix, Real, _integer_rows, _pivot, _rref_rows, check_distribution
+from .exactla import DEFAULT_EPS, RatMatrix, Real, _integer_rows, _pivot, _rref_rows, check_distribution, is_exact
 
 #: Largest joint outcome count accepted before erroring out.
 JOINT_SIZE_CAP = 10**6
@@ -73,8 +73,12 @@ def rationalize(value: Real) -> Fraction:
 
 
 def _rationalized_table(table: tuple[Real, ...]) -> tuple[Fraction, ...]:
-    """Exact copy of a checked table; floats are rationalized and the largest
-    entry adjusted so the total is exactly 1 (the adjustment is ~1e-12)."""
+    """Exact copy of a checked table.  An exact one already sums to exactly
+    1, so its entries are only made Fractions; floats are rationalized and
+    the largest entry adjusted so the total is exactly 1 (the adjustment is
+    ~1e-12)."""
+    if is_exact(table):
+        return tuple(map(rationalize, table))
     approx = [rationalize(v) for v in table]
     gap = 1 - sum(approx)
     if gap != 0:
@@ -178,16 +182,31 @@ def build_constraint_system(prob: MarginalProblem) -> tuple[RatMatrix, tuple[Fra
     all-ones normalization row comes last.  A table's final entry is
     omitted because its row is implied by the others together with the
     table summing to 1.  ``prob`` was validated, joint size cap included,
-    and its tables made exact when it was constructed.
+    and its tables made exact when it was constructed.  The matrix depends
+    only on the problem's shape, its cardinalities and each constraint's
+    observable positions, never on the tables: problems of one shape share
+    one cached matrix (:func:`_constraint_matrix`), which then also keys the
+    elimination cache of :func:`lp_feasible`, and only the rhs is built per
+    problem.
     """
-    cards = prob.cardinalities()
+    index = {name: i for i, (name, _) in enumerate(prob.observables)}
+    shape = tuple(tuple(index[name] for name in subset) for subset, _ in prob.constraints)
+    rhs = [v for _, table in prob.constraints for v in table[:-1]]
+    rhs.append(Fraction(1))
+    return _constraint_matrix(prob.cardinalities(), shape), tuple(rhs)
+
+
+@functools.lru_cache(maxsize=8)
+def _constraint_matrix(cards: tuple[int, ...], shape: tuple[tuple[int, ...], ...]) -> RatMatrix:
+    """The 0/1 matrix of :func:`build_constraint_system` for observables of
+    cardinalities ``cards`` and constraints over the observable positions
+    ``shape``, built once per shape.  Eight entries, the policy of
+    :func:`_eliminated`, cover the few shapes a caller sweeps at once."""
     joint_outcomes = list(itertools.product(*(range(c) for c in cards)))
     size = len(joint_outcomes)
     flat: list[int] = []
-    rhs: list[Fraction] = []
-    for subset, table in prob.constraints:
-        positions = [prob.index_of(n) for n in subset]
-        last = len(table) - 1
+    for positions in shape:
+        last = math.prod(cards[p] for p in positions) - 1
         # row k of this table has a 1 at each joint outcome o that adds to
         # entry k (row-major): one pass over the outcomes fills all its rows
         block = [0] * (last * size)
@@ -198,10 +217,8 @@ def build_constraint_system(prob: MarginalProblem) -> tuple[RatMatrix, tuple[Fra
             if k < last:
                 block[k * size + o] = 1
         flat.extend(block)
-        rhs.extend(table[:last])
     flat.extend([1] * size)
-    rhs.append(Fraction(1))
-    return RatMatrix(len(rhs), size, tuple(flat)), tuple(rhs)
+    return RatMatrix(len(flat) // size, size, tuple(flat))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 from .exactla import DEFAULT_EPS, RatMatrix, Real, is_exact, pseudoinverse, tolerance
 from .marginal_general import Feasibility, MarginalProblem
-from .singlet import CorrelationTriple, PairTable, tables_from_correlations
+from .singlet import CorrelationTriple, tables_from_correlations
 
 #: Kernel direction of the constraint matrix: adding any multiple of it to
 #: a joint vector leaves all pair marginals unchanged.  Entry for outcome
@@ -208,24 +208,6 @@ def classify(p: Sequence[Real], eps: float = DEFAULT_EPS) -> Classification:
     else:  # nonempty only within tolerance; split the difference
         t = (family.t_lo + family.t_hi) / 2
     return Classification(Feasibility.PROPER, family.member(t), family)
-
-
-def reconstruct_marginals(x: Sequence[Real]) -> tuple[PairTable, PairTable, PairTable]:
-    """Pair marginals (AB, AC, BC) implied by a joint vector, including the
-    (-, -) entries that the stacked rhs drops as redundant."""
-    if len(x) != 8:
-        raise ValueError(f"joint vector must have 8 entries, got {len(x)}")
-    total = sum(x)
-    if abs(total - 1) > tolerance(x):
-        raise ValueError(f"joint vector sums to {total}, not 1")
-
-    def table(i: int, j: int) -> PairTable:
-        def cell(vi: int, vj: int) -> Real:
-            return sum(x[k] for k, o in enumerate(OUTCOMES) if o[i] == vi and o[j] == vj)
-
-        return PairTable(pp=cell(1, 1), pm=cell(1, -1), mp=cell(-1, 1), mm=cell(-1, -1))
-
-    return table(0, 1), table(0, 2), table(1, 2)
 
 
 def bell_problem(corr: CorrelationTriple) -> MarginalProblem:

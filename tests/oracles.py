@@ -22,8 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from bellquasi.quasi import HOMOGENEOUS
-from bellquasi.singlet import CorrelationTriple, Direction
+from bellquasi.exactla import tolerance
+from bellquasi.quasi import HOMOGENEOUS, OUTCOMES
+from bellquasi.singlet import CorrelationTriple, Direction, PairTable
 
 _I2 = np.eye(2, dtype=complex)
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -71,6 +72,25 @@ def family_grid_infeasible(x0, points: int = 100_001, span: float = 1.0) -> bool
         if all(x + t * h >= 0 for x, h in zip(x0, HOMOGENEOUS)):
             return False
     return True
+
+
+def reconstruct_marginals(x):
+    """Pair marginals (AB, AC, BC) implied by a joint vector over
+    ``OUTCOMES``, including the (-, -) entries that the stacked rhs drops
+    as redundant; the vector must sum to 1 within ``tolerance(x)``."""
+    if len(x) != 8:
+        raise ValueError(f"joint vector must have 8 entries, got {len(x)}")
+    total = sum(x)
+    if abs(total - 1) > tolerance(x):
+        raise ValueError(f"joint vector sums to {total}, not 1")
+
+    def table(i, j):
+        def cell(vi, vj):
+            return sum(x[k] for k, o in enumerate(OUTCOMES) if o[i] == vi and o[j] == vj)
+
+        return PairTable(pp=cell(1, 1), pm=cell(1, -1), mp=cell(-1, 1), mm=cell(-1, -1))
+
+    return table(0, 1), table(0, 2), table(1, 2)
 
 
 def random_direction(rng: random.Random) -> Direction:
@@ -137,6 +157,19 @@ def full_constraint_system(prob):
             rows.append([int(tuple(o[p] for p in positions) == combo) for o in outcomes])
             rhs.append(Fraction(entry))
     return rows + [[1] * len(outcomes)], rhs + [Fraction(1)]
+
+
+def reference_rationalized_table(table):
+    """The stored form of a checked table, by the sum-repair rule: every
+    entry made exact (a float to its nearest fraction with denominator at
+    most 10**6), then the largest entry, the first of equals, moved by the
+    gap so that the total is exactly 1.  An exact table has no gap."""
+    approx = [Fraction(v).limit_denominator(10**6) if isinstance(v, float) else Fraction(v) for v in table]
+    gap = 1 - sum(approx)
+    if gap != 0:
+        k = max(range(len(approx)), key=lambda i: approx[i])
+        approx[k] += gap
+    return tuple(approx)
 
 
 def _fraction_pivot(rows, r, c):

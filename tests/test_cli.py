@@ -351,6 +351,8 @@ class TestSolveCommand:
             ("bell_uniform", 0, "881422e2ec5ada6d6b2a142b43815e24c49195aa1d10707e1e1b97125dd51199"),
             ("contradictory", EXIT_INCONSISTENT, "d0f82e7390cabcf20c2e31b6943fad8eecd223cf60b150197170ae969397565a"),
             ("uniform_ternary_6cycle", 0, "9c4c262c0d3b891436df69b9c2d6b97a163dd2c8a4f7b02cc09947d6e268001c"),
+            ("ghz_mermin", EXIT_QUASI_ONLY, "f1724042333f4eb36a01ca7848e7db2e2f90c37fa833ec384759e6e821075cfa"),
+            ("hardy_box", EXIT_QUASI_ONLY, "962a3cc89cbd53dc6cfae3184a37fd3297c9260f870fe400b6cc6c3b3aa20a16"),
         ],
     )
     def test_bundled_json_reports_are_pinned(self, capsys, name, expected_code, digest):

@@ -312,14 +312,86 @@ class TestExactnessRule:
         assert exactla.tolerance(values) == (0 if exact else exactla.DEFAULT_EPS)
 
 
+NEGATIVE = "negative entry in table 2"
+WRONG_SUM = "table 2 does not sum to 1"
+
+
 class TestCheckDistribution:
     @pytest.mark.parametrize(
         "table",
-        [(F(1, 4), F(3, 4)), (0.25, 0.75), (1, 0), (F(1, 2), 0.5)],
-        ids=["exact", "float", "int", "mixed"],
+        [
+            (F(1, 4), F(3, 4)),
+            (0.25, 0.75),
+            (1, 0),
+            (F(1, 2), 0.5),
+            (0, 0, 1, 0),
+            (F(1, 3), F(1, 6), F(1, 2)),
+            (F(1, 2), 0, F(1, 4), F(1, 4), 0),
+            (F(1, 10**30), 1 - F(1, 10**30), 0),
+        ],
+        ids=["exact", "float", "int", "mixed", "int-only", "fraction-only", "int-and-fraction", "huge-denominators"],
     )
     def test_accepts_distribution(self, table):
         exactla.check_distribution(table, "table 0")
+
+    # exact tables are checked on a common denominator; the errors keep
+    # their order: a negative entry is reported before a wrong sum
+    @pytest.mark.parametrize(
+        "table, error",
+        [
+            ((2, -1), NEGATIVE),
+            ((-1, 0), NEGATIVE),
+            ((1, 1), WRONG_SUM),
+            ((), WRONG_SUM),
+            ((F(1, 3), F(1, 3)), WRONG_SUM),
+            ((F(1, 3), F(1, 3), F(1, 3) + F(1, 10**20)), WRONG_SUM),
+            ((F(3, 2), -1, F(1, 2)), NEGATIVE),
+            ((F(-1, 2), F(1, 4)), NEGATIVE),
+            ((F(1, 7), 5, F(-1, 10**9)), NEGATIVE),
+        ],
+        ids=[
+            "int-negative",
+            "int-negative-and-wrong-sum",
+            "int-wrong-sum",
+            "empty",
+            "fraction-wrong-sum",
+            "fraction-sum-off-by-1e-20",
+            "mixed-negative-summing-to-one",
+            "fraction-negative-and-wrong-sum",
+            "mixed-negative-and-wrong-sum",
+        ],
+    )
+    def test_rejects_exact_table_naming_it(self, table, error):
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            exactla.check_distribution(table, "table 2")
+
+    def test_exact_tables_match_the_fraction_rule(self):
+        # the integer check against the same tests written on Fractions, on
+        # seeded tables of ints, Fractions and both, some nudged off
+        def fraction_rule(table):
+            if any(F(v) < 0 for v in table):
+                return "negative entry in table 1"
+            if sum(F(v) for v in table) != 1:
+                return "table 1 does not sum to 1"
+            return None
+
+        rng = random.Random(163)
+        seen = {}
+        for _ in range(600):
+            table = [v.numerator if v.denominator == 1 and rng.random() < 0.7 else v
+                     for v in oracles.random_rational_distribution(rng, rng.randint(1, 6))]
+            if rng.random() < 0.5:
+                i = rng.randrange(len(table))
+                table[i] += F(rng.choice((-1, 1)), rng.choice((1, 3, 10**12, 10**40)))
+            expected = fraction_rule(table)
+            try:
+                exactla.check_distribution(tuple(table), "table 1")
+                error = None
+            except ValueError as exc:
+                error = str(exc)
+            assert error == expected, table
+            seen[expected] = seen.get(expected, 0) + 1
+        assert len(seen) == 3 and min(seen.values()) >= 50, seen
 
     # NaN fails both the sign and the sum comparison, so it needs its own test;
     # an infinite entry must not surface as a sign or sum error either

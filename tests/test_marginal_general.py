@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -25,6 +27,8 @@ from bellquasi.marginal_general import (
 )
 from bellquasi.quasi import bell_problem, build_matrix, solve_family
 from bellquasi.singlet import CorrelationTriple, tables_from_correlations
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def joint_marginal(prob: MarginalProblem, joint, subset):
@@ -171,6 +175,124 @@ class TestBuildConstraintSystem:
         with pytest.raises(ValueError):
             MarginalProblem(observables=observables, constraints=())
         assert 2**21 > JOINT_SIZE_CAP
+
+
+def shaped_problem(rng: random.Random, names, cards, shape) -> MarginalProblem:
+    """Observables ``names`` of cardinalities ``cards``, one random exact
+    table over the observables at each position tuple of ``shape``."""
+    constraints = []
+    for positions in shape:
+        size = math.prod(cards[p] for p in positions)
+        constraints.append((tuple(names[p] for p in positions), oracles.random_rational_distribution(rng, size)))
+    return MarginalProblem(observables=tuple(zip(names, cards)), constraints=tuple(constraints))
+
+
+def random_shape(rng: random.Random):
+    cards = tuple(rng.randint(2, 3) for _ in range(rng.randint(1, 4)))
+    shape = tuple(tuple(rng.sample(range(len(cards)), rng.randint(1, min(3, len(cards))))) for _ in range(rng.randint(0, 4)))
+    return cards, shape
+
+
+class TestStoredTables:
+    def test_exact_tables_are_stored_as_the_sum_repair_rule_gives(self):
+        # an exact table skips the sum repair (it already sums to 1), and is
+        # stored exactly as the repair rule would store it, every entry a Fraction
+        panel = []
+        for path in sorted(PROBLEMS.glob("*.json")):
+            doc = json.loads(path.read_text())
+            raw = [tuple(F(v) for v in m["table"]) for m in doc["marginals"]]
+            panel.append((load_problem_document(str(path)), raw))
+        rng = random.Random(167)
+        for _ in range(300):
+            cards, shape = random_shape(rng)
+            names = [f"O{i}" for i in range(len(cards))]
+            raw = []
+            for positions in shape:
+                table = oracles.random_rational_distribution(rng, math.prod(cards[p] for p in positions))
+                kind = rng.randrange(3)  # Fractions, whole entries as ints, or floats
+                if kind == 1:
+                    table = tuple(v.numerator if v.denominator == 1 else v for v in table)
+                elif kind == 2:
+                    table = tuple(float(v) for v in table)
+                raw.append(table)
+            constraints = tuple((tuple(names[p] for p in positions), t) for positions, t in zip(shape, raw))
+            panel.append((MarginalProblem(observables=tuple(zip(names, cards)), constraints=constraints), raw))
+        kinds = Counter()
+        for prob, raw in panel:
+            assert len(prob.constraints) == len(raw)
+            for (_, stored), table in zip(prob.constraints, raw):
+                assert stored == oracles.reference_rationalized_table(table)
+                assert all(type(v) is F for v in stored)
+                kinds[frozenset(type(v).__name__ for v in table)] += 1
+        assert {frozenset({"Fraction"}), frozenset({"int"}), frozenset({"float"})} <= set(kinds), kinds
+        assert kinds[frozenset({"int", "Fraction"})] >= 50, kinds
+
+
+class TestConstraintMatrixCache:
+    def test_matches_the_full_system_without_each_tables_last_row(self):
+        rng = random.Random(173)
+        for _ in range(300):
+            prob = shaped_problem(rng, [f"O{i}" for i in range(4)], *random_shape(rng))
+            rows, rhs = oracles.full_constraint_system(prob)
+            keep, start = [], 0
+            for _, table in prob.constraints:
+                keep += range(start, start + len(table) - 1)
+                start += len(table)
+            keep.append(start)  # the normalization row
+            mat, kept = build_constraint_system(prob)
+            assert [list(mat.row(i)) for i in range(mat.rows)] == [rows[i] for i in keep]
+            assert kept == tuple(rhs[i] for i in keep)
+            assert all(type(x) is int for x in mat.entries) and all(type(x) is F for x in kept)
+
+    def test_one_matrix_per_shape(self):
+        rng = random.Random(179)
+        cards, shape = (2, 3, 2), ((0, 1), (2,), (1, 2))
+        mat, rhs = build_constraint_system(shaped_problem(rng, "ABC", cards, shape))
+        # other names and other tables, one shape: the same matrix object
+        same, other_rhs = build_constraint_system(shaped_problem(rng, ("X", "Y", "Z"), cards, shape))
+        assert same is mat and other_rhs != rhs
+        for other_cards, other_shape in (
+            (cards, ((2,), (0, 1), (1, 2))),  # constraint order
+            (cards, ((1, 0), (2,), (1, 2))),  # observable order within a constraint
+            ((2, 3, 3), shape),  # one cardinality
+        ):
+            other, _ = build_constraint_system(shaped_problem(rng, "ABC", other_cards, other_shape))
+            assert other is not mat and other != mat
+
+    def test_cache_hits_and_misses(self):
+        # problems of two shapes, interleaved: each shape's matrix is built
+        # once and eliminated once, and every answer is the cold-cache one
+        rng = random.Random(181)
+        shapes = (((3, 3, 3, 3), ((0, 1), (1, 2), (2, 3), (3, 0))), ((2, 2, 2), ((1, 2), (0, 2), (0, 1))))
+        problems = []
+        for i in range(24):
+            cards, shape = shapes[i % 2]
+            problems.append(shaped_problem(rng, [f"{'PQ'[i % 2]}{j}" for j in range(len(cards))], cards, shape))
+        problems += [four_cycle_problem(rng, status) for status in Feasibility]
+        marginal_general._constraint_matrix.cache_clear()
+        marginal_general._eliminated.cache_clear()
+        warm = [solve_problem(prob) for prob in problems]
+        built, eliminated = marginal_general._constraint_matrix.cache_info(), marginal_general._eliminated.cache_info()
+        assert (built.hits, built.misses) == (len(problems) - 2, 2)
+        assert (eliminated.hits, eliminated.misses) == (len(problems) - 2, 2)
+        cold = []
+        for prob in problems:
+            marginal_general._constraint_matrix.cache_clear()
+            marginal_general._eliminated.cache_clear()
+            cold.append(solve_problem(prob))
+        assert cold == warm
+        assert len({result.status for result in warm}) == 3
+
+    def test_matrix_hash_is_its_fields_hash(self):
+        # the kept hash is the fields' hash: an equal matrix built elsewhere
+        # finds the cached elimination
+        mat, rhs = build_constraint_system(bell_problem(CorrelationTriple(0, 0, 0)))
+        copy = RatMatrix(mat.rows, mat.cols, tuple(list(mat.entries)))
+        assert hash(mat) == hash(copy) == hash((mat.rows, mat.cols, mat.entries))
+        marginal_general._eliminated.cache_clear()
+        lp_feasible(mat, rhs)
+        assert lp_feasible(copy, rhs) == lp_feasible(mat, rhs)
+        assert marginal_general._eliminated.cache_info().misses == 1
 
 
 class TestLpFeasible:
@@ -447,6 +569,31 @@ class TestEliminationCache:
         assert len(seen) == 8 and min(seen.values()) >= 10, seen
 
 
+def ghz_mermin_problem() -> MarginalProblem:
+    """X and Y of three parties, parity even on XXX and odd on XYY, YXY and
+    YYX, each table uniform over its allowed outcomes."""
+    return MarginalProblem(
+        observables=tuple((party + s, 2) for party in "ABC" for s in "XY"),
+        constraints=tuple(
+            (("A" + a, "B" + b, "C" + c), tuple(F(parity == sum(o) % 2, 4) for o in itertools.product(range(2), repeat=3)))
+            for (a, b, c), parity in (("XXX", 0), ("XYY", 1), ("YXY", 1), ("YYX", 1))
+        ),
+    )
+
+
+def hardy_box_problem() -> MarginalProblem:
+    """Half a Popescu-Rohrlich box plus half the deterministic box 0000 on
+    the four pairs (Ax, By)."""
+    return MarginalProblem(
+        observables=tuple((party + s, 2) for party in "AB" for s in "01"),
+        constraints=tuple(
+            ((f"A{x}", f"B{y}"), tuple(F((a ^ b) == x * y, 4) + F(a == b == 0, 2) for a in range(2) for b in range(2)))
+            for x in range(2)
+            for y in range(2)
+        ),
+    )
+
+
 def counting_pivots(monkeypatch) -> list:
     """Record every simplex pivot of ``lp_feasible`` in the returned list."""
     steps = []
@@ -487,29 +634,11 @@ class TestForcingRows:
         assert min(seen.values()) >= 20, seen
 
     def test_nonlocality_without_inequalities_needs_no_pivot(self, monkeypatch):
-        # GHZ-Mermin: X and Y of three parties, parity even on XXX and odd on
-        # XYY, YXY and YYX; every joint outcome hits a zero cell.  Hardy: half
-        # a Popescu-Rohrlich box plus half the deterministic box 0000 on the
-        # four pairs (Ax, By); only the all-0 outcome avoids every zero cell,
-        # and it cannot give the tables.  Both are decided before any simplex
-        # pivot.
+        # GHZ-Mermin: every joint outcome hits a zero cell.  Hardy: only the
+        # all-0 outcome avoids every zero cell, and it cannot give the
+        # tables.  Both are decided before any simplex pivot.
         steps = counting_pivots(monkeypatch)
-        ghz = MarginalProblem(
-            observables=tuple((party + s, 2) for party in "ABC" for s in "XY"),
-            constraints=tuple(
-                (("A" + a, "B" + b, "C" + c), tuple(F(parity == sum(o) % 2, 4) for o in itertools.product(range(2), repeat=3)))
-                for (a, b, c), parity in (("XXX", 0), ("XYY", 1), ("YXY", 1), ("YYX", 1))
-            ),
-        )
-        hardy = MarginalProblem(
-            observables=tuple((party + s, 2) for party in "AB" for s in "01"),
-            constraints=tuple(
-                ((f"A{x}", f"B{y}"), tuple(F((a ^ b) == x * y, 4) + F(a == b == 0, 2) for a in range(2) for b in range(2)))
-                for x in range(2)
-                for y in range(2)
-            ),
-        )
-        for prob, cols in ((ghz, 64), (hardy, 16)):
+        for prob, cols in ((ghz_mermin_problem(), 64), (hardy_box_problem(), 16)):
             mat, rhs = build_constraint_system(prob)
             assert mat.cols == cols
             steps.clear()
@@ -519,6 +648,19 @@ class TestForcingRows:
             a = [list(mat.row(i)) for i in range(mat.rows)]
             assert result.homogeneous_dim == oracles.reference_lp_feasible(a, list(rhs))[2]
             assert oracles.reference_lp_feasible(a, list(rhs), presolve=False)[0] == "QuasiOnly"
+
+
+class TestBundledNonlocality:
+    @pytest.mark.parametrize("name, build", [("ghz_mermin", ghz_mermin_problem), ("hardy_box", hardy_box_problem)])
+    def test_documents_are_the_inline_problems(self, name, build):
+        # the bundled documents hold the problems built inline above, and are
+        # exactly what their stdlib script writes
+        spec = importlib.util.spec_from_file_location("nonlocality", PROBLEMS / "nonlocality.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        path = PROBLEMS / f"{name}.json"
+        assert path.read_text() == script.render(script.DOCUMENTS[path.name]())
+        assert load_problem_document(str(path)) == build()
 
 
 class TestSolveProblem:

@@ -15,7 +15,6 @@ from bellquasi.quasi import (
     check_consistency,
     classify,
     pseudoinverse_matrix,
-    reconstruct_marginals,
     solve_family,
 )
 from bellquasi.singlet import CorrelationTriple, bell_marginals, rhs_from_correlations, tables_from_correlations
@@ -192,7 +191,7 @@ class TestClassify:
             if verdict.tag is not Feasibility.PROPER:
                 continue
             seen_proper += 1
-            pab, pac, pbc = reconstruct_marginals(verdict.witness)
+            pab, pac, pbc = oracles.reconstruct_marginals(verdict.witness)
             assert (pbc.pp, pbc.pm, pbc.mp) == (p[0], p[1], p[2])
             assert (pac.pp, pac.pm, pac.mp) == (p[3], p[4], p[5])
             assert (pab.pp, pab.pm, pab.mp) == (p[6], p[7], p[8])
@@ -279,13 +278,13 @@ class TestSharedCores:
 
 class TestReconstructMarginals:
     def test_uniform_joint(self):
-        pab, pac, pbc = reconstruct_marginals((F(1, 8),) * 8)
+        pab, pac, pbc = oracles.reconstruct_marginals((F(1, 8),) * 8)
         for table in (pab, pac, pbc):
             assert table.as_tuple() == (F(1, 4),) * 4
 
     def test_point_mass(self):
         x = (1, 0, 0, 0, 0, 0, 0, 0)
-        pab, pac, pbc = reconstruct_marginals(x)
+        pab, pac, pbc = oracles.reconstruct_marginals(x)
         assert pab.pp == 1 and pac.pp == 1 and pbc.pp == 1
 
     def test_dropped_entries_complete_each_table(self):
@@ -294,12 +293,12 @@ class TestReconstructMarginals:
             weights = [F(rng.randint(0, 9)) for _ in range(8)]
             total = sum(weights) or F(1)
             x = tuple(w / total for w in weights)
-            for table in reconstruct_marginals(x):
+            for table in oracles.reconstruct_marginals(x):
                 assert table.mm == 1 - (table.pp + table.pm + table.mp)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
-            reconstruct_marginals((F(1, 4),) * 8)
+            oracles.reconstruct_marginals((F(1, 4),) * 8)
 
 
 class TestBellProblemRegression:
