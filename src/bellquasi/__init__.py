@@ -7,7 +7,7 @@ Bell-type inequalities for singlet-state measurement configurations, and
 solves general finite marginal problems by exact rational LP feasibility.
 """
 
-from .bellcheck import BellVerdict, bell_pair, eight_inequalities, equivalence_check
+from .bellcheck import BellVerdict, bell_pair, eight_inequalities
 from .exactla import (
     DEFAULT_EPS,
     RatMatrix,
@@ -23,7 +23,6 @@ from .marginal_general import (
     MarginalProblem,
     build_constraint_system,
     lp_feasible,
-    product_distribution,
     rationalize,
     solve_problem,
 )
@@ -78,12 +77,10 @@ __all__ = [
     "correlation",
     "correlations",
     "eight_inequalities",
-    "equivalence_check",
     "left_null_space",
     "lp_feasible",
     "null_space",
     "pair_table",
-    "product_distribution",
     "pseudoinverse",
     "pseudoinverse_matrix",
     "rank",

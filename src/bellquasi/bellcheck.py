@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactla import DEFAULT_EPS, Real, tolerance
-from .marginal_general import Feasibility, rationalize, solve_problem
-from .quasi import HOMOGENEOUS, bell_problem, solve_family
+from .quasi import HOMOGENEOUS, solve_family
 from .singlet import CorrelationTriple, rhs_from_correlations
 
 
@@ -64,17 +63,27 @@ def _inequalities(u: Real, v: Real, w: Real) -> tuple[Real, Real, Real, Real, Re
     return lhs1, rhs1, lhs2, rhs2, min(lhs1 - rhs1, lhs2 - rhs2)
 
 
-def equivalence_check(corr: CorrelationTriple) -> bool:
-    """Do the three independent deciders agree on this configuration?
-
-    The deciders: the reduced inequality pair, non-emptiness of the family
-    parameter interval, and exact LP feasibility of the full marginal
-    problem.  Float correlations are rationalized (bounded denominator)
-    first so all three run exactly on identical inputs.
-    """
-    exact = CorrelationTriple(*(rationalize(v) for v in corr.as_tuple()))
-    bell_ok = bell_pair(exact).satisfied
-    family = solve_family(rhs_from_correlations(exact))
-    interval_ok = family is not None and family.interval_nonempty()
-    lp_ok = solve_problem(bell_problem(exact)).status is Feasibility.PROPER
-    return bell_ok == interval_ok == lp_ok
+#: Bound on |4 * (t_hi - t_lo) - margin| for floats u, v, w in [-1, 1]: the
+#: first from ``quasi._family(singlet._rhs(u, v, w, 1.0), tol)``, the second
+#: from ``_inequalities(u, v, w)``.  In exact arithmetic the two are equal.
+#: With d = 2**-53 the unit roundoff (no under- or overflow can occur here):
+#:
+#: * rhs: each entry is fl(1 +- x) / 4, within d/2 of (1 +- x) / 4 and at
+#:   most 1/2 in size; the last is 1.  Its three consistency residuals are
+#:   exactly 0: fl(1 - x) + fl(1 + x) lies on the 2**-53 grid within 1.5
+#:   grid steps of 2, so it rounds to 2.  ``_family`` never returns None.
+#: * x0: entry i is a float dot product of the rounded pseudoinverse row
+#:   P_i with the rhs.  The rhs error gives at most ||P_i||_1 * d/2, the
+#:   rounding of P_i at most d * s_i and the products and ``sum()`` at
+#:   most 10.01 * d * s_i (gamma_10: recursive summation before Python
+#:   3.12, compensated since), where s_i = sum_k |P_ik| |p_k| <= 2.375 and
+#:   ||P_i||_1 <= 3.875 (both from the last row).  So under 29 d per entry.
+#: * t_hi - t_lo is the sum of two x0 entries, each a min that moves at
+#:   most as far as the entries, rounded once at size <= 1/2: the family
+#:   value is within 4 * (2 * 29 d + d/2) = 234 d of the exact margin.
+#: * margin: 1 +- u and |v -+ w| are at most 2 and within 2 d; their
+#:   difference is at most 2 in size and rounds once: 6 d in all.
+#:
+#: 240 d < 2**-45.  The largest gap seen is 15 d (half-degree grid) and 12 d
+#: (300,000 random triples).
+_FAMILY_GAP = 2.0**-45

@@ -170,14 +170,30 @@ def _scan_rows(ab: tuple[float, float, int], ac: tuple[float, float, int], eps: 
     """CSV rows of the violation map, one per grid cell, computed lazily.
     Only <BC>, the verdict and the margin depend on both angles: the rest
     of a row is worked out once per row, or once per scan for the inner axis.
-    A cell calls the private formulas behind ``classify`` and ``bell_pair``
-    (at tolerance ``eps``: its values are floats) and builds no result object."""
+    A cell builds no result object.  It prints the Bell margin from the
+    private formula behind ``bell_pair`` and takes ``classify``'s tag from
+    it: ``classify`` compares the family's 4 * (t_hi - t_lo) with -eps, and
+    in floats that value is within ``bellcheck._FAMILY_GAP`` of the margin.
+    So a margin at least that far above -eps is Proper, one that far below
+    is QuasiOnly, and only a margin inside the band runs the private
+    formulas behind ``classify`` (at tolerance ``eps``: its values are
+    floats).  Both band edges are rounded outward, so the band holds for
+    every finite eps >= 0."""
     inner = list(_axis(*ac))
+    proper_from = math.nextafter(-eps + bellcheck._FAMILY_GAP, math.inf)
+    quasi_below = math.nextafter(-eps - bellcheck._FAMILY_GAP, -math.inf)
+    proper, quasi_only = Feasibility.PROPER.value, Feasibility.QUASI_ONLY.value
     for theta_ab, u, fmt_ab, fmt_u in _axis(*ab):
         for theta_ac, v, fmt_ac, fmt_v in inner:
             w = singlet._checked_correlation(-math.cos(math.radians(theta_ac - theta_ab)))
-            tag = quasi._verdict(quasi._family(singlet._rhs(u, v, w, 1.0), eps), eps)
-            yield [fmt_ab, fmt_ac, fmt_u, fmt_v, _fmt(w), _fmt(bellcheck._inequalities(u, v, w)[4]), tag.value]
+            margin = bellcheck._inequalities(u, v, w)[4]
+            if margin >= proper_from:
+                tag = proper
+            elif margin < quasi_below:
+                tag = quasi_only
+            else:
+                tag = quasi._verdict(quasi._family(singlet._rhs(u, v, w, 1.0), eps), eps).value
+            yield [fmt_ab, fmt_ac, fmt_u, fmt_v, _fmt(w), _fmt(margin), tag]
 
 
 def cmd_scan(args) -> int:

@@ -158,22 +158,6 @@ class MarginalProblem:
         raise KeyError(name)
 
 
-def product_distribution(singles: Sequence[Sequence[Real]]) -> tuple[Real, ...]:
-    """Joint product distribution of independent single-observable tables.
-
-    Output is flattened with the first table's index slowest; its marginals
-    equal the inputs (exactly, for rational inputs).
-    """
-    if not singles:
-        raise ValueError("need at least one table")
-    for i, table in enumerate(singles):
-        check_distribution(table, f"table {i}")
-    joint: list[Real] = [1]
-    for table in singles:
-        joint = [x * p for x in joint for p in table]
-    return tuple(joint)
-
-
 def build_constraint_system(prob: MarginalProblem) -> tuple[RatMatrix, tuple[Fraction, ...]]:
     """Linear system "joint sums = prescribed marginal entries" + normalization.
 

@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .exactla import DEFAULT_EPS, RatMatrix, Real, is_exact, pseudoinverse, tolerance
-from .marginal_general import Feasibility, MarginalProblem
+from .marginal_general import Feasibility, MarginalProblem, _constraint_matrix
 from .singlet import CorrelationTriple, tables_from_correlations
 
 #: Kernel direction of the constraint matrix: adding any multiple of it to
@@ -43,26 +43,12 @@ HOMOGENEOUS: tuple[int, ...] = (-1, 1, 1, -1, 1, -1, -1, 1)
 _T_LO = operator.itemgetter(*(i for i, h in enumerate(HOMOGENEOUS) if h == 1))
 _T_HI = operator.itemgetter(*(i for i, h in enumerate(HOMOGENEOUS) if h == -1))
 
-#: Joint outcomes in index order, entries in {+1, -1}.
-OUTCOMES: tuple[tuple[int, int, int], ...] = tuple(
-    (a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)
-)
 
-#: Pairs in rhs order: (component indices into an outcome triple).
-_PAIR_BLOCKS = ((1, 2), (0, 2), (0, 1))  # BC, AC, AB
-_RETAINED = ((1, 1), (1, -1), (-1, 1))  # table entries kept per pair
-
-
-@lru_cache(maxsize=1)
 def build_matrix() -> RatMatrix:
     """The fixed 10x8 constraint matrix (three rows per pair, BC/AC/AB
-    order, then the all-ones normalization row)."""
-    rows = []
-    for i, j in _PAIR_BLOCKS:
-        for wanted in _RETAINED:
-            rows.append([1 if (o[i], o[j]) == wanted else 0 for o in OUTCOMES])
-    rows.append([1] * len(OUTCOMES))
-    return RatMatrix.from_rows(rows)
+    order, entries ++, +-, -+ of each, then the all-ones normalization
+    row): the generic builder's matrix for the shape of :func:`bell_problem`."""
+    return _constraint_matrix((2, 2, 2), ((1, 2), (0, 2), (0, 1)))
 
 
 @lru_cache(maxsize=1)
@@ -213,9 +199,9 @@ def classify(p: Sequence[Real], eps: float = DEFAULT_EPS) -> Classification:
 def bell_problem(corr: CorrelationTriple) -> MarginalProblem:
     """The three-observable instance as a general marginal problem.
 
-    Constraint order (BC, AC, AB, full four-entry tables) is chosen so the
-    generic constraint builder reproduces :func:`build_matrix` exactly
-    once redundant entries are dropped.
+    Constraint order (BC, AC, AB, full four-entry tables) is the shape of
+    :func:`build_matrix`, so the generic constraint builder returns that
+    matrix for it.
     """
     marg = tables_from_correlations(corr)
     return MarginalProblem(

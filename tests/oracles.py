@@ -10,7 +10,10 @@ all-``Fraction`` Gauss-Jordan step and phase-one simplex that the package
 replaced with integer rows; they make the same choices, so the package
 must return the same values and take the same pivots.
 Keeping these independent is the point; do not "simplify" them to reuse
-package code.
+package code.  The exceptions are the two test helpers at the end,
+``product_distribution`` (the package's table check, then a product) and
+``equivalence_check``, which runs the package's three deciders on one
+input to compare them.
 """
 
 from __future__ import annotations
@@ -22,14 +25,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from bellquasi.exactla import tolerance
-from bellquasi.quasi import HOMOGENEOUS, OUTCOMES
-from bellquasi.singlet import CorrelationTriple, Direction, PairTable
+from bellquasi.bellcheck import bell_pair
+from bellquasi.exactla import check_distribution, tolerance
+from bellquasi.marginal_general import Feasibility, rationalize, solve_problem
+from bellquasi.quasi import HOMOGENEOUS, bell_problem, solve_family
+from bellquasi.singlet import CorrelationTriple, Direction, PairTable, rhs_from_correlations
 
 _I2 = np.eye(2, dtype=complex)
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+#: Joint outcomes of (A, B, C) in the package's index order, entries in {+1, -1}.
+OUTCOMES = tuple((a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1))
 
 #: Singlet state in the z product basis (|00>, |01>, |10>, |11>).
 SINGLET_STATE = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -384,3 +392,35 @@ def random_rational_matrix(rng: random.Random):
     if rng.random() < 0.5:
         a[0][0] = Fraction(0)
     return a
+
+
+def product_distribution(singles):
+    """Joint product distribution of independent single-observable tables.
+
+    Output is flattened with the first table's index slowest; its marginals
+    equal the inputs (exactly, for rational inputs).
+    """
+    if not singles:
+        raise ValueError("need at least one table")
+    for i, table in enumerate(singles):
+        check_distribution(table, f"table {i}")
+    joint = [1]
+    for table in singles:
+        joint = [x * p for x in joint for p in table]
+    return tuple(joint)
+
+
+def equivalence_check(corr: CorrelationTriple) -> bool:
+    """Do the three independent deciders agree on this configuration?
+
+    The deciders: the reduced inequality pair, non-emptiness of the family
+    parameter interval, and exact LP feasibility of the full marginal
+    problem.  Float correlations are rationalized (bounded denominator)
+    first so all three run exactly on identical inputs.
+    """
+    exact = CorrelationTriple(*(rationalize(v) for v in corr.as_tuple()))
+    bell_ok = bell_pair(exact).satisfied
+    family = solve_family(rhs_from_correlations(exact))
+    interval_ok = family is not None and family.interval_nonempty()
+    lp_ok = solve_problem(bell_problem(exact)).status is Feasibility.PROPER
+    return bell_ok == interval_ok == lp_ok

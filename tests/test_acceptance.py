@@ -25,7 +25,6 @@ from bellquasi.marginal_general import (
     Feasibility,
     MarginalProblem,
     build_constraint_system,
-    product_distribution,
     rationalize,
     solve_problem,
 )
@@ -224,7 +223,7 @@ def test_criterion_7_single_observable_problems_always_proper():
             result = solve_problem(prob)
             assert result.status is Feasibility.PROPER
             # product-distribution witness validates exactly
-            witness = product_distribution(tables)
+            witness = oracles.product_distribution(tables)
             mat, rhs = build_constraint_system(prob)
             assert all(x >= 0 for x in witness)
             assert oracles.mat_vec(mat, witness) == tuple(rhs)

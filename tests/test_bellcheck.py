@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction as F
 
 import oracles
-from bellquasi.bellcheck import bell_pair, eight_inequalities, equivalence_check
+from bellquasi import bellcheck, cli, quasi, singlet
+from bellquasi.bellcheck import bell_pair, eight_inequalities
 from bellquasi.quasi import solve_family
 from bellquasi.singlet import CorrelationTriple, tables_from_correlations
 
@@ -140,21 +142,105 @@ class TestBellPair:
 
 class TestEquivalenceCheck:
     def test_canonical_violation_agrees(self):
-        assert equivalence_check(CorrelationTriple(F(-1, 2), F(1, 2), F(-1, 2)))
+        assert oracles.equivalence_check(CorrelationTriple(F(-1, 2), F(1, 2), F(-1, 2)))
 
     def test_uniform_agrees(self):
-        assert equivalence_check(CorrelationTriple(0, 0, 0))
+        assert oracles.equivalence_check(CorrelationTriple(0, 0, 0))
 
     def test_random_triples_agree(self):
         rng = random.Random(89)
         for _ in range(150):
-            assert equivalence_check(oracles.random_rational_correlations(rng))
+            assert oracles.equivalence_check(oracles.random_rational_correlations(rng))
 
     def test_float_inputs_are_rationalized(self):
-        assert equivalence_check(CorrelationTriple(-0.5, 0.5, -0.5))
+        assert oracles.equivalence_check(CorrelationTriple(-0.5, 0.5, -0.5))
 
     def test_boundary_cases_agree(self):
         for k in range(-5, 6):
             s = F(k, 10)
-            assert equivalence_check(CorrelationTriple(0, s + F(1, 2), s - F(1, 2)))
-            assert equivalence_check(CorrelationTriple(s, (1 - s) / 2, (1 - s) / 2))
+            assert oracles.equivalence_check(CorrelationTriple(0, s + F(1, 2), s - F(1, 2)))
+            assert oracles.equivalence_check(CorrelationTriple(s, (1 - s) / 2, (1 - s) / 2))
+
+
+def family_value(u, v, w, one):
+    """4 * (t_hi - t_lo) as a scan cell's fallback computes it (at tolerance 0:
+    the rhs of any triple in [-1, 1] is consistent, in floats too)."""
+    family = quasi._family(singlet._rhs(u, v, w, one), 0)
+    assert family is not None, (u, v, w)
+    _, t_lo, t_hi = family
+    return 4 * (t_hi - t_lo)
+
+
+def float_gap(u, v, w):
+    return abs(family_value(u, v, w, 1.0) - bellcheck._inequalities(u, v, w)[4])
+
+
+class TestFamilyGap:
+    # a scan cell decides from the Bell margin and consults the family only
+    # within _FAMILY_GAP of -eps: the two values agree exactly on exact
+    # input, and within that bound in floats
+
+    def test_family_value_is_the_margin_in_exact_arithmetic(self):
+        rng = random.Random(97)
+        for k in range(2000):
+            if k % 2:
+                u, v, w = oracles.random_rational_correlations(rng).as_tuple()
+            else:  # small denominators: many margins exactly 0
+                u, v, w = (F(rng.randint(-4, 4), 4) for _ in range(3))
+            assert family_value(u, v, w, F(1)) == bellcheck._inequalities(u, v, w)[4]
+
+    def test_float_gap_within_bound_on_random_triples(self):
+        rng = random.Random(101)
+        edges = (-1.0, -1 + 2**-53, -0.5, -2**-1074, 0.0, 2**-1074, 1e-300, 0.5, 1 - 2**-53, 1.0)
+        for u in edges:
+            for v in edges:
+                for w in edges:
+                    assert float_gap(u, v, w) <= bellcheck._FAMILY_GAP
+        for _ in range(50_000):
+            u, v, w = (rng.uniform(-1, 1) for _ in range(3))
+            assert float_gap(u, v, w) <= bellcheck._FAMILY_GAP
+
+    def test_float_gap_within_bound_on_half_degree_grid(self):
+        # the correlations of the scan's cells: <BC> from theta_ac - theta_ab
+        corr = {k: singlet._checked_correlation(-math.cos(math.radians(k / 2))) for k in range(-719, 720)}
+        for i in range(720):
+            for j in range(720):
+                assert float_gap(corr[i], corr[j], corr[j - i]) <= bellcheck._FAMILY_GAP
+
+
+def count_family_calls(monkeypatch):
+    calls = []
+    family = quasi._family
+
+    def counting(p, tol):
+        calls.append(p)
+        return family(p, tol)
+
+    monkeypatch.setattr(quasi, "_family", counting)
+    return calls
+
+
+class TestScanFilter:
+    def test_no_family_call_at_default_eps(self, tmp_path, monkeypatch):
+        # a whole-degree 60x60 window with margin-0 cells (theta_ab = 180,
+        # theta_ac = 0 and theta_ac = theta_ab): none is near -1e-10
+        calls = count_family_calls(monkeypatch)
+        out_path = tmp_path / "scan.csv"
+        assert cli.main(["scan", "--ab", "150:210:1", "--ac", "0:60:1", "--out", str(out_path)]) == 0
+        rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+        assert len(rows) == 3600 and sum(float(r[5]) == 0 for r in rows) > 60
+        assert calls == []
+
+    def test_family_called_once_per_margin_zero_cell_at_eps_0(self, monkeypatch):
+        # at eps 0 the band is around 0: a cell consults the family exactly
+        # when two of its axes are parallel or antiparallel (margin 0 in exact
+        # arithmetic, printed as 0 or within a few ulps of it)
+        calls = count_family_calls(monkeypatch)
+        grid = cli._parse_range("0:360:15")
+        consulted = []
+        for row in cli._scan_rows(grid, grid, 0.0):
+            theta_ab, theta_ac = float(row[0]), float(row[1])
+            margin_zero = any(t % 180 == 0 for t in (theta_ab, theta_ac, theta_ac - theta_ab))
+            consulted.append(margin_zero)
+            assert len(calls) == sum(consulted), row
+        assert len(consulted) == 576 and len(calls) == 136

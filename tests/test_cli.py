@@ -208,17 +208,26 @@ class TestScanCommand:
             if margin < -1e-6:
                 assert verdict == "QuasiOnly"
 
-    @pytest.mark.parametrize("eps", ["0", "1e-16", "1e-10", "1e-3"])
-    def test_rows_agree_with_singlet_pipeline(self, capsys, tmp_path, eps):
+    EPS = ["0", "1e-16", "1e-10", "1e-3", "0.5", "2", "4", "1e300"]
+
+    @pytest.mark.parametrize(
+        "ab, ac, eps",
+        [pytest.param((0.5, 7.3, 50), (1.25, 6.1, 59), eps, id=eps) for eps in EPS]
+        + [pytest.param((0, 15, 24), (0, 15, 24), eps, id=f"15deg-{eps}") for eps in EPS],
+    )
+    def test_rows_agree_with_singlet_pipeline(self, capsys, tmp_path, ab, ac, eps):
         # every cell of a non-integer grid, at any eps: the scan prints what
-        # the triple, its pair tables, classify and bell_pair give for it
+        # the triple, its pair tables, classify and bell_pair give for it.
+        # The 15-degree grid adds the cells with margin 0 (two parallel or
+        # antiparallel axes), where the scan consults the family at eps 0.
+        (start_ab, step_ab, n_ab), (start_ac, step_ac, n_ac) = ab, ac
         out_path = tmp_path / "scan.csv"
-        code, _, _ = run(capsys, "scan", "--ab", "0.5:360:7.3", "--ac", "1.25:360:6.1",
+        code, _, _ = run(capsys, "scan", "--ab", f"{start_ab}:360:{step_ab}", "--ac", f"{start_ac}:360:{step_ac}",
                          "--eps", eps, "--out", str(out_path))
         assert code == 0
-        thetas_ab = [0.5 + k * 7.3 for k in range(50)]
-        thetas_ac = [1.25 + k * 6.1 for k in range(59)]
-        assert thetas_ab[-1] < 360 <= 0.5 + 50 * 7.3 and thetas_ac[-1] < 360 <= 1.25 + 59 * 6.1
+        thetas_ab = [start_ab + k * step_ab for k in range(n_ab)]
+        thetas_ac = [start_ac + k * step_ac for k in range(n_ac)]
+        assert thetas_ab[-1] < 360 <= start_ab + n_ab * step_ab and thetas_ac[-1] < 360 <= start_ac + n_ac * step_ac
         expected = []
         for theta_ab in thetas_ab:
             for theta_ac in thetas_ac:
