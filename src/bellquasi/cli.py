@@ -15,11 +15,11 @@ Exit codes: 0 success/Proper, 2 usage or document error, 3 QuasiOnly
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import bellcheck, quasi, reference, singlet
@@ -151,9 +151,9 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     start, stop, step = (float(p) for p in parts)
     if not (0 <= start < 360) or not (start < stop <= 360):
         raise ValueError(f"range must satisfy 0 <= start < stop <= 360, got {text!r}")
-    span = (stop - start) / step if step > 0 else math.nan
+    span = (stop - start) / step if 0 < step < math.inf else math.nan
     if not math.isfinite(span):
-        raise ValueError(f"step must be positive and not vanishingly small, got {step}")
+        raise ValueError(f"step must be positive, finite and not vanishingly small, got {step}")
     return start, step, max(math.ceil(span - 1e-12), 1)
 
 
@@ -167,9 +167,16 @@ def _axis(start: float, step: float, count: int):
 
 
 def _scan_rows(ab: tuple[float, float, int], ac: tuple[float, float, int], eps: float):
-    """CSV rows of the violation map, one per grid cell, computed lazily.
-    Only <BC>, the verdict and the margin depend on both angles: the rest
-    of a row is worked out once per row, or once per scan for the inner axis.
+    """CSV lines of the violation map, one per grid cell, computed lazily.
+    Every field is a number or a fixed tag, so a line is the fields joined
+    by commas: csv would quote none of them.  Only the verdict and the margin
+    depend on both angles: the rest of a line is worked out once per row, or
+    once per scan for the inner axis, and <BC> with its text once per angle
+    difference theta_ac - theta_ab.  That memo is keyed on the float
+    difference itself and holds at most two rows' worth of differences: with
+    one whole-degree step on both axes, consecutive rows share all but one
+    difference; with uneven steps they share hardly any, and old ones are
+    evicted instead of the memo growing with the grid.
     A cell builds no result object.  It prints the Bell margin from the
     private formula behind ``bell_pair`` and takes ``classify``'s tag from
     it: ``classify`` compares the family's 4 * (t_hi - t_lo) with -eps, and
@@ -183,9 +190,15 @@ def _scan_rows(ab: tuple[float, float, int], ac: tuple[float, float, int], eps: 
     proper_from = math.nextafter(-eps + bellcheck._FAMILY_GAP, math.inf)
     quasi_below = math.nextafter(-eps - bellcheck._FAMILY_GAP, -math.inf)
     proper, quasi_only = Feasibility.PROPER.value, Feasibility.QUASI_ONLY.value
+
+    @lru_cache(maxsize=2 * len(inner))
+    def bc(difference: float) -> tuple[float, str]:
+        w = singlet._checked_correlation(-math.cos(math.radians(difference)))
+        return w, _fmt(w)
+
     for theta_ab, u, fmt_ab, fmt_u in _axis(*ab):
         for theta_ac, v, fmt_ac, fmt_v in inner:
-            w = singlet._checked_correlation(-math.cos(math.radians(theta_ac - theta_ab)))
+            w, fmt_w = bc(theta_ac - theta_ab)
             margin = bellcheck._inequalities(u, v, w)[4]
             if margin >= proper_from:
                 tag = proper
@@ -193,7 +206,7 @@ def _scan_rows(ab: tuple[float, float, int], ac: tuple[float, float, int], eps: 
                 tag = quasi_only
             else:
                 tag = quasi._verdict(quasi._family(singlet._rhs(u, v, w, 1.0), eps), eps).value
-            yield [fmt_ab, fmt_ac, fmt_u, fmt_v, _fmt(w), _fmt(margin), tag]
+            yield f"{fmt_ab},{fmt_ac},{fmt_u},{fmt_v},{fmt_w},{_fmt(margin)},{tag}\n"
 
 
 def cmd_scan(args) -> int:
@@ -207,14 +220,13 @@ def cmd_scan(args) -> int:
         print(f"error: grid has {cells} cells; at most {MAX_SCAN_CELLS} are allowed", file=sys.stderr)
         return EXIT_USAGE
 
-    header = ["theta_ab", "theta_ac", "corr_ab", "corr_ac", "corr_bc", "margin", "classification"]
     to_stdout = args.out in (None, "-")
     try:
         out = sys.stdout if to_stdout else open(args.out, "w", newline="")
         try:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(_scan_rows(ab, ac, args.eps))
+            out.write("theta_ab,theta_ac,corr_ab,corr_ac,corr_bc,margin,classification\n")
+            for line in _scan_rows(ab, ac, args.eps):
+                out.write(line)
         finally:
             if not to_stdout:
                 out.close()

@@ -238,7 +238,8 @@ class TestScanFilter:
         calls = count_family_calls(monkeypatch)
         grid = cli._parse_range("0:360:15")
         consulted = []
-        for row in cli._scan_rows(grid, grid, 0.0):
+        for line in cli._scan_rows(grid, grid, 0.0):
+            row = line.split(",")
             theta_ab, theta_ac = float(row[0]), float(row[1])
             margin_zero = any(t % 180 == 0 for t in (theta_ab, theta_ac, theta_ac - theta_ab))
             consulted.append(margin_zero)

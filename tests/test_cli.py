@@ -1,3 +1,5 @@
+import csv
+import functools
 import hashlib
 import io
 import json
@@ -150,15 +152,19 @@ class TestScanCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_five_degree_scan_digest(self, capsys, tmp_path):
-        # the published 5-degree map, and the 2-degree map at a wide eps: any
-        # change to a float path shows here.  Both digests are the same on
-        # Python 3.10 to 3.13; the --eps 0 maps are not (sum() rounds
-        # differently since 3.12), so none is pinned.
+        # the published 5-degree map, the 2-degree map at a wide eps, and an
+        # uneven grid whose angle differences are almost all distinct (so
+        # <BC> is rarely found in the scan's memo): any change to a float
+        # path shows here.  These digests are the same on Python 3.10 to
+        # 3.13; the --eps 0 maps are not (sum() rounds differently since
+        # 3.12), so none is pinned.
         cases = [
             (("--ab", "0:360:5", "--ac", "0:360:5"),
              "82dca9cc60a054141913603a4e6f31aac303d3ed808a643b13715c04e0724354"),
             (("--ab", "0:360:2", "--ac", "0:360:2", "--eps", "1e-3"),
              "58a8fdd20624035161b0c3f2c81ee1399f1e0ac7d0c457d5a3ec64739b1cc66c"),
+            (("--ab", "0.5:360:0.73", "--ac", "1.25:360:0.61"),
+             "9675164fb3caedb084dc255140d2e8a680d3a81f0f96702693e66be8a69a7bdc"),
         ]
         out_path = tmp_path / "scan.csv"
         for args, expected in cases:
@@ -181,6 +187,43 @@ class TestScanCommand:
             monkeypatch.setattr(module, name, refuse)
         assert run(capsys, *args, "--out", str(after))[0] == 0
         assert after.read_bytes() == before.read_bytes()
+
+    def test_bc_computed_once_per_angle_difference(self, monkeypatch):
+        # the full default map: 360 + 360 axis correlations and one <BC> per
+        # distinct theta_ac - theta_ab (-359 to 359), not one per cell
+        calls = []
+        checked = singlet._checked_correlation
+
+        def counting(corr):
+            calls.append(corr)
+            return checked(corr)
+
+        monkeypatch.setattr(singlet, "_checked_correlation", counting)
+        grid = cli._parse_range("0:360:1")
+        assert sum(1 for _ in cli._scan_rows(grid, grid, 1e-10)) == 129_600
+        assert len(calls) <= 360 + 360 + 719
+
+    def test_bc_memo_stays_within_its_bound(self, monkeypatch):
+        # uneven steps make almost every angle difference distinct: the memo
+        # evicts instead of growing with the grid
+        memos = []
+
+        def recording(maxsize):
+            def wrap(function):
+                memos.append(functools.lru_cache(maxsize=maxsize)(function))
+                return memos[-1]
+
+            return wrap
+
+        monkeypatch.setattr(cli, "lru_cache", recording)
+        ab, ac = cli._parse_range("0.5:360:0.73"), cli._parse_range("1.25:360:0.61")
+        bound = 2 * ac[2]
+        for k, _ in enumerate(cli._scan_rows(ab, ac, 1e-10)):
+            if k % ac[2] == 0:  # once per row
+                assert memos[0].cache_info().currsize <= bound
+        info = memos[0].cache_info()
+        assert len(memos) == 1 and info.maxsize == bound
+        assert info.currsize == bound < info.misses  # full, and evicting
 
     def test_row_order_and_count(self, capsys, tmp_path):
         out_path = tmp_path / "scan.csv"
@@ -217,18 +260,24 @@ class TestScanCommand:
     )
     def test_rows_agree_with_singlet_pipeline(self, capsys, tmp_path, ab, ac, eps):
         # every cell of a non-integer grid, at any eps: the scan prints what
-        # the triple, its pair tables, classify and bell_pair give for it.
-        # The 15-degree grid adds the cells with margin 0 (two parallel or
-        # antiparallel axes), where the scan consults the family at eps 0.
+        # the triple, its pair tables, classify and bell_pair give for it,
+        # and --out and stdout hold the bytes csv.writer makes of those
+        # fields.  The 15-degree grid adds the cells with margin 0 (two
+        # parallel or antiparallel axes), where the scan consults the family
+        # at eps 0.
         (start_ab, step_ab, n_ab), (start_ac, step_ac, n_ac) = ab, ac
         out_path = tmp_path / "scan.csv"
-        code, _, _ = run(capsys, "scan", "--ab", f"{start_ab}:360:{step_ab}", "--ac", f"{start_ac}:360:{step_ac}",
-                         "--eps", eps, "--out", str(out_path))
+        argv = ("scan", "--ab", f"{start_ab}:360:{step_ab}", "--ac", f"{start_ac}:360:{step_ac}", "--eps", eps)
+        code, _, _ = run(capsys, *argv, "--out", str(out_path))
+        assert code == 0
+        code, stdout, _ = run(capsys, *argv)
         assert code == 0
         thetas_ab = [start_ab + k * step_ab for k in range(n_ab)]
         thetas_ac = [start_ac + k * step_ac for k in range(n_ac)]
         assert thetas_ab[-1] < 360 <= start_ab + n_ab * step_ab and thetas_ac[-1] < 360 <= start_ac + n_ac * step_ac
-        expected = []
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["theta_ab", "theta_ac", "corr_ab", "corr_ac", "corr_bc", "margin", "classification"])
         for theta_ab in thetas_ab:
             for theta_ac in thetas_ac:
                 corr = CorrelationTriple(
@@ -238,9 +287,10 @@ class TestScanCommand:
                 )
                 tag = quasi.classify(tables_from_correlations(corr).p_vector, float(eps)).tag
                 margin = bellcheck.bell_pair(corr, float(eps)).margin
-                fields = [format(x, ".12g") for x in (theta_ab, theta_ac, *corr.as_tuple(), margin)]
-                expected.append(",".join(fields + [tag.value]))
-        assert out_path.read_text().splitlines()[1:] == expected
+                writer.writerow([format(x, ".12g") for x in (theta_ab, theta_ac, *corr.as_tuple(), margin)]
+                                + [tag.value])
+        assert out_path.read_bytes() == expected.getvalue().encode()
+        assert stdout == expected.getvalue()
 
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(capsys, "scan", "--ab", "0:400:1")
@@ -265,6 +315,15 @@ class TestScanCommand:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("axis", ["--ab", "--ac"])
+    @pytest.mark.parametrize("step", ["inf", "1e309"])
+    def test_infinite_step_exits_2_before_any_row(self, capsys, axis, step):
+        # 360 / inf is 0, a finite span, but the axis would hold 0 * inf = nan
+        code, out, err = run(capsys, "scan", "--ab", "0:1:1", "--ac", "0:1:1", axis, f"0:360:{step}")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_grid_cap_counts_cells(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_SCAN_CELLS", 6)
