@@ -7,7 +7,7 @@ Bell-type inequalities for singlet-state measurement configurations, and
 solves general finite marginal problems by exact rational LP feasibility.
 """
 
-from .bellcheck import BellVerdict, bell_pair, eight_inequalities
+from .bellcheck import BellVerdict, bell_pair
 from .exactla import (
     DEFAULT_EPS,
     RatMatrix,
@@ -76,7 +76,6 @@ __all__ = [
     "classify",
     "correlation",
     "correlations",
-    "eight_inequalities",
     "left_null_space",
     "lp_feasible",
     "null_space",

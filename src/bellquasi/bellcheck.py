@@ -1,4 +1,4 @@
-"""Correlation-form non-negativity inequalities and the two Bell inequalities.
+"""The two Bell inequalities in correlation form.
 
 For singlet-style marginals the eight componentwise non-negativity
 conditions on the quasiprobability family collapse, after scaling by 8,
@@ -8,10 +8,8 @@ times the family parameter t.  Pairing them off eliminates c and leaves
     1 + <AB> >= |<AC> - <BC>|        and        1 - <AB> >= |<AC> + <BC>|,
 
 and conversely both holding makes every one of the eight non-negative at
-c = 0.  ``eight_inequalities`` generates the eight values from the exact
-particular solution and kernel vector rather than from a hard-coded
-formula, so the c scaling cannot silently drift; the printed form is
-pinned separately by a regression test.
+c = 0.  The tests generate the eight values from the exact pseudoinverse,
+independently of the family's closed form, and pin their printed form.
 """
 
 from __future__ import annotations
@@ -19,21 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactla import DEFAULT_EPS, Real, tolerance
-from .quasi import HOMOGENEOUS, solve_family
-from .singlet import CorrelationTriple, rhs_from_correlations
-
-
-def eight_inequalities(corr: CorrelationTriple, c: Real) -> tuple[Real, ...]:
-    """Left-hand sides of the eight scaled non-negativity conditions.
-
-    Output order follows the joint outcomes (+++, ++-, ..., ---); entry k
-    is 8*x0[k] + c*xh[k], which is >= 0 exactly when the family member at
-    parameter t = c/8 has a non-negative k-th component.  Exact for
-    rational correlations and c.
-    """
-    family = solve_family(rhs_from_correlations(corr))
-    assert family is not None  # singlet-form tables are always consistent
-    return tuple(8 * x + c * h for x, h in zip(family.x0, HOMOGENEOUS))
+from .singlet import CorrelationTriple
 
 
 @dataclass(frozen=True)
@@ -68,22 +52,25 @@ def _inequalities(u: Real, v: Real, w: Real) -> tuple[Real, Real, Real, Real, Re
 #: from ``_inequalities(u, v, w)``.  In exact arithmetic the two are equal.
 #: With d = 2**-53 the unit roundoff (no under- or overflow can occur here):
 #:
-#: * rhs: each entry is fl(1 +- x) / 4, within d/2 of (1 +- x) / 4 and at
-#:   most 1/2 in size; the last is 1.  Its three consistency residuals are
-#:   exactly 0: fl(1 - x) + fl(1 + x) lies on the 2**-53 grid within 1.5
-#:   grid steps of 2, so it rounds to 2.  ``_family`` never returns None.
-#: * x0: entry i is a float dot product of the rounded pseudoinverse row
-#:   P_i with the rhs.  The rhs error gives at most ||P_i||_1 * d/2, the
-#:   rounding of P_i at most d * s_i and the products and ``sum()`` at
-#:   most 10.01 * d * s_i (gamma_10: recursive summation before Python
-#:   3.12, compensated since), where s_i = sum_k |P_ik| |p_k| <= 2.375 and
-#:   ||P_i||_1 <= 3.875 (both from the last row).  So under 29 d per entry.
-#: * t_hi - t_lo is the sum of two x0 entries, each a min that moves at
-#:   most as far as the entries, rounded once at size <= 1/2: the family
-#:   value is within 4 * (2 * 29 d + d/2) = 234 d of the exact margin.
+#: * rhs: the entries are X/4 with X = fl(1 +- x) within d of 1 +- x, and
+#:   the last is 1.  fl(1 - x) + fl(1 + x) lies on the 2**-53 grid within
+#:   1.5 grid steps of 2, so it rounds to 2: every + row or column sum of a
+#:   table is exactly 1/2.  So the three consistency residuals are exactly
+#:   0 (``_family`` never returns None) and, in ``quasi._scaled_x0``, each
+#:   doubled single marginal is exactly 1 and their sum exactly 3.
+#: * the -- entry of a table is fl(1/2 - X/4) = fl(2 - X)/4, within 2 d
+#:   (times 1/4) of its exact value, like every other entry.
+#: * 8 * x0: four times the sum of three entries is S = fl(fl(Y1 + Y2) + Y3)
+#:   with each Y in [0, 2] within 2 d of exact: 6 d from the Y, 2 d and 4 d
+#:   from the two roundings (sizes below 4 and 8).  Then fl(S - 3) rounds
+#:   only for S < 3/2, by at most 2 d, and adding 1 at most 2 d: 16 d.
+#: * t_hi - t_lo is the sum of two minima of x0 entries (t_lo is 0 - a
+#:   minimum, exact), each moving at most as far as the entries, rounded
+#:   once: 4 * (t_hi - t_lo) is half the sum of two minima of 8 * x0, within
+#:   (16 d + 16 d + 4 d) / 2 = 18 d of the exact margin.
 #: * margin: 1 +- u and |v -+ w| are at most 2 and within 2 d; their
 #:   difference is at most 2 in size and rounds once: 6 d in all.
 #:
-#: 240 d < 2**-45.  The largest gap seen is 15 d (half-degree grid) and 12 d
-#: (300,000 random triples).
+#: 24 d < 2**-45, which leaves the scan band its width.  The largest gap
+#: seen is 3 d (300,000 random triples and the half-degree grid).
 _FAMILY_GAP = 2.0**-45

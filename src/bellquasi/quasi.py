@@ -7,21 +7,26 @@ The eight joint outcomes are ordered +++, ++-, +-+, +--, -++, -+-, --+,
 rank is 7, so solutions of M x = p, when they exist, form the
 one-parameter family
 
-    x(t) = x0 + t * xh,     x0 = pinv(M) p,   xh = (-1,1,1,-1,1,-1,-1,1).
+    x(t) = x0 + t * xh,     xh = (-1,1,1,-1,1,-1,-1,1),
+    x0(a,b,c) = [p_AB(a,b) + p_AC(a,c) + p_BC(b,c)] / 2 - [p_A(a) + p_B(b) + p_C(c)] / 4 + 1/8,
 
-``x0`` is the minimum-norm particular solution (orthogonal to ``xh``) and
-``xh`` spans the kernel of M.  Existence is equivalent to three linear
-consistency equations on p; a proper probability exists iff some t keeps
-every component non-negative, which reduces to an interval test.
+each single marginal the average of the two tables that contain the
+observable (the Moebius form of a signed global section); on consistent p
+x0 is pinv(M) p, the minimum-norm solution.  ``xh`` spans the kernel of M.
+Existence is equivalent to three linear consistency equations on p; a
+proper probability exists iff some t keeps every component non-negative,
+which reduces to an interval test.
 
-Arithmetic is dual-mode: the structural objects (M, its pseudoinverse,
-xh) are always exact rationals; the slack for a p vector is
+Arithmetic is dual-mode: one expression gives x0 in integers for exact p
+and in a fixed order of float operations for float p, the same on every
+interpreter.  The slack for a p vector is
 :func:`bellquasi.exactla.tolerance`: 0 for exact p vectors, ``eps``
 (default ``DEFAULT_EPS``, on the Bell-margin scale) for float ones.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -43,7 +48,6 @@ HOMOGENEOUS: tuple[int, ...] = (-1, 1, 1, -1, 1, -1, -1, 1)
 _T_LO = operator.itemgetter(*(i for i, h in enumerate(HOMOGENEOUS) if h == 1))
 _T_HI = operator.itemgetter(*(i for i, h in enumerate(HOMOGENEOUS) if h == -1))
 
-
 def build_matrix() -> RatMatrix:
     """The fixed 10x8 constraint matrix (three rows per pair, BC/AC/AB
     order, entries ++, +-, -+ of each, then the all-ones normalization
@@ -53,7 +57,8 @@ def build_matrix() -> RatMatrix:
 
 @lru_cache(maxsize=1)
 def pseudoinverse_matrix() -> RatMatrix:
-    """Exact pseudoinverse of the fixed matrix, computed once."""
+    """Exact pseudoinverse of the fixed matrix, computed once.  The family
+    does not use it: :func:`_scaled_x0` is its closed form on consistent p."""
     return pseudoinverse(build_matrix())
 
 
@@ -81,7 +86,8 @@ def check_consistency(p: Sequence[Real], eps: float = DEFAULT_EPS) -> Consistenc
     Exact p vectors are checked exactly; floats at tolerance ``eps``.
     """
     _check_p(p)
-    return ConsistencyCheck(ok=_family(p, tolerance(p, eps)) is not None, residuals=_residuals(p))
+    residuals, tol = _residuals(p), tolerance(p, eps)
+    return ConsistencyCheck(ok=all(abs(r) <= tol for r in residuals), residuals=residuals)
 
 
 def _residuals(p: Sequence[Real]) -> tuple[Real, Real, Real]:
@@ -92,24 +98,38 @@ def _residuals(p: Sequence[Real]) -> tuple[Real, Real, Real]:
     )
 
 
+def _scaled_x0(p: Sequence[Real]) -> list[Real]:
+    """8 * x0 for rhs p, in joint-outcome order: four times the outcome's
+    three pair-table entries, less twice its three single marginals, plus
+    the normalization.  Linear in p, with p[9] standing for every 1, so
+    integer p gives integers and float p floats, in this fixed order."""
+    one = p[9]
+    # each table as ++, +-, -+, --: the -- entry is the - row's total less -+
+    bc, ac, ab = ((p[k], p[k + 1], p[k + 2], (one - (p[k] + p[k + 1])) - p[k + 2]) for k in (0, 3, 6))
+    # twice the + marginal of A, B and C: its + marginals in the two tables that contain it
+    a, b, c = (p[6] + p[7]) + (p[3] + p[4]), (p[6] + p[8]) + (p[0] + p[1]), (p[3] + p[5]) + (p[0] + p[2])
+    sa, sb, sc = (a, 2 * one - a), (b, 2 * one - b), (c, 2 * one - c)
+    return [  # (i, j, k): the outcomes of A, B and C, 0 for + and 1 for -
+        4 * (ab[2 * i + j] + ac[2 * i + k] + bc[2 * j + k]) - (sa[i] + sb[j] + sc[k]) + one
+        for i, j, k in itertools.product((0, 1), repeat=3)
+    ]
+
+
 def _family(p: Sequence[Real], tol: Real) -> Optional[tuple[tuple[Real, ...], Real, Real]]:
     """``(x0, t_lo, t_hi)`` for rhs p, or None when a consistency residual
-    exceeds ``tol``.  x0 is the pseudoinverse application (exact matrix;
-    result type follows p).  The feasible interval splits the componentwise
+    exceeds ``tol``.  x0 is the closed form of :func:`_scaled_x0` (result
+    type follows p).  The feasible interval splits the componentwise
     constraints x0[i] + t*xh[i] >= 0 by the sign of xh[i]:  t >= -x0[i]
     where xh[i] is +1 and t <= x0[i] where it is -1."""
-    r0, r1, r2 = _residuals(p)
-    if not (abs(r0) <= tol and abs(r1) <= tol and abs(r2) <= tol):
+    if not all(abs(r) <= tol for r in _residuals(p)):  # a NaN residual fails too
         return None
     if is_exact(p):  # integer numerators over one denominator: one Fraction per entry
-        rows, den = _pseudoinverse_numerators()
         d = math.lcm(*(v.denominator for v in p))
-        p_num = [v.numerator * (d // v.denominator) for v in p]
-        x0 = tuple(Fraction(sum(e * v for e, v in zip(row, p_num)), den * d) for row in rows)
+        x0 = tuple([Fraction(n, 8 * d) for n in _scaled_x0([v.numerator * (d // v.denominator) for v in p])])
     else:
-        # sum(), not a chain of +: sum() compensates float sums since Python 3.12
-        x0 = tuple([sum(map(operator.mul, row, p)) for row in _pseudoinverse_rows_float()])
-    return x0, max(map(operator.neg, _T_LO(x0))), min(_T_HI(x0))
+        x0 = tuple([v / 8 for v in _scaled_x0(p)])
+    # 0 - min, not max of the negations: a zero bound is 0, never -0.0
+    return x0, 0 - min(_T_LO(x0)), min(_T_HI(x0))
 
 
 def _verdict(family: Optional[tuple[tuple[Real, ...], Real, Real]], tol: Real) -> Feasibility:
@@ -148,22 +168,6 @@ def solve_family(p: Sequence[Real], eps: float = DEFAULT_EPS) -> Optional[QuasiF
     _check_p(p)
     family = _family(p, tolerance(p, eps))
     return None if family is None else QuasiFamily(*family)
-
-
-@lru_cache(maxsize=1)
-def _pseudoinverse_numerators() -> tuple[tuple[tuple[int, ...], ...], int]:
-    # exact copy: the entries times their common denominator, and that denominator
-    m = pseudoinverse_matrix()
-    den = math.lcm(*(e.denominator for e in m.entries))
-    return tuple(tuple(e.numerator * (den // e.denominator) for e in m.row(i)) for i in range(m.rows)), den
-
-
-@lru_cache(maxsize=1)
-def _pseudoinverse_rows_float() -> tuple[tuple[float, ...], ...]:
-    # float copy for the inexact path; spares a Fraction->float conversion
-    # per entry per application.
-    m = pseudoinverse_matrix()
-    return tuple(tuple(float(e) for e in m.row(i)) for i in range(m.rows))
 
 
 @dataclass(frozen=True)

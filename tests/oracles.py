@@ -10,10 +10,12 @@ all-``Fraction`` Gauss-Jordan step and phase-one simplex that the package
 replaced with integer rows; they make the same choices, so the package
 must return the same values and take the same pivots.
 Keeping these independent is the point; do not "simplify" them to reuse
-package code.  The exceptions are the two test helpers at the end,
-``product_distribution`` (the package's table check, then a product) and
-``equivalence_check``, which runs the package's three deciders on one
-input to compare them.
+package code.  The exceptions are the three test helpers at the end,
+``product_distribution`` (the package's table check, then a product),
+``eight_inequalities`` (the package's exact pseudoinverse, which
+``paper-check`` diffs against its published entries, applied in place of
+the family's closed form) and ``equivalence_check``, which runs the
+package's three deciders on one input to compare them.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from bellquasi.bellcheck import bell_pair
 from bellquasi.exactla import check_distribution, tolerance
 from bellquasi.marginal_general import Feasibility, rationalize, solve_problem
-from bellquasi.quasi import HOMOGENEOUS, bell_problem, solve_family
+from bellquasi.quasi import HOMOGENEOUS, bell_problem, pseudoinverse_matrix, solve_family
 from bellquasi.singlet import CorrelationTriple, Direction, PairTable, rhs_from_correlations
 
 _I2 = np.eye(2, dtype=complex)
@@ -408,6 +410,20 @@ def product_distribution(singles):
     for table in singles:
         joint = [x * p for x in joint for p in table]
     return tuple(joint)
+
+
+def eight_inequalities(corr: CorrelationTriple, c) -> tuple:
+    """Left-hand sides of the eight scaled non-negativity conditions.
+
+    Output order follows the joint outcomes (+++, ++-, ..., ---); entry k
+    is 8*x0[k] + c*xh[k], which is >= 0 exactly when the family member at
+    parameter t = c/8 has a non-negative k-th component.  x0 is the
+    particular solution pinv(M) p, not the family's closed form, and no
+    formula in the correlations is hard-coded, so the c scaling cannot
+    silently drift.  Exact for rational correlations and c.
+    """
+    x0 = mat_vec(pseudoinverse_matrix(), rhs_from_correlations(corr))
+    return tuple(8 * x + c * h for x, h in zip(x0, HOMOGENEOUS))
 
 
 def equivalence_check(corr: CorrelationTriple) -> bool:

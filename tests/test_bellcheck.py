@@ -4,9 +4,10 @@ from fractions import Fraction as F
 
 import oracles
 from bellquasi import bellcheck, cli, quasi, singlet
-from bellquasi.bellcheck import bell_pair, eight_inequalities
+from bellquasi.bellcheck import bell_pair
 from bellquasi.quasi import solve_family
 from bellquasi.singlet import CorrelationTriple, tables_from_correlations
+from oracles import eight_inequalities
 
 
 def printed_forms(u, v, w, c):

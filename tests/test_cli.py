@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -55,6 +56,15 @@ class TestSingletCommand:
         assert report["classification"] == "Proper"
         assert report["bell"]["margin"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_parallel_axes_at_eps_0_agree_with_their_margin(self, capsys):
+        # B and C parallel: the margin is exactly 0, and at eps 0 the family
+        # must not call the same input QuasiOnly; a zero bound prints as 0
+        code, out, _ = run(capsys, "singlet", "--angles", "0,90,90", "--eps", "0")
+        assert code == 0
+        assert "classification: Proper" in out
+        assert "satisfied: True  margin: 0\n" in out
+        assert "-0" not in re.split(r"[\s\[\],]+", out)
+
     def test_vector_mode(self, capsys):
         code, out, _ = run(
             capsys,
@@ -104,7 +114,7 @@ class TestSingletCommand:
         assert "(empty)" in out
 
     def test_family_solved_once(self, capsys, monkeypatch):
-        calls = {"solve_family": 0, "check_consistency": 0}
+        calls = {"solve_family": 0, "check_consistency": 0, "_family": 0}
 
         def counted(name):
             original = getattr(quasi, name)
@@ -119,7 +129,7 @@ class TestSingletCommand:
             monkeypatch.setattr(quasi, name, counted(name))
         assert cli.main(["singlet", "--angles", "0,60,120"]) == EXIT_QUASI_ONLY
         capsys.readouterr()
-        assert calls == {"solve_family": 1, "check_consistency": 1}
+        assert calls == {"solve_family": 1, "check_consistency": 1, "_family": 1}
 
     def test_json_contains_every_report_field(self, capsys):
         _, out, _ = run(capsys, "singlet", "--angles", "10,20,30", "--json")

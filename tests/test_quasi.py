@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -150,6 +151,45 @@ class TestSolveFamily:
 
     def test_kernel_direction_sums_to_zero(self):
         assert sum(HOMOGENEOUS) == 0
+
+
+class TestClosedForm:
+    """x0 comes from a closed form in the tables, not from pinv(M); on every
+    consistent p the two must agree exactly."""
+
+    def test_equals_pseudoinverse_on_images_of_signed_joint_vectors(self):
+        m, pinv = build_matrix(), pseudoinverse_matrix()
+        rng = random.Random(1801)
+        for k in range(400):
+            x = [F(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(8)]
+            if k % 2 and sum(x):  # normalized, like every rhs the deciders take
+                x = [v / sum(x) for v in x]
+            p = oracles.mat_vec(m, x)
+            assert quasi._family(p, 0)[0] == oracles.mat_vec(pinv, p)
+
+    def test_closed_form_matrix_agrees_with_pseudoinverse_on_the_range(self):
+        # L: the closed form applied to the unit rhs vectors, column by column
+        columns = [quasi._scaled_x0([int(i == j) for i in range(10)]) for j in range(10)]
+        closed = [[F(columns[j][i], 8) for j in range(10)] for i in range(8)]
+        pinv = pseudoinverse_matrix()
+        diff = [[closed[i][j] - pinv.entry(i, j) for j in range(10)] for i in range(8)]
+        m = build_matrix()
+        product = [[sum(diff[i][k] * m.entry(k, j) for k in range(10)) for j in range(8)] for i in range(8)]
+        assert product == [[0] * 8 for _ in range(8)]
+        assert diff != [[0] * 10 for _ in range(8)]  # off the range of M the two differ
+
+    def test_float_x0_within_ulps_of_the_exact_pseudoinverse(self):
+        # float singlet tables are exactly consistent as rationals, so the
+        # exact pinv(M) p is the closed form's exact value
+        pinv = pseudoinverse_matrix()
+        rng = random.Random(1803)
+        triples = [(-1.0, 1.0, -1.0), (0.0, 0.0, 0.0), (1 - 2**-53, -0.5, 2**-1074)]
+        triples += [tuple(rng.uniform(-1, 1) for _ in range(3)) for _ in range(2000)]
+        for u, v, w in triples:
+            p = singlet._rhs(u, v, w, 1.0)
+            exact = oracles.mat_vec(pinv, [F(e) for e in p])
+            for got, want in zip(quasi._family(p, 0)[0], exact):
+                assert abs(got - float(want)) <= 2 * math.ulp(0.5), (u, v, w)
 
 
 class TestClassify:
