@@ -43,7 +43,6 @@ from .singlet import (
     CorrelationTriple,
     Direction,
     PairTable,
-    bell_marginals,
     correlation,
     correlations,
     pair_table,
@@ -67,7 +66,6 @@ __all__ = [
     "PairTable",
     "QuasiFamily",
     "RatMatrix",
-    "bell_marginals",
     "bell_pair",
     "bell_problem",
     "build_constraint_system",

@@ -15,8 +15,9 @@ independently of the family's closed form, and pin their printed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .exactla import DEFAULT_EPS, Real, tolerance
+from .exactla import DEFAULT_EPS, Real, _over_lcm, is_exact
 from .singlet import CorrelationTriple
 
 
@@ -35,10 +36,16 @@ class BellVerdict:
 def bell_pair(corr: CorrelationTriple, eps: float = DEFAULT_EPS) -> BellVerdict:
     """Evaluate both Bell inequalities; margin < 0 quantifies the violation.
 
-    Exact correlations are decided exactly; floats at tolerance ``eps``.
+    Exact correlations are decided exactly, on integer numerators over one
+    lcm d of their denominators; floats at tolerance ``eps``.
     """
-    lhs1, rhs1, lhs2, rhs2, margin = _inequalities(corr.ab, corr.ac, corr.bc)
-    return BellVerdict(lhs1, rhs1, lhs2, rhs2, satisfied=margin >= -tolerance(corr.as_tuple(), eps), margin=margin)
+    if not is_exact(corr.as_tuple()):
+        lhs1, rhs1, lhs2, rhs2, margin = _inequalities(corr.ab, corr.ac, corr.bc)
+        return BellVerdict(lhs1, rhs1, lhs2, rhs2, satisfied=margin >= -eps, margin=margin)
+    d, (u, v, w) = _over_lcm(corr.as_tuple())
+    lhs1, rhs1, lhs2, rhs2 = d + u, abs(v - w), d - u, abs(v + w)  # _inequalities times d
+    margin = min(lhs1 - rhs1, lhs2 - rhs2)
+    return BellVerdict(*(Fraction(n, d) for n in (lhs1, rhs1, lhs2, rhs2)), margin >= 0, Fraction(margin, d))
 
 
 def _inequalities(u: Real, v: Real, w: Real) -> tuple[Real, Real, Real, Real, Real]:

@@ -54,26 +54,34 @@ def tolerance(values: Iterable[Real], eps: float = DEFAULT_EPS) -> float:
     return 0 if is_exact(values) else eps
 
 
-def check_distribution(table: Sequence[Real], what: str, eps: float = DEFAULT_EPS) -> None:
+def _over_lcm(values: Iterable[Rational]) -> tuple[int, list[int]]:
+    """``(d, numerators)``: exact values as integers n/d over one lcm d, each read once."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*[q for _, q in ratios])
+    return d, [n * (d // q) for n, q in ratios]
+
+
+def check_distribution(table: Sequence[Real], what: str, eps: float = DEFAULT_EPS) -> bool:
     """Raise ``ValueError`` unless ``table`` is finite, non-negative and sums
     to 1 within ``tolerance(table, eps)``; ``what`` names the table in the
-    error."""
+    error.  Returns whether the table is exact (checked at tolerance 0)."""
     if is_exact(table):
-        # Finite by type; one lcm of the denominators puts the entries on a
-        # common denominator, so the sign and sum tests run on integers.
-        if any(v.numerator < 0 for v in table):
+        # Finite by type; sign and sum tested on integers over one denominator.
+        d, numerators = _over_lcm(table)
+        if any(n < 0 for n in numerators):
             raise ValueError(f"negative entry in {what}")
-        d = math.lcm(*[v.denominator for v in table])
-        if sum([v.numerator * (d // v.denominator) for v in table]) != d:
+        if sum(numerators) != d:
             raise ValueError(f"{what} does not sum to 1")
-        return
+        return True
     # NaN fails every comparison, so it would pass the two tests below.
     if not all(-math.inf < v < math.inf for v in table):
         raise ValueError(f"non-finite entry in {what}")
     if any(v < -eps for v in table):
         raise ValueError(f"negative entry in {what}")
-    if abs(sum(table) - 1) > eps:
+    # fsum rounds once: sum() changed its float rounding in Python 3.12
+    if abs(math.fsum(table) - 1) > eps:
         raise ValueError(f"{what} does not sum to 1")
+    return False
 
 
 @dataclass(frozen=True)

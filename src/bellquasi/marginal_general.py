@@ -42,7 +42,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactla import DEFAULT_EPS, RatMatrix, Real, _integer_rows, _pivot, _rref_rows, check_distribution, is_exact
+from .exactla import DEFAULT_EPS, RatMatrix, Real, _integer_rows, _pivot, _rref_rows, check_distribution
 
 #: Largest joint outcome count accepted before erroring out.
 JOINT_SIZE_CAP = 10**6
@@ -72,13 +72,13 @@ def rationalize(value: Real) -> Fraction:
     raise TypeError(f"cannot rationalize {type(value).__name__}")
 
 
-def _rationalized_table(table: tuple[Real, ...]) -> tuple[Fraction, ...]:
+def _rationalized_table(table: tuple[Real, ...], exact: bool) -> tuple[Fraction, ...]:
     """Exact copy of a checked table.  An exact one already sums to exactly
-    1, so its entries are only made Fractions; floats are rationalized and
-    the largest entry adjusted so the total is exactly 1 (the adjustment is
-    ~1e-12)."""
-    if is_exact(table):
-        return tuple(map(rationalize, table))
+    1, so only its int entries are made Fractions; floats are rationalized
+    and the largest entry adjusted so the total is exactly 1 (the adjustment
+    is ~1e-12)."""
+    if exact:
+        return tuple([v if type(v) is Fraction else Fraction(v) for v in table])
     approx = [rationalize(v) for v in table]
     gap = 1 - sum(approx)
     if gap != 0:
@@ -138,8 +138,8 @@ class MarginalProblem:
                 size *= cards[n]
             if len(table) != size:
                 raise ValueError(f"constraint {i}: table has {len(table)} entries, expected {size}")
-            check_distribution(table, f"table of constraint {i}")
-            constraints.append((subset, _rationalized_table(table)))
+            exact = check_distribution(table, f"table of constraint {i}")
+            constraints.append((subset, _rationalized_table(table, exact)))
         object.__setattr__(self, "constraints", tuple(constraints))
 
     def joint_size(self) -> int:

@@ -27,16 +27,15 @@ interpreter.  The slack for a p vector is
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .exactla import DEFAULT_EPS, RatMatrix, Real, is_exact, pseudoinverse, tolerance
+from .exactla import DEFAULT_EPS, RatMatrix, Real, _over_lcm, is_exact, pseudoinverse, tolerance
 from .marginal_general import Feasibility, MarginalProblem, _constraint_matrix
-from .singlet import CorrelationTriple, tables_from_correlations
+from .singlet import CorrelationTriple, rhs_from_correlations
 
 #: Kernel direction of the constraint matrix: adding any multiple of it to
 #: a joint vector leaves all pair marginals unchanged.  Entry for outcome
@@ -117,19 +116,22 @@ def _scaled_x0(p: Sequence[Real]) -> list[Real]:
 
 def _family(p: Sequence[Real], tol: Real) -> Optional[tuple[tuple[Real, ...], Real, Real]]:
     """``(x0, t_lo, t_hi)`` for rhs p, or None when a consistency residual
-    exceeds ``tol``.  x0 is the closed form of :func:`_scaled_x0` (result
-    type follows p).  The feasible interval splits the componentwise
-    constraints x0[i] + t*xh[i] >= 0 by the sign of xh[i]:  t >= -x0[i]
-    where xh[i] is +1 and t <= x0[i] where it is -1."""
+    exceeds ``tol``.  x0 is the closed form of :func:`_scaled_x0`, exact p
+    on integer numerators over one lcm d.  The feasible interval splits the
+    componentwise constraints x0[i] + t*xh[i] >= 0 by the sign of xh[i]:
+    t >= -x0[i] where xh[i] is +1 and t <= x0[i] where it is -1."""
+    d = 0  # the common denominator of exact p; 0 for float p
+    if is_exact(p):
+        d, p = _over_lcm(p)
+        tol *= d
     if not all(abs(r) <= tol for r in _residuals(p)):  # a NaN residual fails too
         return None
-    if is_exact(p):  # integer numerators over one denominator: one Fraction per entry
-        d = math.lcm(*(v.denominator for v in p))
-        x0 = tuple([Fraction(n, 8 * d) for n in _scaled_x0([v.numerator * (d // v.denominator) for v in p])])
-    else:
-        x0 = tuple([v / 8 for v in _scaled_x0(p)])
-    # 0 - min, not max of the negations: a zero bound is 0, never -0.0
-    return x0, 0 - min(_T_LO(x0)), min(_T_HI(x0))
+    x8 = _scaled_x0(p)
+    lo, hi = min(_T_LO(x8)), min(_T_HI(x8))
+    if d:  # integers over 8 d: one Fraction per returned value
+        return tuple([Fraction(n, 8 * d) for n in x8]), Fraction(-lo, 8 * d), Fraction(hi, 8 * d)
+    # 0 - lo, not -lo: a zero bound is 0, never -0.0
+    return tuple([v / 8 for v in x8]), 0 - lo / 8, hi / 8
 
 
 def _verdict(family: Optional[tuple[tuple[Real, ...], Real, Real]], tol: Real) -> Feasibility:
@@ -203,16 +205,16 @@ def classify(p: Sequence[Real], eps: float = DEFAULT_EPS) -> Classification:
 def bell_problem(corr: CorrelationTriple) -> MarginalProblem:
     """The three-observable instance as a general marginal problem.
 
-    Constraint order (BC, AC, AB, full four-entry tables) is the shape of
-    :func:`build_matrix`, so the generic constraint builder returns that
-    matrix for it.
+    Constraint order (BC, AC, AB, full four-entry tables: the rhs entries
+    ++, +-, -+, then -- equal to ++) is the shape of :func:`build_matrix`,
+    so the generic constraint builder returns that matrix for it.
     """
-    marg = tables_from_correlations(corr)
+    p = rhs_from_correlations(corr)
     return MarginalProblem(
         observables=(("A", 2), ("B", 2), ("C", 2)),
         constraints=(
-            (("B", "C"), marg.pbc.as_tuple()),
-            (("A", "C"), marg.pac.as_tuple()),
-            (("A", "B"), marg.pab.as_tuple()),
+            (("B", "C"), p[0:3] + p[0:1]),
+            (("A", "C"), p[3:6] + p[3:4]),
+            (("A", "B"), p[6:9] + p[6:7]),
         ),
     )

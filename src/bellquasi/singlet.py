@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import Real, is_exact
+from .exactla import Real, _over_lcm, is_exact
 
 #: Tolerance used for construction-time sanity checks of floating values.
 NORM_TOL = 1e-12
@@ -75,9 +75,11 @@ class Direction:
 def _checked_correlation(corr: Real) -> Real:
     """Validate corr is in [-1, 1]; clamp float round-off within NORM_TOL.
 
-    Ints are promoted to Fraction so that exact inputs stay exact under
-    the true division in the table formulas.
+    A Fraction in range is returned as it is, checked on its numerator and
+    denominator; ints are promoted to Fraction so that exact inputs stay exact.
     """
+    if type(corr) is Fraction and abs(corr.numerator) <= corr.denominator:  # a float skips the ABC's isinstance
+        return corr
     exact = is_exact((corr,))
     tol = 0 if exact else NORM_TOL
     if not -1 - tol <= corr <= 1 + tol:
@@ -176,12 +178,15 @@ def rhs_from_correlations(corr: CorrelationTriple) -> tuple[Real, ...]:
     BC(++, +-, -+), AC(++, +-, -+), AB(++, +-, -+), 1.
 
     Each table entry is (1 +- corr)/4, the same-outcome entries first; BC
-    takes the flipped sign (B on particle 2).  Exact when the correlations
-    are Fractions.  The correlations were checked when ``corr`` was built,
-    so they are not checked again here.
+    takes the flipped sign (B on particle 2).  Exact correlations are put on
+    one lcm d, n/d each, and give the Fractions (d +- n)/(4 d).  They were
+    checked when ``corr`` was built, so they are not checked again here.
     """
-    ab, ac, bc = corr.ab, corr.ac, corr.bc
-    return _rhs(ab, ac, bc, Fraction(1) if is_exact((ab, ac, bc)) else 1.0)
+    if not is_exact(corr.as_tuple()):
+        return _rhs(corr.ab, corr.ac, corr.bc, 1.0)
+    d, (u, v, w) = _over_lcm(corr.as_tuple())
+    bc_same, bc_diff, ac_same, ac_diff, ab_same, ab_diff = (Fraction(d + n, 4 * d) for n in (-w, w, v, -v, u, -u))
+    return (bc_same, bc_diff, bc_diff, ac_same, ac_diff, ac_diff, ab_same, ab_diff, ab_diff, Fraction(1))
 
 
 def _rhs(ab: Real, ac: Real, bc: Real, one: Real) -> tuple[Real, ...]:
@@ -207,8 +212,3 @@ def correlations(alpha: Direction, beta: Direction, gamma: Direction) -> Correla
     """Measurable correlations of the singlet for the three axes; the
     triple checks and clamps them once."""
     return CorrelationTriple(ab=-alpha.dot(beta), ac=-alpha.dot(gamma), bc=-beta.dot(gamma))
-
-
-def bell_marginals(alpha: Direction, beta: Direction, gamma: Direction) -> BellMarginals:
-    """Quantum-mechanical pair marginals for three measurement axes."""
-    return tables_from_correlations(correlations(alpha, beta, gamma))

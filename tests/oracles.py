@@ -9,8 +9,13 @@ That elimination, and the ``reference_*`` functions built on it, are the
 all-``Fraction`` Gauss-Jordan step and phase-one simplex that the package
 replaced with integer rows; they make the same choices, so the package
 must return the same values and take the same pivots.
+The ``fraction_*`` formulas are the singlet rhs, family and Bell pair
+written on ``Fraction`` arithmetic, entry by entry, as the package
+computed them before it moved exact triples onto integer numerators over
+one common denominator.
 Keeping these independent is the point; do not "simplify" them to reuse
-package code.  The exceptions are the three test helpers at the end,
+package code.  The exceptions are the four test helpers at the end,
+``bell_marginals`` (the package's pair tables for three axes),
 ``product_distribution`` (the package's table check, then a product),
 ``eight_inequalities`` (the package's exact pseudoinverse, which
 ``paper-check`` diffs against its published entries, applied in place of
@@ -31,7 +36,15 @@ from bellquasi.bellcheck import bell_pair
 from bellquasi.exactla import check_distribution, tolerance
 from bellquasi.marginal_general import Feasibility, rationalize, solve_problem
 from bellquasi.quasi import HOMOGENEOUS, bell_problem, pseudoinverse_matrix, solve_family
-from bellquasi.singlet import CorrelationTriple, Direction, PairTable, rhs_from_correlations
+from bellquasi.singlet import (
+    BellMarginals,
+    CorrelationTriple,
+    Direction,
+    PairTable,
+    correlations,
+    rhs_from_correlations,
+    tables_from_correlations,
+)
 
 _I2 = np.eye(2, dtype=complex)
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -120,6 +133,54 @@ def random_rational_correlations(rng: random.Random, denominator: int = 10**6) -
     return CorrelationTriple(
         *(Fraction(rng.randint(-denominator, denominator), denominator) for _ in range(3))
     )
+
+
+def fraction_rhs(corr: CorrelationTriple) -> tuple:
+    """The singlet rhs (BC, AC, AB entries ++, +-, -+, then 1) in Fraction
+    arithmetic: (1 + corr)/4 for equal outcomes and (1 - corr)/4 for
+    different ones, with <BC>'s sign flipped."""
+    ab, ac, bc = (Fraction(v) for v in corr.as_tuple())
+    entries = []
+    for c in (-bc, ac, ab):
+        entries += [(1 + c) / 4, (1 - c) / 4, (1 - c) / 4]
+    return tuple(entries) + (Fraction(1),)
+
+
+def fraction_family(p):
+    """(x0, t_lo, t_hi) for an exact rhs p in Fraction arithmetic, or None
+    unless all three consistency residuals are 0.  x0(a, b, c) is half the
+    sum of the three pair-table entries, less a quarter of the three single
+    marginals (each the average over the two tables that contain it), plus
+    1/8; t_lo and t_hi bound t in x0 + t * HOMOGENEOUS >= 0."""
+    p = [Fraction(v) for v in p]
+    if (p[0] + p[1]) - (p[6] + p[8]) or (p[3] + p[4]) - (p[6] + p[7]) or (p[0] + p[2]) - (p[3] + p[5]):
+        return None
+    bc, ac, ab = ({(1, 1): p[k], (1, -1): p[k + 1], (-1, 1): p[k + 2], (-1, -1): 1 - p[k] - p[k + 1] - p[k + 2]}
+                  for k in (0, 3, 6))
+
+    def single(table, i, s):
+        return sum(v for o, v in table.items() if o[i] == s)
+
+    x0 = tuple(
+        (ab[a, b] + ac[a, c] + bc[b, c]) / 2
+        - ((single(ab, 0, a) + single(ac, 0, a)) / 2
+           + (single(ab, 1, b) + single(bc, 0, b)) / 2
+           + (single(ac, 1, c) + single(bc, 1, c)) / 2) / 4
+        + Fraction(1, 8)
+        for a, b, c in OUTCOMES
+    )
+    t_lo = max(-x for x, h in zip(x0, HOMOGENEOUS) if h == 1)
+    t_hi = min(x for x, h in zip(x0, HOMOGENEOUS) if h == -1)
+    return x0, t_lo, t_hi
+
+
+def fraction_bell_pair(corr: CorrelationTriple) -> tuple:
+    """(1 + <AB>, |<AC> - <BC>|, 1 - <AB>, |<AC> + <BC>|, satisfied, margin)
+    in Fraction arithmetic: the fields of ``bell_pair`` in their order."""
+    u, v, w = (Fraction(x) for x in corr.as_tuple())
+    lhs1, rhs1, lhs2, rhs2 = 1 + u, abs(v - w), 1 - u, abs(v + w)
+    margin = min(lhs1 - rhs1, lhs2 - rhs2)
+    return lhs1, rhs1, lhs2, rhs2, margin >= 0, margin
 
 
 def random_rational_distribution(rng: random.Random, size: int, max_weight: int = 9):
@@ -394,6 +455,11 @@ def random_rational_matrix(rng: random.Random):
     if rng.random() < 0.5:
         a[0][0] = Fraction(0)
     return a
+
+
+def bell_marginals(alpha: Direction, beta: Direction, gamma: Direction) -> BellMarginals:
+    """Quantum-mechanical pair marginals for three measurement axes."""
+    return tables_from_correlations(correlations(alpha, beta, gamma))
 
 
 def product_distribution(singles):

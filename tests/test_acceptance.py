@@ -43,12 +43,12 @@ from bellquasi.reference import (
 )
 from bellquasi.singlet import (
     CorrelationTriple,
-    bell_marginals,
     correlation,
     correlations,
     pair_table,
     tables_from_correlations,
 )
+from oracles import bell_marginals
 from test_exactla import random_matrix, spans_equal
 
 

@@ -104,6 +104,20 @@ class TestSingletCommand:
         assert report["correlations"]["ab"] == "-1/2"
         assert report["x0"][0] == "3/16"
 
+    @pytest.mark.parametrize(
+        "angles, expected_code, digest",
+        [
+            ("0,45,90", EXIT_QUASI_ONLY, "103cbecb2b4146599c008a88bbc5d00629b4eb80a62d8fa32263ee84b67ab787"),
+            ("0,90,180", 0, "39ebb56d1d8975452408b57d00517a1912d0b38abde3e4bced19b073511219c7"),
+        ],
+    )
+    def test_exact_json_reports_are_pinned(self, capsys, angles, expected_code, digest):
+        # the whole exact report byte for byte: tables, residuals, x0, the t
+        # interval, the witness and both Bell sides, each printed as p/q
+        code, out, _ = run(capsys, "singlet", "--angles", angles, "--exact", "--json")
+        assert code == expected_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_empty_interval_reported_as_decided(self, capsys):
         code, out, _ = run(capsys, "singlet", "--angles", "0,90,179.9999", "--exact", "--eps", "1e-6", "--json")
         report = json.loads(out)

@@ -411,6 +411,14 @@ class TestCheckDistribution:
         with pytest.raises(ValueError, match=r"^non-finite entry in pair table AB$"):
             exactla.check_distribution(table, "pair table AB")
 
+    def test_float_sum_is_correctly_rounded(self):
+        # ten 0.1s sum to 0.9999999999999999 left to right, but to 1.0 when
+        # rounded once; the verdict at eps 0 must not depend on which sum
+        # the interpreter's sum() does
+        exactla.check_distribution([0.1] * 10, "table 4", eps=0)
+        with pytest.raises(ValueError, match=r"^table 4 does not sum to 1$"):
+            exactla.check_distribution([0.1] * 9 + [0.1 + 1e-9], "table 4")
+
     def test_huge_exact_entries_are_compared_exactly(self):
         # the finiteness test compares, it never converts to float
         with pytest.raises(ValueError, match=r"^negative entry in table 3$"):

@@ -18,7 +18,8 @@ from bellquasi.quasi import (
     pseudoinverse_matrix,
     solve_family,
 )
-from bellquasi.singlet import CorrelationTriple, bell_marginals, rhs_from_correlations, tables_from_correlations
+from bellquasi.singlet import CorrelationTriple, rhs_from_correlations, tables_from_correlations
+from oracles import bell_marginals
 
 UNIFORM_P = tuple([F(1, 4)] * 9 + [F(1)])
 
@@ -314,6 +315,72 @@ class TestSharedCores:
             assert p == rhs_from_correlations(corr)
             if exact:  # the two deciders agree exactly: Proper iff the margin is >= 0
                 assert (quasi._verdict(quasi._family(p, 0), 0) is Feasibility.PROPER) == (margin >= 0)
+
+
+class TestIntegerNumerators:
+    """An exact triple is put on one common denominator, and the rhs, the
+    family, the Bell pair and the LP's tables come from its integer
+    numerators; the Fraction-arithmetic formulas of the oracles must give
+    the same values, and every exact value returned must be a Fraction."""
+
+    @staticmethod
+    def triples(rng):
+        # denominators sharing factors (a common base times 1-12), unrelated
+        # and large ones, the values 0 and +-1 (some as ints), and triples
+        # with margin 0 (each of the two reduced inequalities tight)
+        def value(den):
+            r = rng.random()
+            if r < 0.1:
+                return rng.choice((-1, 0, 1))
+            if r < 0.2:
+                return F(rng.choice((-1, 0, 1)))
+            return F(rng.randint(-den, den), den)
+
+        for _ in range(1500):
+            base = rng.choice((1, 2, 6, 12, 30, 210, 10**6, 2**40))
+            yield tuple(value(base * rng.randint(1, 12)) for _ in range(3))
+        for _ in range(250):
+            den = rng.randint(1, 10**6)
+            s = F(rng.randint(-den, den), 2 * den)
+            yield 0, s + F(1, 2), s - F(1, 2)
+            u = F(rng.randint(-den, den), den)
+            yield u, (1 - u) / 2, (1 - u) / 2
+
+    def test_exact_paths_equal_the_fraction_formulas(self):
+        def fractions(values):
+            return all(type(v) is F for v in values)
+
+        seen = {"int": 0, "margin 0": 0, "Proper": 0, "QuasiOnly": 0}
+        for t in self.triples(random.Random(1901)):
+            corr = CorrelationTriple(*t)
+            assert fractions(corr.as_tuple())
+            assert all(c is v for c, v in zip(corr.as_tuple(), t) if type(v) is F)  # checked, not copied
+            p = rhs_from_correlations(corr)
+            assert p == oracles.fraction_rhs(corr) and fractions(p), t
+            family = solve_family(p)
+            assert (family.x0, family.t_lo, family.t_hi) == oracles.fraction_family(p), t
+            assert fractions(family.x0 + (family.t_lo, family.t_hi))
+            bell = bell_pair(corr)
+            fields = (bell.ineq1_lhs, bell.ineq1_rhs, bell.ineq2_lhs, bell.ineq2_rhs, bell.satisfied, bell.margin)
+            assert fields == oracles.fraction_bell_pair(corr), t
+            assert fractions(fields[:4] + fields[5:]) and type(bell.satisfied) is bool
+            # the LP's tables: (1 + a b c)/4 for outcomes a, b, with c = -<BC>, <AC>, <AB>
+            tables = [table for _, table in bell_problem(corr).constraints]
+            ab, ac, bc = (F(v) for v in t)
+            assert tables == [tuple((1 + a * b * c) / 4 for a in (1, -1) for b in (1, -1)) for c in (-bc, ac, ab)]
+            assert all(fractions(table) for table in tables)
+            seen["int"] += any(type(v) is int for v in t)
+            seen["margin 0"] += bell.margin == 0
+            seen[classify(p).tag.value] += 1
+        assert min(seen.values()) >= 300, seen
+
+    def test_one_residual_of_1e_12_is_inconsistent(self):
+        # p[7], AB's +- entry, appears in the second consistency equation only
+        p = list(rhs_from_correlations(CorrelationTriple(F(1, 3), F(-2, 7), F(5, 11))))
+        p[7] += F(1, 10**12)
+        assert check_consistency(p).residuals == (0, F(-1, 10**12), 0)
+        assert solve_family(p) is None
+        assert oracles.fraction_family(p) is None
 
 
 class TestReconstructMarginals:

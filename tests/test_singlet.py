@@ -15,12 +15,12 @@ from bellquasi.singlet import (
     CorrelationTriple,
     Direction,
     PairTable,
-    bell_marginals,
     correlation,
     correlations,
     pair_table,
     tables_from_correlations,
 )
+from oracles import bell_marginals
 
 Z = Direction(0, 0, 1)
 X = Direction(1, 0, 0)
