@@ -8,15 +8,7 @@ solves general finite marginal problems by exact rational LP feasibility.
 """
 
 from .bellcheck import BellVerdict, bell_pair
-from .exactla import (
-    DEFAULT_EPS,
-    RatMatrix,
-    left_null_space,
-    null_space,
-    pseudoinverse,
-    rank,
-    solve_consistent,
-)
+from .exactla import DEFAULT_EPS, RatMatrix
 from .marginal_general import (
     Feasibility,
     FeasibilityResult,
@@ -74,15 +66,10 @@ __all__ = [
     "classify",
     "correlation",
     "correlations",
-    "left_null_space",
     "lp_feasible",
-    "null_space",
     "pair_table",
-    "pseudoinverse",
     "pseudoinverse_matrix",
-    "rank",
     "rationalize",
-    "solve_consistent",
     "solve_family",
     "solve_problem",
     "tables_from_correlations",

@@ -43,14 +43,14 @@ def bell_pair(corr: CorrelationTriple, eps: float = DEFAULT_EPS) -> BellVerdict:
         lhs1, rhs1, lhs2, rhs2, margin = _inequalities(corr.ab, corr.ac, corr.bc)
         return BellVerdict(lhs1, rhs1, lhs2, rhs2, satisfied=margin >= -eps, margin=margin)
     d, (u, v, w) = _over_lcm(corr.as_tuple())
-    lhs1, rhs1, lhs2, rhs2 = d + u, abs(v - w), d - u, abs(v + w)  # _inequalities times d
-    margin = min(lhs1 - rhs1, lhs2 - rhs2)
+    lhs1, rhs1, lhs2, rhs2, margin = _inequalities(u, v, w, d)
     return BellVerdict(*(Fraction(n, d) for n in (lhs1, rhs1, lhs2, rhs2)), margin >= 0, Fraction(margin, d))
 
 
-def _inequalities(u: Real, v: Real, w: Real) -> tuple[Real, Real, Real, Real, Real]:
-    # both sides of each inequality at <AB>, <AC>, <BC> = u, v, w, then the margin
-    lhs1, rhs1, lhs2, rhs2 = 1 + u, abs(v - w), 1 - u, abs(v + w)
+def _inequalities(u: Real, v: Real, w: Real, one: Real = 1) -> tuple[Real, Real, Real, Real, Real]:
+    # both sides of each inequality at <AB>, <AC>, <BC> = u, v, w, then the
+    # margin; all of them times d for numerators u, v, w over d and one = d
+    lhs1, rhs1, lhs2, rhs2 = one + u, abs(v - w), one - u, abs(v + w)
     return lhs1, rhs1, lhs2, rhs2, min(lhs1 - rhs1, lhs2 - rhs2)
 
 

@@ -55,7 +55,8 @@ def tolerance(values: Iterable[Real], eps: float = DEFAULT_EPS) -> float:
 
 
 def _over_lcm(values: Iterable[Rational]) -> tuple[int, list[int]]:
-    """``(d, numerators)``: exact values as integers n/d over one lcm d, each read once."""
+    """``(d, numerators)``: exact values as integers n/d over one lcm d, each
+    read once.  The package's one scaling of exact values to integers."""
     ratios = [v.as_integer_ratio() for v in values]
     d = math.lcm(*[q for _, q in ratios])
     return d, [n * (d // q) for n, q in ratios]
@@ -98,6 +99,9 @@ class RatMatrix:
             raise ValueError(
                 f"entry count {len(self.entries)} != rows*cols = {self.rows * self.cols}"
             )
+        # _over_lcm would read a float as its binary value: refuse it here, once per matrix
+        if not is_exact(self.entries):
+            raise TypeError("matrix entries must be exact rationals (ints or Fractions)")
 
     @functools.cached_property
     def _hash(self) -> int:
@@ -162,21 +166,9 @@ def _pivot(rows: list[list[int]], r: int, c: int) -> None:
             rows[i] = [x // g for x in row] if g > 1 else row
 
 
-def _integer_rows(rational_rows: Iterable[Sequence[Rational]]) -> list[list[int]]:
-    """Each rational row scaled once to integers by the lcm of its denominators."""
-    rows = []
-    for row in rational_rows:
-        scale = math.lcm(*{x.denominator for x in row})
-        if scale == 1:  # ints, or Fractions that are whole
-            rows.append([x.numerator for x in row])
-        else:
-            rows.append([x.numerator * (scale // x.denominator) for x in row])
-    return rows
-
-
 def _rref_rows(rows: list[list[int]], ncols: Optional[int] = None) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form, in place, of integer rows that each stand
-    for a positive multiple of a rational row (see :func:`_integer_rows`);
+    for a positive multiple of a rational row (as :func:`_over_lcm` scales one);
     returns (rows, pivot column indices).  Row ``j`` of the result divided
     by its pivot entry ``rows[j][pivots[j]]`` (positive) is the rational
     RREF row.  With ``ncols``, only the first ``ncols`` columns get pivots;
@@ -203,15 +195,14 @@ def _rref_rows(rows: list[list[int]], ncols: Optional[int] = None) -> tuple[list
 
 def rank(m: RatMatrix) -> int:
     """Exact rank via rational Gaussian elimination."""
-    _, pivots = _rref_rows(_integer_rows(m.row_lists()))
+    _, pivots = _rref_rows([_over_lcm(m.row(i))[1] for i in range(m.rows)])
     return len(pivots)
 
 
 def _canonical_kernel_vector(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Scale so the first nonzero entry is a positive integer and the
     integer entries have content (gcd) 1."""
-    denom_lcm = math.lcm(*(x.denominator for x in v)) if v else 1
-    ints = [int(x * denom_lcm) for x in v]
+    _, ints = _over_lcm(v)
     g = math.gcd(*ints) if any(ints) else 1
     if g > 1:
         ints = [x // g for x in ints]
@@ -223,7 +214,7 @@ def _canonical_kernel_vector(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 def null_space(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space {x : m x = 0}, canonicalized."""
-    rows, pivots = _rref_rows(_integer_rows(m.row_lists()))
+    rows, pivots = _rref_rows([_over_lcm(m.row(i))[1] for i in range(m.rows)])
     pivot_set = set(pivots)
     basis = []
     for free in range(m.cols):
@@ -251,8 +242,7 @@ def pseudoinverse(m: RatMatrix) -> RatMatrix:
     one elimination of [aᵀa | aᵀ] over [Nᵀ | 0] leaves row i with its pivot
     in column i.  Exact: satisfies all four Penrose identities.
     """
-    d = math.lcm(*(x.denominator for x in m.entries))
-    ints = [x.numerator * (d // x.denominator) for x in m.entries]
+    d, ints = _over_lcm(m.entries)
     at = [ints[j :: m.cols] for j in range(m.cols)]  # the rows of aᵀ
     rows = [[sum(map(operator.mul, u, v)) for v in at] + u for u in at]
     rows += [[x.numerator for x in v] + [0] * m.rows for v in null_space(m)]
@@ -270,8 +260,9 @@ def solve_consistent(m: RatMatrix, b: Sequence[Fraction]) -> Optional[tuple[Frac
     """
     if len(b) != m.rows:
         raise ValueError(f"rhs length {len(b)} != rows {m.rows}")
-    aug = [list(m.row(i)) + [b[i]] for i in range(m.rows)]
-    rows, pivots = _rref_rows(_integer_rows(aug))
+    if not is_exact(b):
+        raise TypeError("rhs entries must be exact rationals (ints or Fractions)")
+    rows, pivots = _rref_rows([_over_lcm((*m.row(i), b[i]))[1] for i in range(m.rows)])
     if pivots and pivots[-1] == m.cols:
         return None  # a pivot in the rhs column: 0 = nonzero
     x = [Fraction(0)] * m.cols

@@ -42,7 +42,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactla import DEFAULT_EPS, RatMatrix, Real, _integer_rows, _pivot, _rref_rows, check_distribution
+from .exactla import RatMatrix, Real, _over_lcm, _pivot, _rref_rows, check_distribution, is_exact
 
 #: Largest joint outcome count accepted before erroring out.
 JOINT_SIZE_CAP = 10**6
@@ -294,7 +294,7 @@ def _eliminated(
     """
     m, n = mat.rows, mat.cols
     unit = (0,) * m
-    rows, pivots = _rref_rows(_integer_rows(mat.row(i) + unit[:i] + (1,) + unit[i + 1 :] for i in range(m)), n)
+    rows, pivots = _rref_rows([_over_lcm(mat.row(i) + unit[:i] + (1,) + unit[i + 1 :])[1] for i in range(m)], n)
     rows = tuple(tuple(row) for row in rows)
     forcing = tuple(
         (i, tuple(itertools.compress(range(n), row)))
@@ -309,75 +309,60 @@ def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
 
     Returns a witness when feasible; ``QuasiOnly`` when the equality system
     is consistent but no non-negative solution exists; ``Inconsistent``
-    when the equality system itself is unsolvable.  The rhs is scaled once,
-    by the lcm of its denominators, so that the table denominators stay out
-    of the coefficients; the witness is divided by that scale at the end.
+    when the equality system itself is unsolvable.  ``rhs`` must be exact
+    (``TypeError`` otherwise).  It is scaled once, by the lcm of its
+    denominators, so that the table denominators stay out of the
+    coefficients; the witness is divided by that scale at the end.
     ``mat`` itself is eliminated once, not once per call
     (:func:`_eliminated`): each call only transforms its rhs.  That gives
     the consistency verdict and, since the rational RREF of [mat | rhs] is
     unique, exactly its nonzero rows: the system and starting basis of the
     simplex.  A row of ``mat`` with rhs 0 and entries of one sign forces
     its support to 0 in every non-negative solution (a zero table cell: no
-    joint outcome that hits it can carry mass).  When some column is
-    forced, the simplex runs on the other, live columns only, from the RREF
-    of [mat_live | rhs] (:func:`_live_simplex`), and the witness is 0 on the
-    forced columns.  A pivot in that RREF's rhs column means ``QuasiOnly``
-    with no simplex pivot, since [mat | rhs] is consistent.
+    joint outcome that hits it can carry mass).  The simplex runs on the
+    other, live columns only, and the witness is 0 on the forced columns.
+    When some column is forced, the rank rows' R parts restricted to the
+    live columns, with rhs T_i b, span the rows of [mat_live | rhs], so one
+    more elimination gives its RREF.  That elimination is always needed: a
+    forcing row is the combination of the R_i whose coefficients are its
+    entries at their pivot columns, so its support holds a pivot column.
+    A pivot in that RREF's rhs column means ``QuasiOnly`` with no simplex
+    pivot, since [mat | rhs] is consistent.
     """
     if len(rhs) != mat.rows:
         raise ValueError(f"rhs length {len(rhs)} != rows {mat.rows}")
+    if not is_exact(rhs):
+        raise TypeError("rhs entries must be exact rationals; rationalize floats first")
     n = mat.cols
-    scale = math.lcm(*(b.denominator for b in rhs))
-    scaled = [b.numerator * (scale // b.denominator) for b in rhs]
+    scale, scaled = _over_lcm(rhs)
     rows, pivots, gcds, forcing = _eliminated(mat)
     rank = len(pivots)
     if any(sum(map(operator.mul, row[n:], scaled)) for row in rows[rank:]):  # 0 = nonzero
         return FeasibilityResult(Feasibility.INCONSISTENT, None, n - rank)
     tb = [sum(map(operator.mul, row[n:], scaled)) for row in rows[:rank]]
     forced = {j for i, support in forcing if not scaled[i] for j in support}
-    if not forced:
-        tableau = []
-        for row, g, b in zip(rows, gcds, tb):
-            g = math.gcd(g, b)
-            tableau.append([x // g for x in row[:n]] + [b // g] if g > 1 else [*row[:n], b])
-        x = _phase_one_simplex(tableau, pivots, n, scale)
-    else:
-        x = _live_simplex(rows, tb, forced, n, scale)
+    live = [j for j in range(n) if j not in forced] if forced else range(n)
+    tableau = []
+    for row, g, b in zip(rows, gcds, tb):
+        if forced:  # the rank row on the live columns, whose gcd may be larger
+            row = [row[j] for j in live]
+            g = math.gcd(*row)
+        else:
+            row = row[:n]
+        g = math.gcd(g, b)
+        tableau.append([x // g for x in row] + [b // g] if g > 1 else [*row, b])
+    basis = pivots
+    if forced:
+        tableau, basis = _rref_rows(tableau)
+        del tableau[len(basis) :]
+    # a pivot in the rhs column (0 = nonzero): x >= 0 would need a forced column
+    x = None if basis and basis[-1] == len(live) else _phase_one_simplex(tableau, basis, len(live), scale)
     if x is None:
         return FeasibilityResult(Feasibility.QUASI_ONLY, None, n - rank)
-    return FeasibilityResult(Feasibility.PROPER, tuple(x), n - rank)
-
-
-def _live_simplex(
-    rows: Sequence[Sequence[int]], tb: Sequence[int], forced: set[int], n: int, scale: int
-) -> Optional[list[Fraction]]:
-    """:func:`_phase_one_simplex` on the columns outside ``forced``, its
-    witness scattered back into ``n`` entries with 0 on ``forced``.
-
-    ``rows`` are the rows (R_i | T_i) of :func:`_eliminated` and ``tb`` the
-    rank entries T_i b.  The rank rows' R parts restricted to the live
-    columns, with rhs T_i b, span the rows of [mat_live | b], so one more
-    elimination gives its RREF.  That elimination is always needed: a
-    forcing row is the combination of the R_i whose coefficients are its
-    entries at their pivot columns, so its support holds a pivot column.
-    """
-    live = [j for j in range(n) if j not in forced]
-    tableau = []
-    for row, b in zip(rows, tb):
-        r = [row[j] for j in live]
-        r.append(b)
-        g = math.gcd(*r)
-        tableau.append([v // g for v in r] if g > 1 else r)
-    tableau, basis = _rref_rows(tableau)
-    if basis and basis[-1] == len(live):  # 0 = nonzero: x >= 0 would need a forced column
-        return None
-    x_live = _phase_one_simplex(tableau[: len(basis)], basis, len(live), scale)
-    if x_live is None:
-        return None
-    x = [Fraction(0)] * n
-    for j, v in zip(live, x_live):
-        x[j] = v
-    return x
+    witness = [Fraction(0)] * n
+    for j, v in zip(live, x):
+        witness[j] = v
+    return FeasibilityResult(Feasibility.PROPER, tuple(witness), n - rank)
 
 
 def solve_problem(prob: MarginalProblem) -> FeasibilityResult:

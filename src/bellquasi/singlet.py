@@ -37,8 +37,8 @@ class Direction:
     """Unit 3-vector for a spin measurement axis.
 
     Inputs are normalized at construction; vectors with a non-finite
-    component or with norm below ``MIN_NORM`` are rejected rather than
-    silently blown up.
+    component, with norm below ``MIN_NORM`` or with a norm that overflows
+    are rejected rather than silently blown up or collapsed to 0.
     """
 
     x: float
@@ -51,6 +51,8 @@ class Direction:
         n = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
         if n < MIN_NORM:
             raise ValueError(f"direction vector ({self.x}, {self.y}, {self.z}) is too close to zero")
+        if n == math.inf:  # x*x overflows above about 1.34e154, and x / inf would make the axis 0
+            raise ValueError(f"direction vector ({self.x}, {self.y}, {self.z}) is too long: its norm overflows")
         object.__setattr__(self, "x", self.x / n)
         object.__setattr__(self, "y", self.y / n)
         object.__setattr__(self, "z", self.z / n)

@@ -97,6 +97,15 @@ class TestSingletCommand:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_overflowing_axis_exits_2(self, capsys):
+        # the same axis as --alpha=1,0,0, whose correlations are -1 and -1;
+        # its norm overflows, which once made it (0, 0, 0) and printed -0
+        code, out, err = run(capsys, "singlet", "--alpha=1e155,0,0", "--beta", "1,0,0", "--gamma", "1,0,0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_exact_mode_outputs_fractions(self, capsys):
         code, out, _ = run(capsys, "singlet", "--angles", "0,60,120", "--exact", "--json")
         assert code == EXIT_QUASI_ONLY

@@ -186,6 +186,10 @@ class TestSolveConsistent:
         assert any(oracles.dot(v, bad) != 0 for v in left_null_space(m))
         assert solve_consistent(m, bad) is None
 
+    def test_float_rhs_is_refused(self):
+        with pytest.raises(TypeError):
+            solve_consistent(RatMatrix.from_rows(oracles.identity(2)), (F(3), 0.5))
+
     def test_underdetermined_residual_zero(self):
         m = RatMatrix.from_rows([[1, 1]])
         b = (F(1),)
@@ -227,7 +231,7 @@ class TestIntegerRowsMatchFractionReference:
             a = oracles.random_rational_matrix(rng)
             m, ncols = RatMatrix.from_rows(a), len(a[0])
             negative_pivots.clear()
-            rows, pivots = exactla._rref_rows(exactla._integer_rows(a))
+            rows, pivots = exactla._rref_rows([exactla._over_lcm(row)[1] for row in a])
             reduced = [[F(v, row[c]) for v in row] for row, c in zip(rows, pivots)]
             reduced += [[F(0)] * ncols] * (len(a) - len(pivots))
             ref_rows, ref_pivots = oracles.reference_rref(a)
@@ -287,6 +291,12 @@ class TestFromRows:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             RatMatrix.from_rows([[F(1, 4), 0.25]])
+
+    @pytest.mark.parametrize("entry", [0.5, 1.0, Decimal("0.5")])
+    def test_constructor_rejects_inexact_entries(self, entry):
+        # eliminations read entries as integer ratios: a float would enter as its binary value
+        with pytest.raises(TypeError):
+            RatMatrix(1, 2, (entry, 1))
 
 
 class TestExactnessRule:

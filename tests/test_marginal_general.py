@@ -360,6 +360,12 @@ class TestLpFeasible:
         result = lp_feasible(mat, rhs)
         assert result == marginal_general.FeasibilityResult(Feasibility.PROPER, (F(0), F(0)), 2)
 
+    @pytest.mark.parametrize("entry", [0.5, 1.0])
+    def test_float_rhs_is_refused(self, entry):
+        # the rhs is read as integer ratios: a float would enter as its binary value
+        with pytest.raises(TypeError):
+            lp_feasible(RatMatrix.from_rows([[1, 1], [1, 0]]), (F(1), entry))
+
     def test_inconsistent_system_never_enters_simplex(self, monkeypatch):
         def no_simplex(*args):
             raise AssertionError("simplex entered on an inconsistent system")
@@ -436,6 +442,9 @@ class TestLpFeasible:
         for _ in range(60):  # Bell systems with table denominators near 10**6
             mat, rhs = build_constraint_system(bell_problem(oracles.random_rational_correlations(rng)))
             systems.append(([list(mat.row(i)) for i in range(mat.rows)], list(rhs)))
+        for k in range(120):  # zero cells that force columns, yet the live ones pivot
+            mat, rhs = build_constraint_system(assignment_mixture_problem(rng, twist=k % 2 == 1))
+            systems.append(([list(mat.row(i)) for i in range(mat.rows)], list(rhs)))
         seen = Counter()
         for a, b in systems:
             steps.clear()
@@ -445,6 +454,9 @@ class TestLpFeasible:
             assert len(steps) == ref_steps, (a, b)
             seen[status] += 1
             seen["pivoted"] += ref_steps > 0
+            if ref_steps and any(v == 0 and (min(row) >= 0 or max(row) <= 0) for row, v in zip(a, b)):
+                seen["forced, pivoted", status] += 1  # the restricted tableau and its extra elimination
+        assert seen["forced, pivoted", "Proper"] + seen["forced, pivoted", "QuasiOnly"] >= 50, seen
         assert min(seen.values()) >= 20, seen
 
     def test_rhs_denominators_stay_out_of_the_coefficients(self, monkeypatch):
@@ -473,6 +485,30 @@ class TestLpFeasible:
         assert {stage for stage, _ in largest} == {"elimination", "simplex"}
         assert max(v for _, v in largest) <= 2
         assert min(seen.values()) >= 20, seen
+
+
+def assignment_mixture_problem(rng: random.Random, twist: bool) -> MarginalProblem:
+    """Pair tables on the edges of a binary 5- or 6-cycle, the marginals of
+    a mixture of 2-4 assignments, so that most cells are 0.  With ``twist``
+    each assignment comes with its complement, at the same weight, so every
+    single marginal is uniform, and the closing table pairs X(n-1) with the
+    complement of X0: still consistent, but often QuasiOnly."""
+    n = rng.randint(5, 6)
+    weights = Counter()
+    for _ in range(rng.randint(2, 4)):
+        s, w = tuple(rng.randrange(2) for _ in range(n)), rng.randint(1, 97)
+        for c in (0, 1) if twist else (0,):
+            weights[tuple(v ^ c for v in s)] += w
+    total = sum(weights.values())
+    tables = [[F(0)] * 4 for _ in range(n)]
+    for s, w in weights.items():
+        for i in range(n):
+            tables[i][2 * s[i] + (s[(i + 1) % n] ^ (twist and i == n - 1))] += F(w, total)
+    names = [f"X{i}" for i in range(n)]
+    return MarginalProblem(
+        observables=tuple((name, 2) for name in names),
+        constraints=tuple(((names[i], names[(i + 1) % n]), tuple(t)) for i, t in enumerate(tables)),
+    )
 
 
 def four_cycle_problem(rng: random.Random, status: Feasibility) -> MarginalProblem:

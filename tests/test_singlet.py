@@ -36,6 +36,16 @@ class TestDirection:
         with pytest.raises(ValueError):
             Direction(1e-10, 0, 0)
 
+    def test_rejects_an_overflowing_norm(self):
+        # x*x overflows to inf above about 1.34e154; dividing by that norm
+        # would turn the axis into (0, 0, 0), whose correlations all read 0
+        with pytest.raises(ValueError, match="overflows"):
+            Direction(1e155, 0, 0)
+        with pytest.raises(ValueError, match="overflows"):
+            Direction(0, -1e200, 1)
+        d = Direction(1e154, 0, 0)
+        assert (d.x, d.y, d.z) == (1.0, 0.0, 0.0)
+
     def test_from_degrees_is_planar_unit(self):
         d = Direction.from_degrees(60)
         assert d.x == pytest.approx(0.5)
