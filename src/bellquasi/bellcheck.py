@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import DEFAULT_EPS, Real, _over_lcm, is_exact
+from .exactla import DEFAULT_EPS, Real
 from .singlet import CorrelationTriple
 
 
@@ -36,13 +36,13 @@ class BellVerdict:
 def bell_pair(corr: CorrelationTriple, eps: float = DEFAULT_EPS) -> BellVerdict:
     """Evaluate both Bell inequalities; margin < 0 quantifies the violation.
 
-    Exact correlations are decided exactly, on integer numerators over one
-    lcm d of their denominators; floats at tolerance ``eps``.
+    Exact correlations are decided exactly, on the triple's integer
+    numerators over one lcm d of their denominators; floats at tolerance ``eps``.
     """
-    if not is_exact(corr.as_tuple()):
+    if corr.integers is None:
         lhs1, rhs1, lhs2, rhs2, margin = _inequalities(corr.ab, corr.ac, corr.bc)
         return BellVerdict(lhs1, rhs1, lhs2, rhs2, satisfied=margin >= -eps, margin=margin)
-    d, (u, v, w) = _over_lcm(corr.as_tuple())
+    d, (u, v, w) = corr.integers
     lhs1, rhs1, lhs2, rhs2, margin = _inequalities(u, v, w, d)
     return BellVerdict(*(Fraction(n, d) for n in (lhs1, rhs1, lhs2, rhs2)), margin >= 0, Fraction(margin, d))
 

@@ -142,6 +142,13 @@ class MarginalProblem:
             constraints.append((subset, _rationalized_table(table, exact)))
         object.__setattr__(self, "constraints", tuple(constraints))
 
+    @classmethod
+    def _checked(cls, observables, constraints) -> "MarginalProblem":
+        """A problem from input already in the form :meth:`__post_init__` stores, taken with no check."""
+        prob = object.__new__(cls)
+        vars(prob).update(observables=observables, constraints=constraints)
+        return prob
+
     def joint_size(self) -> int:
         size = 1
         for _, c in self.observables:
@@ -235,7 +242,9 @@ def _phase_one_simplex(rows: list[list[int]], pivots: Sequence[int], n: int, rhs
     # factor makes the reduced-cost row lcm times minus their rational sum.
     art = [(rows[i], abs(rows[i][pivots[i]])) for i in range(m) if basis[i] >= n]
     scale = math.lcm(*(a for _, a in art))
-    rows.append([-sum(scale // a * row[j] for row, a in art) for j in range(n + 1)])
+    rows.append([0] * (n + 1))
+    for row, w in [(row, scale // a) for row, a in art]:  # one pass per artificial row
+        rows[m] = [c - w * x for c, x in zip(rows[m], row)]
     # No artificial column is needed, whichever rows started with one: the
     # reduced-cost row is always -y^T [rows | rhs] for some y, up to a positive
     # factor (every row stays a positive multiple of its rational row), so

@@ -116,14 +116,14 @@ def _scaled_x0(p: Sequence[Real]) -> list[Real]:
 
 def _family(p: Sequence[Real], tol: Real) -> Optional[tuple[tuple[Real, ...], Real, Real]]:
     """``(x0, t_lo, t_hi)`` for rhs p, or None when a consistency residual
-    exceeds ``tol``.  x0 is the closed form of :func:`_scaled_x0`, exact p
-    on integer numerators over one lcm d.  The feasible interval splits the
-    componentwise constraints x0[i] + t*xh[i] >= 0 by the sign of xh[i]:
-    t >= -x0[i] where xh[i] is +1 and t <= x0[i] where it is -1."""
+    exceeds ``tol`` (0 when p is exact).  x0 is the closed form of
+    :func:`_scaled_x0`, exact p on integer numerators over one lcm d.  The
+    feasible interval splits the constraints x0[i] + t*xh[i] >= 0 by the
+    sign of xh[i]: t >= -x0[i] where xh[i] is +1 and t <= x0[i] where it is -1."""
     d = 0  # the common denominator of exact p; 0 for float p
     if is_exact(p):
         d, p = _over_lcm(p)
-        tol *= d
+        tol = 0
     if not all(abs(r) <= tol for r in _residuals(p)):  # a NaN residual fails too
         return None
     x8 = _scaled_x0(p)
@@ -168,7 +168,7 @@ class QuasiFamily:
 def solve_family(p: Sequence[Real], eps: float = DEFAULT_EPS) -> Optional[QuasiFamily]:
     """Quasiprobability family for rhs p, or None when p is inconsistent."""
     _check_p(p)
-    family = _family(p, tolerance(p, eps))
+    family = _family(p, eps)
     return None if family is None else QuasiFamily(*family)
 
 
@@ -207,14 +207,10 @@ def bell_problem(corr: CorrelationTriple) -> MarginalProblem:
 
     Constraint order (BC, AC, AB, full four-entry tables: the rhs entries
     ++, +-, -+, then -- equal to ++) is the shape of :func:`build_matrix`,
-    so the generic constraint builder returns that matrix for it.
+    so the generic constraint builder returns that matrix for it.  An exact
+    triple's tables are stored unchecked (the triple was checked); floats are checked.
     """
     p = rhs_from_correlations(corr)
-    return MarginalProblem(
-        observables=(("A", 2), ("B", 2), ("C", 2)),
-        constraints=(
-            (("B", "C"), p[0:3] + p[0:1]),
-            (("A", "C"), p[3:6] + p[3:4]),
-            (("A", "B"), p[6:9] + p[6:7]),
-        ),
-    )
+    constraints = ((("B", "C"), p[0:3] + p[0:1]), (("A", "C"), p[3:6] + p[3:4]), (("A", "B"), p[6:9] + p[6:7]))
+    build = MarginalProblem if corr.integers is None else MarginalProblem._checked
+    return build((("A", 2), ("B", 2), ("C", 2)), constraints)

@@ -20,6 +20,7 @@ in exact-rational mode when correlations are supplied as rationals.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,6 +61,8 @@ class Direction:
     @classmethod
     def from_degrees(cls, theta: float) -> "Direction":
         """In-plane axis at ``theta`` degrees (coplanar parameterization)."""
+        if not math.isfinite(theta):  # math.cos(inf) would fail with an error that does not name it
+            raise ValueError(f"angle {theta} is not finite")
         rad = math.radians(theta)
         return cls(math.cos(rad), math.sin(rad), 0.0)
 
@@ -153,6 +156,23 @@ class CorrelationTriple:
     def as_tuple(self) -> tuple[Real, Real, Real]:
         return (self.ab, self.ac, self.bc)
 
+    @functools.cached_property
+    def integers(self) -> tuple[int, tuple[int, int, int]] | None:
+        """``(d, (u, v, w))``: an exact triple's numerators over one lcm d; None for floats."""
+        if not is_exact(self.as_tuple()):
+            return None
+        d, numerators = _over_lcm(self.as_tuple())
+        return d, tuple(numerators)
+
+    @functools.cached_property
+    def rhs(self) -> tuple[Real, ...]:
+        """The 10-entry rhs vector of :func:`rhs_from_correlations`, kept once built."""
+        if self.integers is None:
+            return _rhs(self.ab, self.ac, self.bc, 1.0)
+        d, (u, v, w) = self.integers
+        bc_same, bc_diff, ac_same, ac_diff, ab_same, ab_diff = (Fraction(d + n, 4 * d) for n in (-w, w, v, -v, u, -u))
+        return (bc_same, bc_diff, bc_diff, ac_same, ac_diff, ac_diff, ab_same, ab_diff, ab_diff, Fraction(1))
+
 
 @dataclass(frozen=True)
 class BellMarginals:
@@ -181,14 +201,10 @@ def rhs_from_correlations(corr: CorrelationTriple) -> tuple[Real, ...]:
 
     Each table entry is (1 +- corr)/4, the same-outcome entries first; BC
     takes the flipped sign (B on particle 2).  Exact correlations are put on
-    one lcm d, n/d each, and give the Fractions (d +- n)/(4 d).  They were
-    checked when ``corr`` was built, so they are not checked again here.
+    one lcm d, n/d each (``corr.integers``), and give the Fractions
+    (d +- n)/(4 d).  The vector is built once per triple and kept: ``corr.rhs``.
     """
-    if not is_exact(corr.as_tuple()):
-        return _rhs(corr.ab, corr.ac, corr.bc, 1.0)
-    d, (u, v, w) = _over_lcm(corr.as_tuple())
-    bc_same, bc_diff, ac_same, ac_diff, ab_same, ab_diff = (Fraction(d + n, 4 * d) for n in (-w, w, v, -v, u, -u))
-    return (bc_same, bc_diff, bc_diff, ac_same, ac_diff, ac_diff, ab_same, ab_diff, ab_diff, Fraction(1))
+    return corr.rhs
 
 
 def _rhs(ab: Real, ac: Real, bc: Real, one: Real) -> tuple[Real, ...]:

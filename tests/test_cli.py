@@ -97,6 +97,19 @@ class TestSingletCommand:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "angles, name", [("inf,0,0", "inf"), ("1e309,0,0", "inf"), ("0,-inf,0", "-inf"), ("0,0,nan", "nan")]
+    )
+    def test_non_finite_angle_is_named(self, capsys, angles, name):
+        # math.cos(inf) fails with "math domain error", and a nan angle gave
+        # the axis (nan, nan, 0.0): the error names the angle instead
+        code, out, err = run(capsys, "singlet", "--angles", angles)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"angle {name} " in err
+        assert "Traceback" not in err
+
     def test_overflowing_axis_exits_2(self, capsys):
         # the same axis as --alpha=1,0,0, whose correlations are -1 and -1;
         # its norm overflows, which once made it (0, 0, 0) and printed -0

@@ -5,10 +5,16 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
-from bellquasi import bellcheck, quasi, singlet
+from bellquasi import bellcheck, marginal_general, quasi, singlet
 from bellquasi.bellcheck import bell_pair
 from bellquasi.exactla import left_null_space, null_space, solve_consistent, tolerance
-from bellquasi.marginal_general import Feasibility, build_constraint_system, lp_feasible
+from bellquasi.marginal_general import (
+    Feasibility,
+    MarginalProblem,
+    build_constraint_system,
+    lp_feasible,
+    solve_problem,
+)
 from bellquasi.quasi import (
     HOMOGENEOUS,
     bell_problem,
@@ -414,6 +420,71 @@ class TestBellProblemRegression:
         mat, rhs = build_constraint_system(bell_problem(corr))
         assert mat == build_matrix()
         assert tuple(rhs) == tables_from_correlations(corr).p_vector
+
+
+class TestCheckedTripleOnce:
+    """A triple is scaled to integers and turned into its rhs once, and
+    ``bell_problem`` stores an exact triple's tables without checking them
+    again: the result must equal the problem the validating constructor
+    builds, on every path downstream."""
+
+    @staticmethod
+    def validated(corr):
+        p = rhs_from_correlations(corr)
+        return MarginalProblem(
+            observables=(("A", 2), ("B", 2), ("C", 2)),
+            constraints=((("B", "C"), p[0:3] + p[0:1]), (("A", "C"), p[3:6] + p[3:4]), (("A", "B"), p[6:9] + p[6:7])),
+        )
+
+    def test_unchecked_construction_equals_the_checked_one(self):
+        rng = random.Random(2201)
+        # every fourth triple of the exact panel (ints, 0 and +-1, margin 0), then floats
+        exact = list(TestIntegerNumerators.triples(random.Random(2202)))[::4]
+        floats = [tuple(rng.uniform(-1, 1) for _ in range(3)) for _ in range(100)]
+        seen = {"int": 0, "zero cell": 0, "margin 0": 0, "float": 0}
+        for t in exact + floats:
+            corr = CorrelationTriple(*t)
+            prob, want = bell_problem(corr), self.validated(corr)
+            assert prob == want, t
+            assert prob.observables == (("A", 2), ("B", 2), ("C", 2))
+            assert all(type(v) is F for _, table in prob.constraints for v in table), t
+            assert build_constraint_system(prob) == build_constraint_system(want), t
+            assert solve_problem(prob) == solve_problem(want), t
+            seen["int"] += any(type(v) is int for v in t)
+            seen["zero cell"] += any(abs(v) == 1 for v in t)
+            seen["margin 0"] += bell_pair(corr).margin == 0
+            seen["float"] += type(t[0]) is float
+        assert len(exact) >= 500 and min(seen.values()) >= 60, seen
+
+    def test_triple_is_scaled_once(self, monkeypatch):
+        calls = []
+        over_lcm = singlet._over_lcm
+
+        def counting(values):
+            calls.append(tuple(values))
+            return over_lcm(calls[-1])
+
+        monkeypatch.setattr(singlet, "_over_lcm", counting)
+        monkeypatch.setattr(bellcheck, "_over_lcm", counting, raising=False)  # in case the Bell pair scales its own
+        corr = CorrelationTriple(F(1, 3), F(-2, 7), F(5, 11))
+        tables_from_correlations(corr)
+        bell_pair(corr)
+        bell_problem(corr)
+        assert calls == [corr.as_tuple()]
+
+    def test_exact_bell_problem_is_not_checked_again(self, monkeypatch):
+        checks = []
+        check = marginal_general.check_distribution
+        monkeypatch.setattr(marginal_general, "check_distribution", lambda *a: checks.append(a) or check(*a))
+        bell_problem(CorrelationTriple(F(1, 3), F(-2, 7), F(5, 11)))
+        assert checks == []
+        bell_problem(CorrelationTriple(1 / 3, -2 / 7, 5 / 11))  # float tables are checked and rationalized
+        assert len(checks) == 3
+
+    def test_rhs_is_built_once(self):
+        for corr in (CorrelationTriple(F(1, 3), F(-2, 7), F(5, 11)), CorrelationTriple(0.5, -0.25, 0.125)):
+            assert tables_from_correlations(corr).p_vector is rhs_from_correlations(corr)
+            assert rhs_from_correlations(corr) == oracles.fraction_rhs(corr)  # the floats are dyadic: exact
 
 
 class TestPseudoinverseMatrix:
