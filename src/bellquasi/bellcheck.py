@@ -49,7 +49,8 @@ def bell_pair(corr: CorrelationTriple, eps: float = DEFAULT_EPS) -> BellVerdict:
 
 def _inequalities(u: Real, v: Real, w: Real, one: Real = 1) -> tuple[Real, Real, Real, Real, Real]:
     # both sides of each inequality at <AB>, <AC>, <BC> = u, v, w, then the
-    # margin; all of them times d for numerators u, v, w over d and one = d
+    # margin; all of them times d for numerators u, v, w over d and one = d.
+    # cli._scan_rows computes the float margin inline, in this order.
     lhs1, rhs1, lhs2, rhs2 = one + u, abs(v - w), one - u, abs(v + w)
     return lhs1, rhs1, lhs2, rhs2, min(lhs1 - rhs1, lhs2 - rhs2)
 

@@ -177,15 +177,16 @@ def _scan_rows(ab: tuple[float, float, int], ac: tuple[float, float, int], eps: 
     one whole-degree step on both axes, consecutive rows share all but one
     difference; with uneven steps they share hardly any, and old ones are
     evicted instead of the memo growing with the grid.
-    A cell builds no result object.  It prints the Bell margin from the
-    private formula behind ``bell_pair`` and takes ``classify``'s tag from
-    it: ``classify`` compares the family's 4 * (t_hi - t_lo) with -eps, and
-    in floats that value is within ``bellcheck._FAMILY_GAP`` of the margin.
-    So a margin at least that far above -eps is Proper, one that far below
-    is QuasiOnly, and only a margin inside the band runs the private
-    formulas behind ``classify`` (at tolerance ``eps``: its values are
-    floats).  Both band edges are rounded outward, so the band holds for
-    every finite eps >= 0."""
+    A cell computes the Bell margin inline, with the float operations of
+    ``bellcheck._inequalities`` (the formula behind ``bell_pair``) in their
+    order, prints it at .12g as ``_fmt`` would, and takes ``classify``'s tag
+    from it: ``classify`` compares the family's 4 * (t_hi - t_lo) with
+    -eps, and in floats that value is within ``bellcheck._FAMILY_GAP`` of
+    the margin.  So a margin at least that far above -eps is Proper, one
+    that far below is QuasiOnly, and only a margin inside the band runs the
+    private formulas behind ``classify`` (at tolerance ``eps``: its values
+    are floats); any other cell makes no call but the memo's.  Both band
+    edges are rounded outward, so the band holds for every finite eps >= 0."""
     inner = list(_axis(*ac))
     proper_from = math.nextafter(-eps + bellcheck._FAMILY_GAP, math.inf)
     quasi_below = math.nextafter(-eps - bellcheck._FAMILY_GAP, -math.inf)
@@ -194,19 +195,23 @@ def _scan_rows(ab: tuple[float, float, int], ac: tuple[float, float, int], eps: 
     @lru_cache(maxsize=2 * len(inner))
     def bc(difference: float) -> tuple[float, str]:
         w = singlet._checked_correlation(-math.cos(math.radians(difference)))
-        return w, _fmt(w)
+        return w, f"{w:.12g}"
 
     for theta_ab, u, fmt_ab, fmt_u in _axis(*ab):
+        lhs1, lhs2 = 1 + u, 1 - u
         for theta_ac, v, fmt_ac, fmt_v in inner:
             w, fmt_w = bc(theta_ac - theta_ab)
-            margin = bellcheck._inequalities(u, v, w)[4]
+            # bellcheck._inequalities(u, v, w)[4]: the same float operations
+            # in the same order, and a <= b picks what min(a, b) picks
+            a, b = lhs1 - abs(v - w), lhs2 - abs(v + w)
+            margin = a if a <= b else b
             if margin >= proper_from:
                 tag = proper
             elif margin < quasi_below:
                 tag = quasi_only
             else:
                 tag = quasi._verdict(quasi._family(singlet._rhs(u, v, w, 1.0), eps), eps).value
-            yield f"{fmt_ab},{fmt_ac},{fmt_u},{fmt_v},{fmt_w},{_fmt(margin)},{tag}\n"
+            yield f"{fmt_ab},{fmt_ac},{fmt_u},{fmt_v},{fmt_w},{margin:.12g},{tag}\n"
 
 
 def cmd_scan(args) -> int:

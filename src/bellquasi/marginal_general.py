@@ -22,7 +22,8 @@ and every LP on it then only transforms its rhs.  Before the simplex, a
 forcing-row presolve drops the joint outcomes that cannot carry mass: a
 constraint row with rhs 0 and entries of one sign (a zero cell of a
 prescribed table) is 0 on its whole support in every non-negative
-solution, so the simplex pivots only on the other columns.  This is the
+solution, so the simplex pivots only on the other columns, eliminated
+once per pattern of zero cells.  This is the
 possibilistic reasoning of "nonlocality without inequalities": on
 GHZ-Mermin or Hardy tables no joint outcome, or only one, survives, and
 ``QuasiOnly`` follows without a pivot.  This module doubles as
@@ -42,7 +43,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactla import RatMatrix, Real, _over_lcm, _pivot, _rref_rows, check_distribution, is_exact
+from .exactla import Rational, RatMatrix, Real, _over_lcm, _pivot, _rref_rows, check_distribution, is_exact
 
 #: Largest joint outcome count accepted before erroring out.
 JOINT_SIZE_CAP = 10**6
@@ -278,39 +279,52 @@ def _phase_one_simplex(rows: list[list[int]], pivots: Sequence[int], n: int, rhs
     return x
 
 
+def _reduced(
+    a: list[tuple[Rational, ...]], k: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
+    """(rows, pivots, gcds): the integer RREF of [a | I_m], with pivots only
+    in the ``k`` columns of the m rows ``a``.  Row i < rank = ``len(pivots)``
+    is a positive multiple of (R_i | T_i), where R is the rational RREF of a
+    and T a = R, so T_i b is the rhs entry of the rational RREF of [a | b]
+    for every consistent b; ``gcds[i]`` is the gcd of its first k entries.
+    The other rows have a zero a part, and their I parts span the left null
+    space: b is consistent exactly when they are all orthogonal to it.  Only
+    the a columns get pivots, so T_i may differ from a full RREF's by a left
+    null vector, which leaves T_i b unchanged for every consistent b.  Rows
+    are tuples, so no caller can change a cached entry."""
+    m = len(a)
+    unit = (0,) * m
+    rows, pivots = _rref_rows([_over_lcm(row + unit[:i] + (1,) + unit[i + 1 :])[1] for i, row in enumerate(a)], k)
+    rows = tuple(tuple(row) for row in rows)
+    return rows, tuple(pivots), tuple(math.gcd(*row[:k]) for row in rows[: len(pivots)])
+
+
 @functools.lru_cache(maxsize=8)
 def _eliminated(
     mat: RatMatrix,
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]:
-    """(rows, pivots, gcds, forcing): the integer RREF of [mat | I_m] in the
-    ``mat`` columns, and the one-signed rows of ``mat``, once per matrix.
-
-    Row i < rank = ``len(pivots)`` is a positive multiple of (R_i | T_i),
-    where R is the rational RREF of ``mat`` and T mat = R, so T_i b is the
-    rhs entry of the rational RREF of [mat | b] for every consistent b;
-    ``gcds[i]`` is the gcd of its ``mat`` part.  The other rows have a zero
-    ``mat`` part, and their I parts span the left null space: b is
-    consistent exactly when they are all orthogonal to it.  Only the ``mat``
-    columns get pivots, so T_i may differ from a full RREF's by a left null
-    vector, which leaves T_i b unchanged for every consistent b.
-    ``forcing`` holds (i, support) for each row i of ``mat`` whose entries
-    are all >= 0 or all <= 0: when rhs entry i is 0, every x >= 0 is 0 on
-    that support.  Rows are tuples, so no caller can change a cached entry.
-    One entry, an m x (n + m) tableau and its m x n key, takes 0.6 MB for
-    the bundled 729-column ternary 6-cycle (m = 49): eight cover the few
-    matrices a caller sweeps at once (the Bell matrix, one per n-cycle
-    shape) in about 5 MB at that size.
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(rows, pivots, gcds, forcing): :func:`_reduced` on all columns of
+    ``mat``, and the rows of ``mat`` whose entries are all >= 0 or all <= 0,
+    once per matrix.  When the rhs entry of such a forcing row is 0, every
+    x >= 0 is 0 on that row's support.  One entry, an m x (n + m) tableau
+    and its m x n key, takes 0.6 MB for the bundled 729-column ternary
+    6-cycle (m = 49): eight cover the few matrices a caller sweeps at once
+    (the Bell matrix, one per n-cycle shape) in about 5 MB at that size.
     """
-    m, n = mat.rows, mat.cols
-    unit = (0,) * m
-    rows, pivots = _rref_rows([_over_lcm(mat.row(i) + unit[:i] + (1,) + unit[i + 1 :])[1] for i in range(m)], n)
-    rows = tuple(tuple(row) for row in rows)
-    forcing = tuple(
-        (i, tuple(itertools.compress(range(n), row)))
-        for i, row in enumerate(map(mat.row, range(m)))
-        if min(row, default=0) >= 0 or max(row, default=0) <= 0
-    )
-    return rows, tuple(pivots), tuple(math.gcd(*row[:n]) for row in rows[: len(pivots)]), forcing
+    a = [mat.row(i) for i in range(mat.rows)]
+    forcing = tuple(i for i, row in enumerate(a) if not min(row, default=0) < 0 < max(row, default=0))
+    return (*_reduced(a, mat.cols), forcing)
+
+
+@functools.lru_cache(maxsize=16)
+def _eliminated_live(mat: RatMatrix, zero_rows: tuple[int, ...]):
+    """(live, rows, pivots, gcds): :func:`_reduced` on the columns of ``mat``
+    that no row in ``zero_rows`` touches, once per (matrix, zero forcing
+    rows).  Its own cache, so that the zero patterns of a sweep never evict
+    the full eliminations; an entry is smaller than its matrix's there."""
+    forced = {j for i in zero_rows for j, c in enumerate(mat.row(i)) if c}
+    live = tuple(j for j in range(mat.cols) if j not in forced)
+    return (live, *_reduced([tuple(map(mat.row(i).__getitem__, live)) for i in range(mat.rows)], len(live)))
 
 
 def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
@@ -328,15 +342,14 @@ def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
     unique, exactly its nonzero rows: the system and starting basis of the
     simplex.  A row of ``mat`` with rhs 0 and entries of one sign forces
     its support to 0 in every non-negative solution (a zero table cell: no
-    joint outcome that hits it can carry mass).  The simplex runs on the
-    other, live columns only, and the witness is 0 on the forced columns.
-    When some column is forced, the rank rows' R parts restricted to the
-    live columns, with rhs T_i b, span the rows of [mat_live | rhs], so one
-    more elimination gives its RREF.  That elimination is always needed: a
-    forcing row is the combination of the R_i whose coefficients are its
-    entries at their pivot columns, so its support holds a pivot column.
-    A pivot in that RREF's rhs column means ``QuasiOnly`` with no simplex
-    pivot, since [mat | rhs] is consistent.
+    joint outcome that hits it can carry mass).  The simplex then runs on
+    the other, live columns only, and the witness is 0 on the forced
+    columns.  Those columns depend only on which forcing rows have rhs 0,
+    so [mat_live | I_m] is eliminated once per such zero pattern too
+    (:func:`_eliminated_live`), and a forced call also only transforms its
+    rhs.  A null row of that elimination whose I part is not orthogonal to
+    the rhs means ``QuasiOnly`` with no simplex pivot: [mat | rhs] is
+    consistent, so x >= 0 would need a forced column.
     """
     if len(rhs) != mat.rows:
         raise ValueError(f"rhs length {len(rhs)} != rows {mat.rows}")
@@ -345,27 +358,20 @@ def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
     n = mat.cols
     scale, scaled = _over_lcm(rhs)
     rows, pivots, gcds, forcing = _eliminated(mat)
-    rank = len(pivots)
+    rank, live = len(pivots), range(n)
     if any(sum(map(operator.mul, row[n:], scaled)) for row in rows[rank:]):  # 0 = nonzero
         return FeasibilityResult(Feasibility.INCONSISTENT, None, n - rank)
-    tb = [sum(map(operator.mul, row[n:], scaled)) for row in rows[:rank]]
-    forced = {j for i, support in forcing if not scaled[i] for j in support}
-    live = [j for j in range(n) if j not in forced] if forced else range(n)
-    tableau = []
-    for row, g, b in zip(rows, gcds, tb):
-        if forced:  # the rank row on the live columns, whose gcd may be larger
-            row = [row[j] for j in live]
-            g = math.gcd(*row)
-        else:
-            row = row[:n]
+    zero_rows = tuple(i for i in forcing if not scaled[i])
+    if zero_rows:
+        live, rows, pivots, gcds = _eliminated_live(mat, zero_rows)
+    k, tableau = len(live), []
+    for row, g in zip(rows, gcds):
+        b = sum(map(operator.mul, row[k:], scaled))  # T_i b
         g = math.gcd(g, b)
-        tableau.append([x // g for x in row] + [b // g] if g > 1 else [*row, b])
-    basis = pivots
-    if forced:
-        tableau, basis = _rref_rows(tableau)
-        del tableau[len(basis) :]
-    # a pivot in the rhs column (0 = nonzero): x >= 0 would need a forced column
-    x = None if basis and basis[-1] == len(live) else _phase_one_simplex(tableau, basis, len(live), scale)
+        tableau.append([c // g for c in row[:k]] + [b // g] if g > 1 else [*row[:k], b])
+    # a null row on the live columns with T b != 0 (0 = nonzero): x >= 0 would need a forced column
+    quasi_only = zero_rows and any(sum(map(operator.mul, row[k:], scaled)) for row in rows[len(pivots) :])
+    x = None if quasi_only else _phase_one_simplex(tableau, pivots, k, scale)
     if x is None:
         return FeasibilityResult(Feasibility.QUASI_ONLY, None, n - rank)
     witness = [Fraction(0)] * n

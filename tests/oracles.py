@@ -14,13 +14,15 @@ written on ``Fraction`` arithmetic, entry by entry, as the package
 computed them before it moved exact triples onto integer numerators over
 one common denominator.
 Keeping these independent is the point; do not "simplify" them to reuse
-package code.  The exceptions are the four test helpers at the end,
+package code.  The exceptions are the five test helpers at the end,
 ``bell_marginals`` (the package's pair tables for three axes),
 ``product_distribution`` (the package's table check, then a product),
 ``eight_inequalities`` (the package's exact pseudoinverse, which
 ``paper-check`` diffs against its published entries, applied in place of
-the family's closed form) and ``equivalence_check``, which runs the
-package's three deciders on one input to compare them.
+the family's closed form), ``equivalence_check``, which runs the
+package's three deciders on one input to compare them, and
+``reference_scan_rows``, the scan's cell loop as it was when each cell
+called the Bell pair's private formula, ``min`` and ``cli._fmt``.
 """
 
 from __future__ import annotations
@@ -29,9 +31,11 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
+from bellquasi import bellcheck, cli, quasi, singlet
 from bellquasi.bellcheck import bell_pair
 from bellquasi.exactla import check_distribution, tolerance
 from bellquasi.marginal_general import Feasibility, rationalize, solve_problem
@@ -506,3 +510,31 @@ def equivalence_check(corr: CorrelationTriple) -> bool:
     interval_ok = family is not None and family.interval_nonempty()
     lp_ok = solve_problem(bell_problem(exact)).status is Feasibility.PROPER
     return bell_ok == interval_ok == lp_ok
+
+
+def reference_scan_rows(ab: tuple[float, float, int], ac: tuple[float, float, int], eps: float):
+    """``cli._scan_rows`` with the margin from ``bellcheck._inequalities``
+    and every float printed by ``cli._fmt``: the package's scan must yield
+    the same lines, so its inline copy of the margin keeps the same float
+    operations in the same order."""
+    inner = list(cli._axis(*ac))
+    proper_from = math.nextafter(-eps + bellcheck._FAMILY_GAP, math.inf)
+    quasi_below = math.nextafter(-eps - bellcheck._FAMILY_GAP, -math.inf)
+    proper, quasi_only = Feasibility.PROPER.value, Feasibility.QUASI_ONLY.value
+
+    @lru_cache(maxsize=2 * len(inner))
+    def bc(difference: float) -> tuple[float, str]:
+        w = singlet._checked_correlation(-math.cos(math.radians(difference)))
+        return w, cli._fmt(w)
+
+    for theta_ab, u, fmt_ab, fmt_u in cli._axis(*ab):
+        for theta_ac, v, fmt_ac, fmt_v in inner:
+            w, fmt_w = bc(theta_ac - theta_ab)
+            margin = bellcheck._inequalities(u, v, w)[4]
+            if margin >= proper_from:
+                tag = proper
+            elif margin < quasi_below:
+                tag = quasi_only
+            else:
+                tag = quasi._verdict(quasi._family(singlet._rhs(u, v, w, 1.0), eps), eps).value
+            yield f"{fmt_ab},{fmt_ac},{fmt_u},{fmt_v},{fmt_w},{cli._fmt(margin)},{tag}\n"

@@ -11,6 +11,7 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import oracles
 import pytest
 
 from bellquasi import bellcheck, cli, quasi, reference, singlet
@@ -337,6 +338,23 @@ class TestScanCommand:
                                 + [tag.value])
         assert out_path.read_bytes() == expected.getvalue().encode()
         assert stdout == expected.getvalue()
+
+    @pytest.mark.parametrize(
+        "ab, ac, eps",
+        [pytest.param("0:360:1", "0:360:1", "1e-10", id="1deg")]
+        + [pytest.param("0:360:2", "0:360:2", eps, id=f"2deg-{eps}") for eps in ("0", "1e-16", "1e-3")]
+        + [pytest.param("0.5:360:0.73", "1.25:360:0.61", "1e-10", id="uneven")]
+        + [pytest.param("0:360:15", "0:360:15", eps, id=f"15deg-{eps}") for eps in ("0.5", "2", "1e300")],
+    )
+    def test_cells_match_reference_scan_rows(self, ab, ac, eps):
+        # the inline margin and its .12g text against the loop that called
+        # bellcheck._inequalities and cli._fmt, line for line: a reordered
+        # float operation changes printed margins on the 2-degree and uneven
+        # maps, and this also covers the unpinned --eps 0 and 1e-16 maps
+        ab, ac, eps = cli._parse_range(ab), cli._parse_range(ac), float(eps)
+        lines, expected = list(cli._scan_rows(ab, ac, eps)), list(oracles.reference_scan_rows(ab, ac, eps))
+        assert len(lines) == len(expected) == ab[2] * ac[2]
+        assert [(k, a, b) for k, (a, b) in enumerate(zip(lines, expected)) if a != b][:3] == []
 
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(capsys, "scan", "--ab", "0:400:1")

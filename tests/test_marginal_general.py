@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -487,13 +488,14 @@ class TestLpFeasible:
         assert min(seen.values()) >= 20, seen
 
 
-def assignment_mixture_problem(rng: random.Random, twist: bool) -> MarginalProblem:
-    """Pair tables on the edges of a binary 5- or 6-cycle, the marginals of
-    a mixture of 2-4 assignments, so that most cells are 0.  With ``twist``
-    each assignment comes with its complement, at the same weight, so every
-    single marginal is uniform, and the closing table pairs X(n-1) with the
-    complement of X0: still consistent, but often QuasiOnly."""
-    n = rng.randint(5, 6)
+def assignment_mixture_problem(rng: random.Random, twist: bool, n: Optional[int] = None) -> MarginalProblem:
+    """Pair tables on the edges of a binary ``n``-cycle (by default a random
+    5- or 6-cycle), the marginals of a mixture of 2-4 assignments, so that
+    most cells are 0.  With ``twist`` each assignment comes with its
+    complement, at the same weight, so every single marginal is uniform,
+    and the closing table pairs X(n-1) with the complement of X0: still
+    consistent, but often QuasiOnly."""
+    n = rng.randint(5, 6) if n is None else n
     weights = Counter()
     for _ in range(rng.randint(2, 4)):
         s, w = tuple(rng.randrange(2) for _ in range(n)), rng.randint(1, 97)
@@ -602,6 +604,41 @@ class TestEliminationCache:
             seen[mat.cols, status] += 1
             seen[mat.cols, "pivoted"] += pivots > 0
         assert len(seen) == 8 and min(seen.values()) >= 10, seen
+
+    def test_forced_lps_reuse_their_elimination(self, monkeypatch):
+        # the live columns depend only on which forcing rows have rhs 0, so
+        # [A_live | I] is eliminated once per zero pattern: a second pass
+        # over the Hardy box and zero-cell 6-cycle mixtures of one shape,
+        # with more zero patterns than the full eliminations' eight entries,
+        # eliminates nothing and gives the reference answers
+        rng = random.Random(193)
+        problems = [hardy_box_problem()] + [assignment_mixture_problem(rng, twist=k % 2 == 1, n=6) for k in range(12)]
+        systems = [build_constraint_system(prob) for prob in problems]
+        patterns = {
+            (mat, tuple(i for i, v in enumerate(rhs) if v == 0 and (min(mat.row(i)) >= 0 or max(mat.row(i)) <= 0)))
+            for mat, rhs in systems
+        }
+        assert len({mat for mat, _ in systems}) == 2 and sum(1 for _, zero in patterns if zero) > 8
+        calls = []
+
+        def counted(rows, ncols=None):
+            calls.append(len(rows))
+            return exactla._rref_rows(rows, ncols)
+
+        monkeypatch.setattr(marginal_general, "_rref_rows", counted)
+        marginal_general._eliminated.cache_clear()
+        first = [lp_feasible(mat, rhs) for mat, rhs in systems]
+        misses = marginal_general._eliminated.cache_info().misses
+        calls.clear()
+        assert [lp_feasible(mat, rhs) for mat, rhs in systems] == first
+        assert calls == [] and marginal_general._eliminated.cache_info().misses == misses == 2
+        seen = Counter()
+        for (mat, rhs), result in zip(systems, first):
+            a = [list(mat.row(i)) for i in range(mat.rows)]
+            status, witness, hom_dim, _ = oracles.reference_lp_feasible(a, list(rhs))
+            assert result == marginal_general.FeasibilityResult(Feasibility(status), witness, hom_dim)
+            seen[status] += 1
+        assert seen["Proper"] >= 5 and seen["QuasiOnly"] >= 3, seen
 
 
 def ghz_mermin_problem() -> MarginalProblem:
