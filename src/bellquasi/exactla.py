@@ -1,8 +1,9 @@
 """Exact dense linear algebra over the rationals.
 
 Ranks, null spaces, pseudoinverses and linear solves are computed exactly,
-with no floating-point tolerance; the pseudoinverse solves the stacked
-normal equations [aᵀa; Nᵀ] X = [aᵀ; 0] in one elimination.  Matrix entries
+with no floating-point tolerance; the rank and null spaces read the one
+[a | I] elimination of every LP (:func:`_reduced`), and the pseudoinverse
+solves [aᵀa; Nᵀ] X = [aᵀ; 0], the stacked normal equations.  Matrix entries
 are ints or :class:`fractions.Fraction` values, results are ``Fraction``
 values and vectors are plain tuples of them, but every elimination inside
 works on rows of Python ints (each a positive multiple of its rational row,
@@ -133,17 +134,6 @@ class RatMatrix:
     def row(self, i: int) -> tuple[Rational, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def row_lists(self) -> list[list[Rational]]:
-        """Mutable copy of the rows, for elimination algorithms."""
-        return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
-
 
 def _pivot(rows: list[list[int]], r: int, c: int) -> None:
     """The one Gauss-Jordan step of every elimination and of the simplex, in
@@ -193,10 +183,29 @@ def _rref_rows(rows: list[list[int]], ncols: Optional[int] = None) -> tuple[list
     return rows, pivots
 
 
+def _reduced(
+    a: list[tuple[Rational, ...]], k: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
+    """(rows, pivots, gcds): the integer RREF of [a | I_m], with pivots only
+    in the ``k`` columns of the m rows ``a``.  Row i < rank = ``len(pivots)``
+    is a positive multiple of (R_i | T_i), where R is the rational RREF of a
+    and T a = R, so T_i b is the rhs entry of the rational RREF of [a | b]
+    for every consistent b; ``gcds[i]`` is the gcd of its first k entries.
+    The other rows have a zero a part, and their I parts span the left null
+    space: b is consistent exactly when they are all orthogonal to it.  Only
+    the a columns get pivots, so T_i may differ from a full RREF's by a left
+    null vector, which leaves T_i b unchanged for every consistent b.  Rows
+    are tuples, so no caller can change a cached entry."""
+    m = len(a)
+    unit = (0,) * m
+    rows, pivots = _rref_rows([_over_lcm(row + unit[:i] + (1,) + unit[i + 1 :])[1] for i, row in enumerate(a)], k)
+    rows = tuple(tuple(row) for row in rows)
+    return rows, tuple(pivots), tuple(math.gcd(*row[:k]) for row in rows[: len(pivots)])
+
+
 def rank(m: RatMatrix) -> int:
-    """Exact rank via rational Gaussian elimination."""
-    _, pivots = _rref_rows([_over_lcm(m.row(i))[1] for i in range(m.rows)])
-    return len(pivots)
+    """Exact rank: the pivot count of :func:`_reduced`."""
+    return len(_reduced([m.row(i) for i in range(m.rows)], m.cols)[1])
 
 
 def _canonical_kernel_vector(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -214,7 +223,7 @@ def _canonical_kernel_vector(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 def null_space(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space {x : m x = 0}, canonicalized."""
-    rows, pivots = _rref_rows([_over_lcm(m.row(i))[1] for i in range(m.rows)])
+    rows, pivots, _ = _reduced([m.row(i) for i in range(m.rows)], m.cols)
     pivot_set = set(pivots)
     basis = []
     for free in range(m.cols):
@@ -229,8 +238,9 @@ def null_space(m: RatMatrix) -> list[tuple[Fraction, ...]]:
 
 
 def left_null_space(m: RatMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of {y : yᵀ m = 0}, the orthogonal complement of the column space."""
-    return null_space(m.transpose())
+    """Canonical basis of {y : yᵀ m = 0}: the I parts of :func:`_reduced`'s null rows."""
+    rows, pivots, _ = _reduced([m.row(i) for i in range(m.rows)], m.cols)
+    return [_canonical_kernel_vector(row[m.cols :]) for row in rows[len(pivots) :]]
 
 
 def pseudoinverse(m: RatMatrix) -> RatMatrix:

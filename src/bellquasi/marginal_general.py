@@ -14,20 +14,18 @@ possible answers are:
 
 The decision procedure is an exact rational phase-one simplex with Bland's
 rule, so it terminates and is authoritative on boundary cases where a
-floating solver could not adjudicate.  It starts from the RREF that decides
-rank and consistency, stores no artificial columns, and pivots with the one
+floating solver could not adjudicate.  It starts from the RREF of the
+constraints, stores no artificial columns, and pivots with the one
 Gauss-Jordan step of :mod:`bellquasi.exactla`.  A constraint matrix is
-eliminated once, with an identity block that records the row operations,
-and every LP on it then only transforms its rhs.  Before the simplex, a
-forcing-row presolve drops the joint outcomes that cannot carry mass: a
-constraint row with rhs 0 and entries of one sign (a zero cell of a
-prescribed table) is 0 on its whole support in every non-negative
-solution, so the simplex pivots only on the other columns, eliminated
-once per pattern of zero cells.  This is the
+eliminated with an identity block that records the row operations, once per
+pattern of zero rhs entries, and every LP on it then only transforms its
+rhs.  A constraint row with rhs 0 and entries of one sign (a zero cell of a
+prescribed table) is 0 on its whole support in every non-negative solution,
+so the simplex pivots only on the other joint outcomes.  This is the
 possibilistic reasoning of "nonlocality without inequalities": on
 GHZ-Mermin or Hardy tables no joint outcome, or only one, survives, and
-``QuasiOnly`` follows without a pivot.  This module doubles as
-the independent oracle for the specialized three-observable machinery in
+``QuasiOnly`` follows without a pivot.  This module doubles as the
+independent oracle for the specialized three-observable machinery in
 :mod:`bellquasi.quasi`.
 """
 
@@ -43,7 +41,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactla import Rational, RatMatrix, Real, _over_lcm, _pivot, _rref_rows, check_distribution, is_exact
+from .exactla import RatMatrix, Real, _over_lcm, _pivot, _reduced, check_distribution, is_exact
 
 #: Largest joint outcome count accepted before erroring out.
 JOINT_SIZE_CAP = 10**6
@@ -159,12 +157,6 @@ class MarginalProblem:
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(c for _, c in self.observables)
 
-    def index_of(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.observables):
-            if n == name:
-                return i
-        raise KeyError(name)
-
 
 def build_constraint_system(prob: MarginalProblem) -> tuple[RatMatrix, tuple[Fraction, ...]]:
     """Linear system "joint sums = prescribed marginal entries" + normalization.
@@ -192,8 +184,8 @@ def build_constraint_system(prob: MarginalProblem) -> tuple[RatMatrix, tuple[Fra
 def _constraint_matrix(cards: tuple[int, ...], shape: tuple[tuple[int, ...], ...]) -> RatMatrix:
     """The 0/1 matrix of :func:`build_constraint_system` for observables of
     cardinalities ``cards`` and constraints over the observable positions
-    ``shape``, built once per shape.  Eight entries, the policy of
-    :func:`_eliminated`, cover the few shapes a caller sweeps at once."""
+    ``shape``, built once per shape.  Eight entries cover the few shapes a
+    caller sweeps at once."""
     joint_outcomes = list(itertools.product(*(range(c) for c in cards)))
     size = len(joint_outcomes)
     flat: list[int] = []
@@ -279,52 +271,18 @@ def _phase_one_simplex(rows: list[list[int]], pivots: Sequence[int], n: int, rhs
     return x
 
 
-def _reduced(
-    a: list[tuple[Rational, ...]], k: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
-    """(rows, pivots, gcds): the integer RREF of [a | I_m], with pivots only
-    in the ``k`` columns of the m rows ``a``.  Row i < rank = ``len(pivots)``
-    is a positive multiple of (R_i | T_i), where R is the rational RREF of a
-    and T a = R, so T_i b is the rhs entry of the rational RREF of [a | b]
-    for every consistent b; ``gcds[i]`` is the gcd of its first k entries.
-    The other rows have a zero a part, and their I parts span the left null
-    space: b is consistent exactly when they are all orthogonal to it.  Only
-    the a columns get pivots, so T_i may differ from a full RREF's by a left
-    null vector, which leaves T_i b unchanged for every consistent b.  Rows
-    are tuples, so no caller can change a cached entry."""
-    m = len(a)
-    unit = (0,) * m
-    rows, pivots = _rref_rows([_over_lcm(row + unit[:i] + (1,) + unit[i + 1 :])[1] for i, row in enumerate(a)], k)
-    rows = tuple(tuple(row) for row in rows)
-    return rows, tuple(pivots), tuple(math.gcd(*row[:k]) for row in rows[: len(pivots)])
-
-
-@functools.lru_cache(maxsize=8)
-def _eliminated(
-    mat: RatMatrix,
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(rows, pivots, gcds, forcing): :func:`_reduced` on all columns of
-    ``mat``, and the rows of ``mat`` whose entries are all >= 0 or all <= 0,
-    once per matrix.  When the rhs entry of such a forcing row is 0, every
-    x >= 0 is 0 on that row's support.  One entry, an m x (n + m) tableau
-    and its m x n key, takes 0.6 MB for the bundled 729-column ternary
-    6-cycle (m = 49): eight cover the few matrices a caller sweeps at once
-    (the Bell matrix, one per n-cycle shape) in about 5 MB at that size.
-    """
-    a = [mat.row(i) for i in range(mat.rows)]
-    forcing = tuple(i for i, row in enumerate(a) if not min(row, default=0) < 0 < max(row, default=0))
-    return (*_reduced(a, mat.cols), forcing)
-
-
 @functools.lru_cache(maxsize=16)
-def _eliminated_live(mat: RatMatrix, zero_rows: tuple[int, ...]):
-    """(live, rows, pivots, gcds): :func:`_reduced` on the columns of ``mat``
-    that no row in ``zero_rows`` touches, once per (matrix, zero forcing
-    rows).  Its own cache, so that the zero patterns of a sweep never evict
-    the full eliminations; an entry is smaller than its matrix's there."""
-    forced = {j for i in zero_rows for j, c in enumerate(mat.row(i)) if c}
-    live = tuple(j for j in range(mat.cols) if j not in forced)
-    return (live, *_reduced([tuple(map(mat.row(i).__getitem__, live)) for i in range(mat.rows)], len(live)))
+def _eliminated(mat: RatMatrix, zero_rows: tuple[int, ...]):
+    """(live, rows, pivots, gcds): :func:`bellquasi.exactla._reduced` on the
+    columns of ``mat`` left once each one-signed row in ``zero_rows`` (rhs 0:
+    a zero table cell) drops its support.  Every LP looks up the full
+    elimination, ``zero_rows = ()``, first, so under LRU it stays while zero
+    patterns come and go.  An entry is 0.36 MB for the 729-column 6-cycle."""
+    one_signed = [row for row in map(mat.row, zero_rows) if not min(row, default=0) < 0 < max(row, default=0)]
+    forced = {j for row in one_signed for j, c in enumerate(row) if c}
+    keep = [j not in forced for j in range(mat.cols)]
+    live = tuple(itertools.compress(range(mat.cols), keep))
+    return (live, *_reduced([tuple(itertools.compress(mat.row(i), keep)) for i in range(mat.rows)], len(live)))
 
 
 def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
@@ -336,41 +294,32 @@ def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
     (``TypeError`` otherwise).  It is scaled once, by the lcm of its
     denominators, so that the table denominators stay out of the
     coefficients; the witness is divided by that scale at the end.
-    ``mat`` itself is eliminated once, not once per call
-    (:func:`_eliminated`): each call only transforms its rhs.  That gives
-    the consistency verdict and, since the rational RREF of [mat | rhs] is
-    unique, exactly its nonzero rows: the system and starting basis of the
-    simplex.  A row of ``mat`` with rhs 0 and entries of one sign forces
-    its support to 0 in every non-negative solution (a zero table cell: no
-    joint outcome that hits it can carry mass).  The simplex then runs on
-    the other, live columns only, and the witness is 0 on the forced
-    columns.  Those columns depend only on which forcing rows have rhs 0,
-    so [mat_live | I_m] is eliminated once per such zero pattern too
-    (:func:`_eliminated_live`), and a forced call also only transforms its
-    rhs.  A null row of that elimination whose I part is not orthogonal to
-    the rhs means ``QuasiOnly`` with no simplex pivot: [mat | rhs] is
-    consistent, so x >= 0 would need a forced column.
-    """
+    ``mat`` is eliminated once per pattern of zero rhs entries
+    (:func:`_eliminated`), and each call only transforms its rhs.  The full
+    elimination decides consistency and rank.  The one for the call's zero
+    rows drops the columns that a zero row of one sign forces to 0, and,
+    the rational RREF of [mat_live | rhs] being unique, gives exactly its
+    nonzero rows: the simplex's system and starting basis.  A null row there
+    with T b != 0 means ``QuasiOnly`` with no pivot: [mat | rhs] is
+    consistent, so x >= 0 would need a forced column."""
     if len(rhs) != mat.rows:
         raise ValueError(f"rhs length {len(rhs)} != rows {mat.rows}")
     if not is_exact(rhs):
         raise TypeError("rhs entries must be exact rationals; rationalize floats first")
     n = mat.cols
     scale, scaled = _over_lcm(rhs)
-    rows, pivots, gcds, forcing = _eliminated(mat)
-    rank, live = len(pivots), range(n)
+    _, rows, pivots, _ = _eliminated(mat, ())
+    rank = len(pivots)
     if any(sum(map(operator.mul, row[n:], scaled)) for row in rows[rank:]):  # 0 = nonzero
         return FeasibilityResult(Feasibility.INCONSISTENT, None, n - rank)
-    zero_rows = tuple(i for i in forcing if not scaled[i])
-    if zero_rows:
-        live, rows, pivots, gcds = _eliminated_live(mat, zero_rows)
+    live, rows, pivots, gcds = _eliminated(mat, tuple(i for i, b in enumerate(scaled) if not b))
     k, tableau = len(live), []
     for row, g in zip(rows, gcds):
         b = sum(map(operator.mul, row[k:], scaled))  # T_i b
         g = math.gcd(g, b)
         tableau.append([c // g for c in row[:k]] + [b // g] if g > 1 else [*row[:k], b])
-    # a null row on the live columns with T b != 0 (0 = nonzero): x >= 0 would need a forced column
-    quasi_only = zero_rows and any(sum(map(operator.mul, row[k:], scaled)) for row in rows[len(pivots) :])
+    # only with a forced column can a live null row have T b != 0 (0 = nonzero): x >= 0 would need it
+    quasi_only = k < n and any(sum(map(operator.mul, row[k:], scaled)) for row in rows[len(pivots) :])
     x = None if quasi_only else _phase_one_simplex(tableau, pivots, k, scale)
     if x is None:
         return FeasibilityResult(Feasibility.QUASI_ONLY, None, n - rank)

@@ -234,7 +234,7 @@ def test_criterion_8_penrose_identity_suite():
         rng = random.Random(2718281)
         for _ in range(200):
             m = random_matrix(rng, max_dim=6, max_num=10, max_den=10)
-            a, p = m.row_lists(), pseudoinverse(m).row_lists()
+            a, p = ([list(x.row(i)) for i in range(x.rows)] for x in (m, pseudoinverse(m)))
             mp = oracles._matmul(a, p)
             pm = oracles._matmul(p, a)
             assert oracles._matmul(mp, a) == a

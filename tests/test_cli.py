@@ -733,6 +733,27 @@ class TestPaperCheckCommand:
         assert not by_name["rank"].ok
         assert by_name["pseudoinverse"].ok
 
+    @pytest.mark.parametrize(
+        "name, altered, item",
+        [
+            ("REFERENCE_HOMOGENEOUS", (1, 1, 1, -1, 1, -1, -1, 1), "null space"),
+            (
+                "REFERENCE_LEFT_NULL",
+                ((-1, -1, 0, 0, 0, 0, 1, 0, 1, 0), (0, 0, 0, -1, -1, 0, 1, 1, 0, 0), (-1, 0, -1, 1, 0, 1, 0, 0, 0, 1)),
+                "left null space",
+            ),
+        ],
+    )
+    def test_altered_null_space_detected(self, capsys, monkeypatch, name, altered, item):
+        # one entry changed: that span check fails, the others pass, and paper-check exits 1
+        assert getattr(reference, name) != altered
+        monkeypatch.setattr(reference, name, altered)
+        code, out, _ = run(capsys, "paper-check")
+        assert code == 1 and "3/4 checks passed" in out
+        by_name = {i.name: i for i in run_reference_check()}
+        assert not by_name[item].ok and "does NOT match" in by_name[item].detail
+        assert all(i.ok for n, i in by_name.items() if n != item)
+
 
 class TestExitCodeContract:
     def test_unknown_command_exits_2(self, capsys):

@@ -33,6 +33,10 @@ def spans_equal(vectors_a, vectors_b) -> bool:
     return ra == rb == rab
 
 
+def rows_of(m: RatMatrix) -> list:
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
 def random_matrix(rng, max_dim=6, max_num=10, max_den=10) -> RatMatrix:
     rows = rng.randint(1, max_dim)
     cols = rng.randint(1, max_dim)
@@ -58,7 +62,7 @@ class TestRank:
         rng = random.Random(7)
         for _ in range(50):
             m = random_matrix(rng)
-            assert rank(m) == rank(m.transpose())
+            assert rank(m) == rank(RatMatrix.from_rows(oracles._transpose(rows_of(m))))
 
 
 class TestNullSpace:
@@ -105,11 +109,23 @@ class TestLeftNullSpace:
     def test_orthogonal_to_columns(self):
         m = build_matrix()
         for v in left_null_space(m):
-            assert all(x == 0 for x in oracles.mat_vec(m.transpose(), v))
+            assert all(x == 0 for x in oracles.mat_vec(RatMatrix.from_rows(oracles._transpose(rows_of(m))), v))
+
+    def test_random_matrices_match_reference(self):
+        # m.rows - rank vectors, each orthogonal to every column, spanning
+        # the null space of the transpose that the Fraction oracle finds
+        rng = random.Random(17)
+        for _ in range(50):
+            m = random_matrix(rng)
+            basis = left_null_space(m)
+            assert len(basis) == m.rows - rank(m)
+            for v in basis:
+                assert any(v) and all(oracles.dot(col, v) == 0 for col in oracles._transpose(rows_of(m)))
+            assert spans_equal(basis, oracles.reference_null_space(oracles._transpose(rows_of(m)), m.rows))
 
 
 def penrose_identities_hold(m: RatMatrix) -> bool:
-    a, p = m.row_lists(), pseudoinverse(m).row_lists()
+    a, p = rows_of(m), rows_of(pseudoinverse(m))
     mp = oracles._matmul(a, p)
     pm = oracles._matmul(p, a)
     return (

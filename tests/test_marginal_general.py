@@ -34,7 +34,8 @@ PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 def joint_marginal(prob: MarginalProblem, joint, subset):
     """Marginal of a flat joint table over the named subset (row-major)."""
     cards = prob.cardinalities()
-    positions = [prob.index_of(n) for n in subset]
+    names = [name for name, _ in prob.observables]
+    positions = [names.index(n) for n in subset]
     outcomes = list(itertools.product(*(range(c) for c in cards)))
     grid = list(itertools.product(*(range(cards[p]) for p in positions)))
     out = []
@@ -187,6 +188,18 @@ def shaped_problem(rng: random.Random, names, cards, shape) -> MarginalProblem:
     return MarginalProblem(observables=tuple(zip(names, cards)), constraints=tuple(constraints))
 
 
+def elimination_keys(systems, results) -> list:
+    """The ``_eliminated`` keys that ``lp_feasible`` looks up, in call order:
+    (mat, ()) for every LP, then (mat, the rows whose rhs is 0) for every LP
+    that is not Inconsistent."""
+    keys = []
+    for (mat, rhs), result in zip(systems, results):
+        keys.append((mat, ()))
+        if result.status is not Feasibility.INCONSISTENT:
+            keys.append((mat, tuple(i for i, v in enumerate(rhs) if v == 0)))
+    return keys
+
+
 def random_shape(rng: random.Random):
     cards = tuple(rng.randint(2, 3) for _ in range(rng.randint(1, 4)))
     shape = tuple(tuple(rng.sample(range(len(cards)), rng.randint(1, min(3, len(cards))))) for _ in range(rng.randint(0, 4)))
@@ -261,7 +274,8 @@ class TestConstraintMatrixCache:
 
     def test_cache_hits_and_misses(self):
         # problems of two shapes, interleaved: each shape's matrix is built
-        # once and eliminated once, and every answer is the cold-cache one
+        # once and eliminated in full once, each zero pattern is eliminated
+        # once, and every answer is the cold-cache one
         rng = random.Random(181)
         shapes = (((3, 3, 3, 3), ((0, 1), (1, 2), (2, 3), (3, 0))), ((2, 2, 2), ((1, 2), (0, 2), (0, 1))))
         problems = []
@@ -274,7 +288,9 @@ class TestConstraintMatrixCache:
         warm = [solve_problem(prob) for prob in problems]
         built, eliminated = marginal_general._constraint_matrix.cache_info(), marginal_general._eliminated.cache_info()
         assert (built.hits, built.misses) == (len(problems) - 2, 2)
-        assert (eliminated.hits, eliminated.misses) == (len(problems) - 2, 2)
+        keys = elimination_keys([build_constraint_system(prob) for prob in problems], warm)
+        assert len({mat for mat, zero in keys if not zero}) == 2 and len(set(keys)) <= 16
+        assert (eliminated.hits, eliminated.misses) == (len(keys) - len(set(keys)), len(set(keys)))
         cold = []
         for prob in problems:
             marginal_general._constraint_matrix.cache_clear()
@@ -593,7 +609,12 @@ class TestEliminationCache:
             return results
 
         warm = solve_all(cold=False)
-        assert marginal_general._eliminated.cache_info().misses == 2
+        # the two full eliminations stay cached (every LP touches its own
+        # first), so beyond them only each new zero pattern misses
+        keys = elimination_keys(systems, [result for result, _ in warm])
+        patterns = {key for key in keys if key[1]}
+        assert {key for key in keys if not key[1]} == {(bell, ()), (cycle, ())} and patterns
+        assert marginal_general._eliminated.cache_info().misses == 2 + len(patterns)
         assert solve_all(cold=True) == warm
         seen = Counter()
         for (mat, rhs), (result, pivots) in zip(systems, warm):
@@ -605,33 +626,52 @@ class TestEliminationCache:
             seen[mat.cols, "pivoted"] += pivots > 0
         assert len(seen) == 8 and min(seen.values()) >= 10, seen
 
+    def test_inconsistent_lp_is_decided_from_the_full_elimination(self):
+        # an Inconsistent LP exits on the (mat, ()) entry, even with zero
+        # cells: no zero-pattern miss, and its answer is the reference one
+        rng = random.Random(197)
+        marginal_general._eliminated.cache_clear()
+        for calls in range(1, 11):
+            mat, rhs = build_constraint_system(four_cycle_problem(rng, Feasibility.INCONSISTENT))
+            assert 0 in rhs
+            result = lp_feasible(mat, rhs)
+            status, witness, hom_dim, _ = oracles.reference_lp_feasible([list(mat.row(i)) for i in range(mat.rows)], list(rhs))
+            assert result == marginal_general.FeasibilityResult(Feasibility(status), witness, hom_dim)
+            assert result.status is Feasibility.INCONSISTENT
+            info = marginal_general._eliminated.cache_info()
+            assert (info.hits, info.misses, info.currsize) == (calls - 1, 1, 1)
+        # a consistent LP with zero cells then looks up its zero pattern too
+        mat, rhs = build_constraint_system(four_cycle_problem(rng, Feasibility.PROPER))
+        assert 0 in rhs and lp_feasible(mat, rhs).status is Feasibility.PROPER
+        info = marginal_general._eliminated.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (10, 2, 2)
+
     def test_forced_lps_reuse_their_elimination(self, monkeypatch):
-        # the live columns depend only on which forcing rows have rhs 0, so
+        # the live columns depend only on which rows have rhs 0, so
         # [A_live | I] is eliminated once per zero pattern: a second pass
         # over the Hardy box and zero-cell 6-cycle mixtures of one shape,
-        # with more zero patterns than the full eliminations' eight entries,
-        # eliminates nothing and gives the reference answers
+        # more than eight zero patterns, eliminates nothing, finds every
+        # elimination in the one cache, and gives the reference answers
         rng = random.Random(193)
         problems = [hardy_box_problem()] + [assignment_mixture_problem(rng, twist=k % 2 == 1, n=6) for k in range(12)]
         systems = [build_constraint_system(prob) for prob in problems]
-        patterns = {
-            (mat, tuple(i for i, v in enumerate(rhs) if v == 0 and (min(mat.row(i)) >= 0 or max(mat.row(i)) <= 0)))
-            for mat, rhs in systems
-        }
-        assert len({mat for mat, _ in systems}) == 2 and sum(1 for _, zero in patterns if zero) > 8
-        calls = []
+        patterns = {(mat, zero) for mat, rhs in systems if (zero := tuple(i for i, v in enumerate(rhs) if v == 0))}
+        assert len({mat for mat, _ in systems}) == 2 and len(patterns) > 8
+        calls, rref = [], exactla._rref_rows
 
         def counted(rows, ncols=None):
             calls.append(len(rows))
-            return exactla._rref_rows(rows, ncols)
+            return rref(rows, ncols)
 
-        monkeypatch.setattr(marginal_general, "_rref_rows", counted)
+        monkeypatch.setattr(exactla, "_rref_rows", counted)
         marginal_general._eliminated.cache_clear()
         first = [lp_feasible(mat, rhs) for mat, rhs in systems]
-        misses = marginal_general._eliminated.cache_info().misses
+        hits, misses = marginal_general._eliminated.cache_info()[:2]
+        assert all(result.status is not Feasibility.INCONSISTENT for result in first)
+        assert len(calls) == misses == 2 + len(patterns)
         calls.clear()
         assert [lp_feasible(mat, rhs) for mat, rhs in systems] == first
-        assert calls == [] and marginal_general._eliminated.cache_info().misses == misses == 2
+        assert calls == [] and marginal_general._eliminated.cache_info()[:2] == (hits + 2 * len(systems), misses)
         seen = Counter()
         for (mat, rhs), result in zip(systems, first):
             a = [list(mat.row(i)) for i in range(mat.rows)]
