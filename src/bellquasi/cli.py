@@ -53,17 +53,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _jsonable(value):
-    """Recursively convert to JSON-safe values; fractions become 'p/q' strings."""
+def _json_default(value):
+    """``json.dumps`` hook: fractions become 'p/q' strings, verdicts their value."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
     if isinstance(value, Feasibility):
         return value.value
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _parse_directions(args) -> tuple[singlet.Direction, singlet.Direction, singlet.Direction]:
@@ -121,7 +117,7 @@ def cmd_singlet(args) -> int:
     }
 
     if args.json:
-        print(json.dumps(_jsonable(report), indent=2))
+        print(json.dumps(report, indent=2, default=_json_default))
     else:
         print(f"correlations: <AB> = {_fmt(corr.ab)}  <AC> = {_fmt(corr.ac)}  <BC> = {_fmt(corr.bc)}")
         for name, table in (("AB", marg.pab), ("AC", marg.pac), ("BC", marg.pbc)):
@@ -321,7 +317,7 @@ def cmd_solve(args) -> int:
         "witness": list(result.witness) if result.witness else None,
     }
     if args.json:
-        print(json.dumps(_jsonable(report), indent=2))
+        print(json.dumps(report, indent=2, default=_json_default))
     else:
         print(f"status: {result.status.value}")
         print(f"homogeneous dimension: {result.homogeneous_dim}")

@@ -115,18 +115,11 @@ class RatMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Rational]]) -> "RatMatrix":
-        """Fractions from rows of ints and Fractions; floats must be rationalized first."""
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat = []
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            for v in r:
-                if not isinstance(v, (int, Fraction)):
-                    raise TypeError(f"expected an exact rational value, got {type(v).__name__}")
-                flat.append(Fraction(v))
-        return cls(nrows, ncols, tuple(flat))
+        """Equal-length rows of ints and Fractions, kept as given; the constructor refuses floats."""
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
+        return cls(len(rows), ncols, tuple(v for r in rows for v in r))
 
     def entry(self, i: int, j: int) -> Rational:
         return self.entries[i * self.cols + j]
@@ -209,12 +202,10 @@ def rank(m: RatMatrix) -> int:
 
 
 def _canonical_kernel_vector(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Scale so the first nonzero entry is a positive integer and the
-    integer entries have content (gcd) 1."""
+    """Scale so the first nonzero entry is a positive integer.  The lcm scaling leaves content (gcd)
+    1: a null-space vector's free entry 1 becomes the lcm, and a left-null row was divided by
+    its gcd when last updated, or is still a unit vector."""
     _, ints = _over_lcm(v)
-    g = math.gcd(*ints) if any(ints) else 1
-    if g > 1:
-        ints = [x // g for x in ints]
     first = next((x for x in ints if x != 0), 0)
     if first < 0:
         ints = [-x for x in ints]

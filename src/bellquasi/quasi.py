@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from .exactla import DEFAULT_EPS, RatMatrix, Real, _over_lcm, is_exact, pseudoinverse, tolerance
 from .marginal_general import Feasibility, MarginalProblem, _constraint_matrix
-from .singlet import CorrelationTriple, rhs_from_correlations
+from .singlet import CorrelationTriple, _check_p
 
 #: Kernel direction of the constraint matrix: adding any multiple of it to
 #: a joint vector leaves all pair marginals unchanged.  Entry for outcome
@@ -59,13 +59,6 @@ def pseudoinverse_matrix() -> RatMatrix:
     """Exact pseudoinverse of the fixed matrix, computed once.  The family
     does not use it: :func:`_scaled_x0` is its closed form on consistent p."""
     return pseudoinverse(build_matrix())
-
-
-def _check_p(p: Sequence[Real]) -> None:
-    if len(p) != 10:
-        raise ValueError(f"p must have 10 entries, got {len(p)}")
-    if p[9] != 1:
-        raise ValueError(f"last entry of p must be exactly 1, got {p[9]!r}")
 
 
 @dataclass(frozen=True)
@@ -144,7 +137,7 @@ def _verdict(family: Optional[tuple[tuple[Real, ...], Real, Real]], tol: Real) -
 
 @dataclass(frozen=True)
 class QuasiFamily:
-    """The one-parameter family x(t) = x0 + t*xh of quasiprobabilities.
+    """The one-parameter family x(t) = x0 + t*xh, xh = ``HOMOGENEOUS``, of quasiprobabilities.
 
     ``t_lo``/``t_hi`` bound the parameter values keeping every component
     non-negative; the interval is empty when t_lo > t_hi.
@@ -153,10 +146,9 @@ class QuasiFamily:
     x0: tuple[Real, ...]
     t_lo: Real
     t_hi: Real
-    xh: tuple[int, ...] = field(default=HOMOGENEOUS)
 
     def member(self, t: Real) -> tuple[Real, ...]:
-        return tuple(x + t * h for x, h in zip(self.x0, self.xh))
+        return tuple(x + t * h for x, h in zip(self.x0, HOMOGENEOUS))
 
     def interval_nonempty(self, eps: Real = 0) -> bool:
         """``4 * (t_hi - t_lo) >= -eps``: ``eps`` is on the Bell-margin scale,
@@ -210,7 +202,7 @@ def bell_problem(corr: CorrelationTriple) -> MarginalProblem:
     so the generic constraint builder returns that matrix for it.  An exact
     triple's tables are stored unchecked (the triple was checked); floats are checked.
     """
-    p = rhs_from_correlations(corr)
+    p = corr.rhs
     constraints = ((("B", "C"), p[0:3] + p[0:1]), (("A", "C"), p[3:6] + p[3:4]), (("A", "B"), p[6:9] + p[6:7]))
     build = MarginalProblem if corr.integers is None else MarginalProblem._checked
     return build((("A", 2), ("B", 2), ("C", 2)), constraints)

@@ -49,15 +49,9 @@ class CheckItem:
 
 def _spans_match(computed: Sequence[Sequence[Fraction]], expected: Sequence[Sequence[int]]) -> bool:
     """True when two vector sets span the same subspace (exact ranks)."""
-    if not computed and not expected:
-        return True
-    if not computed or len(computed[0]) == 0:
-        return not expected
-    exp_rows = [list(v) for v in expected]
-    comp_rows = [list(v) for v in computed]
-    r_exp = rank(RatMatrix.from_rows(exp_rows)) if exp_rows else 0
-    r_comp = rank(RatMatrix.from_rows(comp_rows)) if comp_rows else 0
-    r_both = rank(RatMatrix.from_rows(exp_rows + comp_rows))
+    r_exp = rank(RatMatrix.from_rows(expected))
+    r_comp = rank(RatMatrix.from_rows(computed))
+    r_both = rank(RatMatrix.from_rows([*expected, *computed]))
     return r_exp == r_comp == r_both
 
 

@@ -10,7 +10,7 @@ downstream modules solve for is over (A on particle 1, B on particle 2,
 C on particle 2).  The B/C statistics that are actually measurable pair
 B on particle 1 with C on particle 2, and the singlet forces the two B
 readings to be opposite.  The BC table therefore carries a sign flip
-relative to the AB and AC tables: :func:`rhs_from_correlations` applies it
+relative to the AB and AC tables: :attr:`CorrelationTriple.rhs` applies it
 for a triple, ``pair_table(corr, flip=True)`` for one table.
 
 All table builders accept either floats or exact ``Fraction`` values for
@@ -24,6 +24,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .exactla import Real, _over_lcm, is_exact
 
@@ -114,9 +115,6 @@ class PairTable:
     def as_tuple(self) -> tuple[Real, Real, Real, Real]:
         return (self.pp, self.pm, self.mp, self.mm)
 
-    def total(self) -> Real:
-        return self.pp + self.pm + self.mp + self.mm
-
 
 def pair_table(corr: Real, flip: bool = False) -> PairTable:
     """Two-outcome joint table from a product correlation.
@@ -166,7 +164,9 @@ class CorrelationTriple:
 
     @functools.cached_property
     def rhs(self) -> tuple[Real, ...]:
-        """The 10-entry rhs vector of :func:`rhs_from_correlations`, kept once built."""
+        """The 10-entry rhs vector, kept once built, in ``p_vector`` order: BC(++, +-, -+),
+        AC(++, +-, -+), AB(++, +-, -+), 1.  Entries are (1 +- corr)/4, BC's sign flipped; exact
+        n/d on one lcm d (``integers``) give the Fractions (d +- n)/(4 d)."""
         if self.integers is None:
             return _rhs(self.ab, self.ac, self.bc, 1.0)
         d, (u, v, w) = self.integers
@@ -189,22 +189,14 @@ class BellMarginals:
     p_vector: tuple[Real, ...]
 
     def __post_init__(self):
-        if len(self.p_vector) != 10:
-            raise ValueError(f"p_vector must have 10 entries, got {len(self.p_vector)}")
-        if self.p_vector[9] != 1:
-            raise ValueError("last p_vector entry must be exactly 1")
+        _check_p(self.p_vector)
 
 
-def rhs_from_correlations(corr: CorrelationTriple) -> tuple[Real, ...]:
-    """The 10-entry rhs vector of a checked triple, in ``p_vector`` order:
-    BC(++, +-, -+), AC(++, +-, -+), AB(++, +-, -+), 1.
-
-    Each table entry is (1 +- corr)/4, the same-outcome entries first; BC
-    takes the flipped sign (B on particle 2).  Exact correlations are put on
-    one lcm d, n/d each (``corr.integers``), and give the Fractions
-    (d +- n)/(4 d).  The vector is built once per triple and kept: ``corr.rhs``.
-    """
-    return corr.rhs
+def _check_p(p: Sequence[Real]) -> None:
+    if len(p) != 10:
+        raise ValueError(f"p must have 10 entries, got {len(p)}")
+    if p[9] != 1:
+        raise ValueError(f"last entry of p must be exactly 1, got {p[9]!r}")
 
 
 def _rhs(ab: Real, ac: Real, bc: Real, one: Real) -> tuple[Real, ...]:
@@ -216,8 +208,8 @@ def _rhs(ab: Real, ac: Real, bc: Real, one: Real) -> tuple[Real, ...]:
 
 def tables_from_correlations(corr: CorrelationTriple) -> BellMarginals:
     """Assemble the three singlet pair tables and the rhs vector, the
-    tables from the entries of :func:`rhs_from_correlations`."""
-    p = rhs_from_correlations(corr)
+    tables from the entries of :attr:`CorrelationTriple.rhs`."""
+    p = corr.rhs
     return BellMarginals(
         pab=PairTable(pp=p[6], pm=p[7], mp=p[8], mm=p[6]),
         pac=PairTable(pp=p[3], pm=p[4], mp=p[5], mm=p[3]),

@@ -46,7 +46,6 @@ from bellquasi.singlet import (
     Direction,
     PairTable,
     correlations,
-    rhs_from_correlations,
     tables_from_correlations,
 )
 
@@ -492,7 +491,7 @@ def eight_inequalities(corr: CorrelationTriple, c) -> tuple:
     formula in the correlations is hard-coded, so the c scaling cannot
     silently drift.  Exact for rational correlations and c.
     """
-    x0 = mat_vec(pseudoinverse_matrix(), rhs_from_correlations(corr))
+    x0 = mat_vec(pseudoinverse_matrix(), corr.rhs)
     return tuple(8 * x + c * h for x, h in zip(x0, HOMOGENEOUS))
 
 
@@ -506,7 +505,7 @@ def equivalence_check(corr: CorrelationTriple) -> bool:
     """
     exact = CorrelationTriple(*(rationalize(v) for v in corr.as_tuple()))
     bell_ok = bell_pair(exact).satisfied
-    family = solve_family(rhs_from_correlations(exact))
+    family = solve_family(exact.rhs)
     interval_ok = family is not None and family.interval_nonempty()
     lp_ok = solve_problem(bell_problem(exact)).status is Feasibility.PROPER
     return bell_ok == interval_ok == lp_ok

@@ -141,6 +141,21 @@ class TestSingletCommand:
         assert code == expected_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_float_json_report_is_pinned(self, capsys):
+        # the float report byte for byte: floats as json writes them, the verdict as its value
+        code, out, _ = run(capsys, "singlet", "--angles", "0,60,120", "--json")
+        assert code == EXIT_QUASI_ONLY
+        assert hashlib.sha256(out.encode()).hexdigest() == "d52fa293b68622aaa226cd4b2ca6ca6624826f3f9031de56ce906877fa03ec33"
+
+    def test_json_hook_writes_fractions_and_verdicts_and_refuses_the_rest(self):
+        assert cli._json_default(F(-3, 16)) == "-3/16"
+        assert cli._json_default(cli.Feasibility.QUASI_ONLY) == "QuasiOnly"
+        for value in (object(), {1, 2}, 1j):
+            with pytest.raises(TypeError):
+                cli._json_default(value)
+        with pytest.raises(TypeError):
+            json.dumps({"x": [object()]}, default=cli._json_default)
+
     def test_empty_interval_reported_as_decided(self, capsys):
         code, out, _ = run(capsys, "singlet", "--angles", "0,90,179.9999", "--exact", "--eps", "1e-6", "--json")
         report = json.loads(out)
@@ -363,6 +378,10 @@ class TestScanCommand:
         assert code == EXIT_USAGE
         code, _, err = run(capsys, "scan", "--ab", "0:360:0")
         assert code == EXIT_USAGE
+        # an empty axis (start == stop): exit 2 with one error line, not a one-point row
+        code, out, err = run(capsys, "scan", "--ab", "10:10:1")
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
     def test_classification_agrees_with_margin_at_default_eps(self, capsys):
         code, out, _ = run(capsys, "scan", "--ab", "90:90.5:1", "--ac", "179.99999999:180:1")

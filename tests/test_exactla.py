@@ -124,6 +124,22 @@ class TestLeftNullSpace:
             assert spans_equal(basis, oracles.reference_null_space(oracles._transpose(rows_of(m)), m.rows))
 
 
+class TestCanonicalKernelVectors:
+    def test_random_matrices_give_integer_vectors_with_content_1(self):
+        # every basis vector is integer, with gcd 1 and a positive first nonzero entry
+        rng = random.Random(19)
+        seen = {null_space: 0, left_null_space: 0}
+        for _ in range(100):
+            m = random_matrix(rng)
+            for basis in seen:
+                for v in basis(m):
+                    seen[basis] += 1
+                    assert all(x.denominator == 1 for x in v), (m, v)
+                    assert math.gcd(*(x.numerator for x in v)) == 1, (m, v)
+                    assert next(x for x in v if x != 0) > 0, (m, v)
+        assert min(seen.values()) >= 50
+
+
 def penrose_identities_hold(m: RatMatrix) -> bool:
     a, p = rows_of(m), rows_of(pseudoinverse(m))
     mp = oracles._matmul(a, p)

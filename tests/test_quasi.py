@@ -24,7 +24,7 @@ from bellquasi.quasi import (
     pseudoinverse_matrix,
     solve_family,
 )
-from bellquasi.singlet import CorrelationTriple, rhs_from_correlations, tables_from_correlations
+from bellquasi.singlet import CorrelationTriple, tables_from_correlations
 from oracles import bell_marginals
 
 UNIFORM_P = tuple([F(1, 4)] * 9 + [F(1)])
@@ -283,7 +283,7 @@ class TestSharedCores:
     def p_vectors(cls, rng):
         # singlet rhs vectors, images of random joint vectors with some mass
         # moved below zero, and both perturbed out of consistency
-        consistent = [rhs_from_correlations(corr) for corr in cls.triples(rng)]
+        consistent = [corr.rhs for corr in cls.triples(rng)]
         for _ in range(40):
             x = list(oracles.random_rational_distribution(rng, 8))
             (i, j), shift = rng.sample(range(8), 2), F(rng.randint(0, 50), 100)
@@ -318,7 +318,7 @@ class TestSharedCores:
             margin = sides[4]
             exact = isinstance(u, F)
             p = singlet._rhs(u, v, w, F(1) if exact else 1.0)
-            assert p == rhs_from_correlations(corr)
+            assert p == corr.rhs
             if exact:  # the two deciders agree exactly: Proper iff the margin is >= 0
                 assert (quasi._verdict(quasi._family(p, 0), 0) is Feasibility.PROPER) == (margin >= 0)
 
@@ -361,7 +361,7 @@ class TestIntegerNumerators:
             corr = CorrelationTriple(*t)
             assert fractions(corr.as_tuple())
             assert all(c is v for c, v in zip(corr.as_tuple(), t) if type(v) is F)  # checked, not copied
-            p = rhs_from_correlations(corr)
+            p = corr.rhs
             assert p == oracles.fraction_rhs(corr) and fractions(p), t
             family = solve_family(p)
             assert (family.x0, family.t_lo, family.t_hi) == oracles.fraction_family(p), t
@@ -382,7 +382,7 @@ class TestIntegerNumerators:
 
     def test_one_residual_of_1e_12_is_inconsistent(self):
         # p[7], AB's +- entry, appears in the second consistency equation only
-        p = list(rhs_from_correlations(CorrelationTriple(F(1, 3), F(-2, 7), F(5, 11))))
+        p = list(CorrelationTriple(F(1, 3), F(-2, 7), F(5, 11)).rhs)
         p[7] += F(1, 10**12)
         assert check_consistency(p).residuals == (0, F(-1, 10**12), 0)
         assert solve_family(p) is None
@@ -430,7 +430,7 @@ class TestCheckedTripleOnce:
 
     @staticmethod
     def validated(corr):
-        p = rhs_from_correlations(corr)
+        p = corr.rhs
         return MarginalProblem(
             observables=(("A", 2), ("B", 2), ("C", 2)),
             constraints=((("B", "C"), p[0:3] + p[0:1]), (("A", "C"), p[3:6] + p[3:4]), (("A", "B"), p[6:9] + p[6:7])),
@@ -483,8 +483,8 @@ class TestCheckedTripleOnce:
 
     def test_rhs_is_built_once(self):
         for corr in (CorrelationTriple(F(1, 3), F(-2, 7), F(5, 11)), CorrelationTriple(0.5, -0.25, 0.125)):
-            assert tables_from_correlations(corr).p_vector is rhs_from_correlations(corr)
-            assert rhs_from_correlations(corr) == oracles.fraction_rhs(corr)  # the floats are dyadic: exact
+            assert tables_from_correlations(corr).p_vector is corr.rhs
+            assert corr.rhs == oracles.fraction_rhs(corr)  # the floats are dyadic: exact
 
 
 class TestPseudoinverseMatrix:

@@ -193,7 +193,7 @@ class TestBellMarginals:
             marg = bell_marginals(*oracles.random_direction_triple(rng))
             for table in (marg.pab, marg.pac, marg.pbc):
                 assert all(e >= -1e-12 for e in table.as_tuple())
-                assert table.total() == pytest.approx(1.0, abs=1e-12)
+                assert sum(table.as_tuple()) == pytest.approx(1.0, abs=1e-12)
                 assert table.pp == table.mm
                 assert table.pm == table.mp
 
