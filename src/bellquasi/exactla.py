@@ -9,9 +9,9 @@ values and vectors are plain tuples of them, but every elimination inside
 works on rows of Python ints (each a positive multiple of its rational row,
 divided by its gcd), which costs far less than ``Fraction`` arithmetic, and
 its one step (:func:`_pivot`) touches only the nonzero columns of the pivot
-row.  Conversion to floats, where needed, is the caller's job.  Sized for
-small matrices: tens of rows and up to a few hundred columns, the LPs of
-:mod:`bellquasi.marginal_general`.
+row, in place when the pivot entry is 1.  Conversion to floats, where
+needed, is the caller's job.  Sized for small matrices: tens of rows and up
+to a few hundred columns, the LPs of :mod:`bellquasi.marginal_general`.
 The package's one tolerance policy lives here too: :func:`is_exact` tells
 exact inputs from float ones, :func:`tolerance` turns that into the
 comparison slack, and :func:`check_distribution` applies it to tables.
@@ -133,20 +133,25 @@ def _pivot(rows: list[list[int]], r: int, c: int) -> None:
     place, on integer rows that each stand for a positive multiple of a
     rational row: make entry ``c`` of row ``r`` positive (rather than 1),
     then clear column ``c`` elsewhere, dividing each updated row by its gcd.
-    A row is updated only at the nonzero columns of the pivot row: it is
-    copied when the pivot entry is 1 and scaled by that entry otherwise."""
+    A row is updated only at the nonzero columns of the pivot row.  When the
+    pivot entry is 1 it is updated in place, so every list in ``rows`` must
+    belong to the caller alone (each caller builds them fresh), and a 1 or
+    -1 left in it settles its gcd as 1 without computing it; otherwise it is
+    scaled by the pivot entry into a new list, and takes the gcd."""
     if rows[r][c] < 0:
         rows[r] = [-x for x in rows[r]]
     p = rows[r][c]
     nonzeros = [(j, b) for j, b in enumerate(rows[r]) if b]
     for i, row in enumerate(rows):
         f = row[c]
-        if i != r and f != 0:
-            row = row[:] if p == 1 else [p * a for a in row]
-            for j, b in nonzeros:
-                row[j] -= f * b
-            g = math.gcd(*row)
-            rows[i] = [x // g for x in row] if g > 1 else row
+        if i == r or f == 0:
+            continue
+        if p != 1:
+            row = [p * a for a in row]
+        for j, b in nonzeros:
+            row[j] -= f * b
+        g = 1 if p == 1 and (1 in row or -1 in row) else math.gcd(*row)
+        rows[i] = [x // g for x in row] if g > 1 else row
 
 
 def _rref_rows(rows: list[list[int]], ncols: Optional[int] = None) -> tuple[list[list[int]], list[int]]:
@@ -191,7 +196,9 @@ def _reduced(
     are tuples, so no caller can change a cached entry."""
     m = len(a)
     unit = (0,) * m
-    rows, pivots = _rref_rows([_over_lcm(row + unit[:i] + (1,) + unit[i + 1 :])[1] for i, row in enumerate(a)], k)
+    # a row of ints (a 0/1 constraint row) is its own numerators over d = 1
+    scaled = ((1, row) if {*map(type, row)} <= {int} else _over_lcm(row) for row in a)
+    rows, pivots = _rref_rows([[*ints, *unit[:i], d, *unit[i + 1 :]] for i, (d, ints) in enumerate(scaled)], k)
     rows = tuple(tuple(row) for row in rows)
     return rows, tuple(pivots), tuple(math.gcd(*row[:k]) for row in rows[: len(pivots)])
 

@@ -224,7 +224,9 @@ def _phase_one_simplex(rows: list[list[int]], pivots: Sequence[int], n: int, rhs
     ``pivots`` are the starting basis.  A row with negative rhs is negated
     and made basic in an artificial (only the label ``n + i``), and phase
     one minimizes the sum of the artificials, with Bland's rule on both
-    choices so that it terminates.  The reduced costs are the last row.
+    choices so that it terminates.  The reduced costs are the last row,
+    which starts as a weighted sum of the artificial rows, taken at their
+    nonzero entries.
     """
     m, basis = len(rows), list(pivots)
     for i, row in enumerate(rows):
@@ -235,9 +237,12 @@ def _phase_one_simplex(rows: list[list[int]], pivots: Sequence[int], n: int, rhs
     # factor makes the reduced-cost row lcm times minus their rational sum.
     art = [(rows[i], abs(rows[i][pivots[i]])) for i in range(m) if basis[i] >= n]
     scale = math.lcm(*(a for _, a in art))
-    rows.append([0] * (n + 1))
-    for row, w in [(row, scale // a) for row, a in art]:  # one pass per artificial row
-        rows[m] = [c - w * x for c, x in zip(rows[m], row)]
+    cost = [0] * (n + 1)
+    for row, a in art:
+        w = scale // a
+        for j in itertools.compress(range(n + 1), row):
+            cost[j] -= w * row[j]
+    rows.append(cost)
     # No artificial column is needed, whichever rows started with one: the
     # reduced-cost row is always -y^T [rows | rhs] for some y, up to a positive
     # factor (every row stays a positive multiple of its rational row), so
@@ -282,7 +287,10 @@ def _eliminated(mat: RatMatrix, zero_rows: tuple[int, ...]):
     forced = {j for row in one_signed for j, c in enumerate(row) if c}
     keep = [j not in forced for j in range(mat.cols)]
     live = tuple(itertools.compress(range(mat.cols), keep))
-    return (live, *_reduced([tuple(itertools.compress(mat.row(i), keep)) for i in range(mat.rows)], len(live)))
+    rows = [mat.row(i) for i in range(mat.rows)]
+    if forced:
+        rows = [tuple(itertools.compress(row, keep)) for row in rows]
+    return (live, *_reduced(rows, len(live)))
 
 
 def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:

@@ -48,7 +48,10 @@ class CheckItem:
 
 
 def _spans_match(computed: Sequence[Sequence[Fraction]], expected: Sequence[Sequence[int]]) -> bool:
-    """True when two vector sets span the same subspace (exact ranks)."""
+    """True when two vector sets span the same subspace (exact ranks); False
+    when their vectors differ in length, as no subspace holds both."""
+    if len({len(v) for v in (*expected, *computed)}) > 1:
+        return False
     r_exp = rank(RatMatrix.from_rows(expected))
     r_comp = rank(RatMatrix.from_rows(computed))
     r_both = rank(RatMatrix.from_rows([*expected, *computed]))

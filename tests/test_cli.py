@@ -761,6 +761,7 @@ class TestPaperCheckCommand:
                 ((-1, -1, 0, 0, 0, 0, 1, 0, 1, 0), (0, 0, 0, -1, -1, 0, 1, 1, 0, 0), (-1, 0, -1, 1, 0, 1, 0, 0, 0, 1)),
                 "left null space",
             ),
+            ("REFERENCE_HOMOGENEOUS", (1, 1, 1), "null space"),  # another length: FAIL, not a traceback
         ],
     )
     def test_altered_null_space_detected(self, capsys, monkeypatch, name, altered, item):
@@ -768,7 +769,7 @@ class TestPaperCheckCommand:
         assert getattr(reference, name) != altered
         monkeypatch.setattr(reference, name, altered)
         code, out, _ = run(capsys, "paper-check")
-        assert code == 1 and "3/4 checks passed" in out
+        assert code == 1 and "3/4 checks passed" in out and f"{item}: FAIL" in out
         by_name = {i.name: i for i in run_reference_check()}
         assert not by_name[item].ok and "does NOT match" in by_name[item].detail
         assert all(i.ok for n, i in by_name.items() if n != item)

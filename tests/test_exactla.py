@@ -298,8 +298,12 @@ def small_integer_rows(ncols):
 class TestSparsePivotStep:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 8).flatmap(small_integer_rows), st.integers(0, 10**6))
-    @example([[1, 2, 0, -1], [3, 0, 1, 0], [0, 0, 2, 0], [-2, -4, 0, 2]], 0)  # pivot entry 1: copy
+    @example([[1, 2, 0, -1], [3, 0, 1, 0], [0, 0, 2, 0], [-2, -4, 0, 2]], 0)  # pivot entry 1: in place
     @example([[-2, 1, 0], [3, 0, 1], [0, 1, 1], [1, 0, 0]], 0)  # pivot entry -2, made 2: scale
+    # pivot entry 1, f = 1, -1, 3 and 2: the first row left keeps a unit entry, which settles
+    # its gcd; the others keep none and take the gcd, 3 and 5 (divided) and 1
+    @example([[1, 2, 0, 3], [1, 0, 1, 0], [-1, 1, 0, 0], [3, 6, 0, 4], [2, 6, 3, 1]], 0)
+    @example([[2, 1, 0], [2, 4, 0], [-1, 1, 1]], 0)  # pivot entry 2, f = 2 and -1: gcd 6 divided
     def test_matches_fraction_step(self, rows, pick):
         # after the integer step every row is a positive multiple of the
         # Fraction step's row; updated rows are coprime, other rows untouched

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -29,6 +30,7 @@ from bellquasi.quasi import bell_problem, build_matrix, solve_family
 from bellquasi.singlet import CorrelationTriple, tables_from_correlations
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def joint_marginal(prob: MarginalProblem, joint, subset):
@@ -475,6 +477,32 @@ class TestLpFeasible:
                 seen["forced, pivoted", status] += 1  # the restricted tableau and its extra elimination
         assert seen["forced, pivoted", "Proper"] + seen["forced, pivoted", "QuasiOnly"] >= 50, seen
         assert min(seen.values()) >= 20, seen
+
+    def test_bench_cycle_panel_matches_fraction_reference(self, monkeypatch, tmp_path):
+        # the benchmark's binary 8-cycle and ternary 5-cycle, and the ternary
+        # 4-cycle, all three verdicts, loaded as documents: up to 89 simplex
+        # pivots, with the reference's status, witness, dimension and pivot count
+        spec = importlib.util.spec_from_file_location("bench_ncycle", BENCH / "ncycle.py")
+        ncycle = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, ncycle)  # its dataclass looks the module up
+        spec.loader.exec_module(ncycle)
+        steps = counting_pivots(monkeypatch)
+        pivots = []
+        for n, k in ((8, 2), (5, 3), (4, 3)):
+            for verdict in ncycle.VERDICTS:
+                problem = ncycle.generate(random.Random(f"panel-{n}-{k}-{verdict}-0"), n, k, verdict)
+                path = str(tmp_path / f"{n}-{k}-{verdict}.json")
+                problem.write(path)
+                mat, rhs = build_constraint_system(load_problem_document(path))
+                steps.clear()
+                result = lp_feasible(mat, rhs)
+                a = [list(mat.row(i)) for i in range(mat.rows)]
+                status, witness, hom_dim, ref_steps = oracles.reference_lp_feasible(a, list(rhs))
+                assert status == verdict, problem.label
+                assert result == marginal_general.FeasibilityResult(Feasibility(status), witness, hom_dim), problem.label
+                assert len(steps) == ref_steps, problem.label
+                pivots.append(ref_steps)
+        assert max(pivots) >= 80, pivots
 
     def test_rhs_denominators_stay_out_of_the_coefficients(self, monkeypatch):
         # the rhs is scaled once per LP, so the tables' denominators (near
