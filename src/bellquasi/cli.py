@@ -239,21 +239,28 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _parse_table_entry(i: int, j: int, value) -> Real:
+def _parse_table_entry(i: int, j: int, value, parsed: dict[str, Fraction]) -> Real:
     """Entry ``j`` of marginal ``i``: strings and ints become Fractions; finite
     floats pass through to :class:`MarginalProblem`, which checks and
     rationalizes the table once.  Errors name the position, not the value.
     A decimal exponent is checked from the text first: ``Fraction`` would
     expand it in full, so an entry whose exact value needs more digits than
-    the interpreter's int/str limit is rejected like a longer digit string."""
+    the interpreter's int/str limit is rejected like a longer digit string.
+    ``parsed`` maps each string already read to its (immutable) Fraction, so
+    a string that repeats is parsed once; a bad one is never stored, so it
+    fails at its first position."""
     if isinstance(value, str):
+        number = parsed.get(value)
+        if number is not None:
+            return number
         mantissa, _, exponent = value.strip().lower().partition("e")
         try:
             if exponent and len(mantissa) + abs(int(exponent)) > sys.get_int_max_str_digits():
                 raise ValueError("exponent too large")
-            return Fraction(value)
+            number = parsed[value] = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise DocumentError(f"marginal {i}, table entry {j}: not a decimal or p/q string") from None
+        return number
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, float) and math.isfinite(value):
@@ -270,6 +277,8 @@ def load_problem_document(path: str) -> MarginalProblem:
     Table entries are strings parseable as decimals or "p/q" fractions
     (plain integers are accepted; a table with float entries is checked
     at ``DEFAULT_EPS`` and then rationalized once by ``MarginalProblem``).
+    Each distinct entry string is parsed once per document: tables share
+    its Fraction.
     """
     try:
         with open(path) as fh:
@@ -292,10 +301,11 @@ def load_problem_document(path: str) -> MarginalProblem:
             raise DocumentError(f'observable {i}: expected an object with "name" and "cardinality"')
         obs.append((str(entry["name"]), entry["cardinality"]))
     constraints = []
+    parsed: dict[str, Fraction] = {}
     for i, entry in enumerate(marginals):
         if not isinstance(entry, dict) or not all(isinstance(entry.get(k), list) for k in ("over", "table")):
             raise DocumentError(f'marginal {i}: expected an object with "over" and "table" lists')
-        table = tuple(_parse_table_entry(i, j, v) for j, v in enumerate(entry["table"]))
+        table = tuple(_parse_table_entry(i, j, v, parsed) for j, v in enumerate(entry["table"]))
         constraints.append((tuple(str(n) for n in entry["over"]), table))
     try:
         return MarginalProblem(observables=tuple(obs), constraints=tuple(constraints))

@@ -71,11 +71,13 @@ def rationalize(value: Real) -> Fraction:
     raise TypeError(f"cannot rationalize {type(value).__name__}")
 
 
-def _rationalized_table(table: tuple[Real, ...], exact: bool) -> tuple[Fraction, ...]:
+def _rationalized_table(table: tuple[Real, ...], exact: bool, what: str) -> tuple[Fraction, ...]:
     """Exact copy of a checked table.  An exact one already sums to exactly
     1, so only its int entries are made Fractions; floats are rationalized
-    and the largest entry adjusted so the total is exactly 1 (the adjustment
-    is ~1e-12)."""
+    and the largest entry adjusted so the total is exactly 1.  Each entry
+    moves by at most 5e-7, but thousands of tiny ones can move the total by
+    more than the largest entry holds: then ``ValueError`` names the table
+    by ``what``."""
     if exact:
         return tuple([v if type(v) is Fraction else Fraction(v) for v in table])
     approx = [rationalize(v) for v in table]
@@ -84,7 +86,7 @@ def _rationalized_table(table: tuple[Real, ...], exact: bool) -> tuple[Fraction,
         k = max(range(len(approx)), key=lambda i: approx[i])
         approx[k] += gap
         if approx[k] < 0:
-            raise ValueError("cannot rationalize table: sum repair made an entry negative")
+            raise ValueError(f"{what}: cannot rationalize: sum repair made an entry negative")
     return tuple(approx)
 
 
@@ -137,8 +139,8 @@ class MarginalProblem:
                 size *= cards[n]
             if len(table) != size:
                 raise ValueError(f"constraint {i}: table has {len(table)} entries, expected {size}")
-            exact = check_distribution(table, f"table of constraint {i}")
-            constraints.append((subset, _rationalized_table(table, exact)))
+            what = f"table of constraint {i}"
+            constraints.append((subset, _rationalized_table(table, check_distribution(table, what), what)))
         object.__setattr__(self, "constraints", tuple(constraints))
 
     @classmethod

@@ -246,6 +246,14 @@ def reference_rationalized_table(table):
     return tuple(approx)
 
 
+def unrepairable_float_table():
+    """A float table whose ``math.fsum`` is exactly 1 but whose sum repair
+    fails: each of its 1,000 entries of 5.01e-7 rationalizes to 1/10**6, so
+    the rationalized sum is 4.99e-4 above 1, more than its largest entry
+    (19/39920, about 4.76e-4) can give up."""
+    return [5.01e-7] * 1000 + [0.0004759519047619048] * 2100
+
+
 def _fraction_pivot(rows, r, c):
     """One Gauss-Jordan step on Fraction rows, in place: scale row ``r`` so
     entry ``c`` is 1, then clear column ``c`` in every other row."""

@@ -1,13 +1,16 @@
 import csv
 import functools
 import hashlib
+import importlib.util
 import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -23,10 +26,12 @@ from bellquasi.cli import (
     load_problem_document,
     main,
 )
+from bellquasi.marginal_general import MarginalProblem
 from bellquasi.reference import REFERENCE_PSEUDOINVERSE, run_reference_check
 from bellquasi.singlet import CorrelationTriple, tables_from_correlations
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -578,6 +583,23 @@ class TestSolveCommand:
         assert (code, err) == (0, "")
         assert json.loads(out)["status"] == "Proper"
 
+    def test_unrepairable_float_table_is_named(self, capsys, tmp_path):
+        # the float table passes its check at eps, but no exact repair is near it
+        table = oracles.unrepairable_float_table()
+        doc = tmp_path / "unrepairable.json"
+        doc.write_text(
+            json.dumps(
+                {
+                    "schema": 1,
+                    "observables": [{"name": "B", "cardinality": 2}, {"name": "A", "cardinality": len(table)}],
+                    "marginals": [{"over": ["B"], "table": ["1/2", "1/2"]}, {"over": ["A"], "table": table}],
+                }
+            )
+        )
+        code, out, err = run(capsys, "solve", str(doc))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: table of constraint 1: cannot rationalize: ") and err.count("\n") == 1
+
     def test_bad_table_length_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(
@@ -724,6 +746,101 @@ class TestLoadProblemDocument:
         )
         prob = load_problem_document(str(doc))
         assert prob.constraints[0][1] == (F(1, 4), F(3, 4))
+
+    def test_matches_one_fraction_per_entry(self, tmp_path, monkeypatch):
+        # the bundled documents and both n-cycle panels, all three verdicts
+        panels = bench_cycle_documents(tmp_path, monkeypatch)
+        for path in sorted(PROBLEMS.glob("*.json")) + panels["ncycle_small"] + panels["ncycle_large"]:
+            assert load_problem_document(str(path)) == fraction_per_entry_problem(path), path
+
+    def test_each_distinct_string_parsed_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted_fraction(value):
+            calls.append(value)
+            return F(value)
+
+        panels = {"bundled": sorted(PROBLEMS.glob("*.json")), **bench_cycle_documents(tmp_path, monkeypatch)}
+        monkeypatch.setattr(cli, "Fraction", counted_fraction)
+        totals = Counter()  # entries and Fraction calls per panel
+        for panel, paths in panels.items():
+            for path in paths:
+                entries = [v for m in json.loads(path.read_text())["marginals"] for v in m["table"]]
+                calls.clear()
+                load_problem_document(str(path))
+                assert calls == list(dict.fromkeys(entries)), path
+                totals[panel, "entries"] += len(entries)
+                totals[panel, "calls"] += len(calls)
+        assert (totals["bundled", "entries"], totals["bundled", "calls"]) == (132, 13)
+        assert (totals["ncycle_small", "entries"], totals["ncycle_small", "calls"]) == (456, 160)
+        assert (totals["ncycle_large", "entries"], totals["ncycle_large", "calls"]) == (231, 58)
+
+    def test_repeated_bad_string_fails_at_its_first_position(self, tmp_path):
+        doc = tmp_path / "bad.json"
+        doc.write_text(
+            json.dumps(
+                {
+                    "schema": 1,
+                    "observables": [{"name": "A", "cardinality": 2}, {"name": "B", "cardinality": 2}],
+                    "marginals": [{"over": ["A"], "table": ["1/2", "1/x"]}, {"over": ["B"], "table": ["1/x", "1/2"]}],
+                }
+            )
+        )
+        with pytest.raises(DocumentError, match=r"^marginal 0, table entry 1: "):
+            load_problem_document(str(doc))
+
+    def test_repeated_huge_exponent_refused_before_fraction(self, tmp_path, monkeypatch):
+        def no_fraction(*args):
+            raise AssertionError("Fraction called on a table entry with a huge exponent")
+
+        monkeypatch.setattr(cli, "Fraction", no_fraction)
+        doc = tmp_path / "bad.json"
+        doc.write_text(
+            json.dumps(
+                {
+                    "schema": 1,
+                    "observables": [{"name": "A", "cardinality": 2}, {"name": "B", "cardinality": 2}],
+                    "marginals": [{"over": ["A"], "table": ["1e3000000"] * 2}, {"over": ["B"], "table": ["1e3000000"] * 2}],
+                }
+            )
+        )
+        with pytest.raises(DocumentError, match=r"^marginal 0, table entry 0: "):
+            load_problem_document(str(doc))
+
+
+def fraction_per_entry_problem(path) -> MarginalProblem:
+    """The problem of a document with ``Fraction`` called on every string or
+    int entry, each on its own: what the loader returned before it parsed a
+    repeated string once."""
+    doc = json.loads(Path(path).read_text())
+    return MarginalProblem(
+        observables=tuple((o["name"], o["cardinality"]) for o in doc["observables"]),
+        constraints=tuple(
+            (tuple(m["over"]), tuple(v if isinstance(v, float) else F(v) for v in m["table"])) for m in doc["marginals"]
+        ),
+    )
+
+
+def bench_cycle_documents(tmp_path, monkeypatch) -> dict:
+    """The panel documents of the benchmark's ``ncycle_small`` (4- and
+    6-cycles with k = 2 and the 4-cycle with k = 3, two copies) and
+    ``ncycle_large`` (8-cycle with k = 2, 5-cycle with k = 3, one copy)
+    workloads, each verdict, written to ``tmp_path``: paths by workload."""
+    spec = importlib.util.spec_from_file_location("bench_ncycle", BENCH / "ncycle.py")
+    ncycle = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, ncycle)  # its dataclass looks the module up
+    spec.loader.exec_module(ncycle)
+    panels = {"ncycle_small": (((4, 2), (6, 2), (4, 3)), 2), "ncycle_large": (((8, 2), (5, 3)), 1)}
+    paths = {name: [] for name in panels}
+    for name, (sizes, copies) in panels.items():
+        for n, k in sizes:
+            for copy in range(copies):
+                for verdict in ncycle.VERDICTS:
+                    problem = ncycle.generate(random.Random(f"panel-{n}-{k}-{verdict}-{copy}"), n, k, verdict)
+                    path = tmp_path / f"{n}-{k}-{verdict}-{copy}.json"
+                    problem.write(str(path))
+                    paths[name].append(path)
+    return paths
 
 
 class TestPaperCheckCommand:

@@ -242,6 +242,16 @@ class TestStoredTables:
         assert {frozenset({"Fraction"}), frozenset({"int"}), frozenset({"float"})} <= set(kinds), kinds
         assert kinds[frozenset({"int", "Fraction"})] >= 50, kinds
 
+    def test_unrepairable_float_table_is_refused_by_constraint(self):
+        # the table passes the float check at DEFAULT_EPS, but the repaired
+        # table would be about 5e-4 away from it: refused, naming the table
+        table = oracles.unrepairable_float_table()
+        assert math.fsum(table) == 1
+        assert min(oracles.reference_rationalized_table(table)) < 0
+        observables = (("B", 2), ("A", len(table)))
+        with pytest.raises(ValueError, match=r"^table of constraint 1: cannot rationalize: sum repair made an entry negative$"):
+            MarginalProblem(observables=observables, constraints=((("B",), (0.5, 0.5)), (("A",), table)))
+
 
 class TestConstraintMatrixCache:
     def test_matches_the_full_system_without_each_tables_last_row(self):
