@@ -1,20 +1,21 @@
 """Exact dense linear algebra over the rationals.
 
 Ranks, null spaces, pseudoinverses and linear solves are computed exactly,
-with no floating-point tolerance; the rank and null spaces read the one
-[a | I] elimination of every LP (:func:`_reduced`), and the pseudoinverse
-solves [aᵀa; Nᵀ] X = [aᵀ; 0], the stacked normal equations.  Matrix entries
-are ints or :class:`fractions.Fraction` values, results are ``Fraction``
-values and vectors are plain tuples of them, but every elimination inside
-works on rows of Python ints (each a positive multiple of its rational row,
-divided by its gcd), which costs far less than ``Fraction`` arithmetic, and
-its one step (:func:`_pivot`) touches only the nonzero columns of the pivot
-row, in place when the pivot entry is 1.  Conversion to floats, where
-needed, is the caller's job.  Sized for small matrices: tens of rows and up
-to a few hundred columns, the LPs of :mod:`bellquasi.marginal_general`.
-The package's one tolerance policy lives here too: :func:`is_exact` tells
-exact inputs from float ones, :func:`tolerance` turns that into the
-comparison slack, and :func:`check_distribution` applies it to tables.
+with no floating-point tolerance, and all of them read one row reduction:
+:func:`_reduced`, the integer RREF of [a | I] that every LP runs too.  The
+rank, the null spaces and :func:`solve_consistent` read it of m itself, and
+the pseudoinverse reads it of [aᵀa; Nᵀ], the stacked normal equations.
+Matrix entries are ints or :class:`fractions.Fraction` values, results are
+``Fraction`` values and vectors are plain tuples of them, but the
+elimination works on rows of Python ints (each a positive multiple of its
+rational row, divided by its gcd), which costs far less than ``Fraction``
+arithmetic, and its one step (:func:`_pivot`) touches only the nonzero
+columns of the pivot row, in place when the pivot entry is 1.  Conversion
+to floats, where needed, is the caller's job.  Sized for small matrices:
+tens of rows and up to a few hundred columns, the LPs of
+:mod:`bellquasi.marginal_general`.  The package's one tolerance policy
+lives here too: :func:`is_exact` tells exact inputs from float ones, and
+:func:`tolerance` turns that into the comparison slack.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 #: An exact matrix entry.
 Rational = Union[int, Fraction]
@@ -61,29 +62,6 @@ def _over_lcm(values: Iterable[Rational]) -> tuple[int, list[int]]:
     ratios = [v.as_integer_ratio() for v in values]
     d = math.lcm(*[q for _, q in ratios])
     return d, [n * (d // q) for n, q in ratios]
-
-
-def check_distribution(table: Sequence[Real], what: str, eps: float = DEFAULT_EPS) -> bool:
-    """Raise ``ValueError`` unless ``table`` is finite, non-negative and sums
-    to 1 within ``tolerance(table, eps)``; ``what`` names the table in the
-    error.  Returns whether the table is exact (checked at tolerance 0)."""
-    if is_exact(table):
-        # Finite by type; sign and sum tested on integers over one denominator.
-        d, numerators = _over_lcm(table)
-        if any(n < 0 for n in numerators):
-            raise ValueError(f"negative entry in {what}")
-        if sum(numerators) != d:
-            raise ValueError(f"{what} does not sum to 1")
-        return True
-    # NaN fails every comparison, so it would pass the two tests below.
-    if not all(-math.inf < v < math.inf for v in table):
-        raise ValueError(f"non-finite entry in {what}")
-    if any(v < -eps for v in table):
-        raise ValueError(f"negative entry in {what}")
-    # fsum rounds once: sum() changed its float rounding in Python 3.12
-    if abs(math.fsum(table) - 1) > eps:
-        raise ValueError(f"{what} does not sum to 1")
-    return False
 
 
 @dataclass(frozen=True)
@@ -154,42 +132,18 @@ def _pivot(rows: list[list[int]], r: int, c: int) -> None:
         rows[i] = [x // g for x in row] if g > 1 else row
 
 
-def _rref_rows(rows: list[list[int]], ncols: Optional[int] = None) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form, in place, of integer rows that each stand
-    for a positive multiple of a rational row (as :func:`_over_lcm` scales one);
-    returns (rows, pivot column indices).  Row ``j`` of the result divided
-    by its pivot entry ``rows[j][pivots[j]]`` (positive) is the rational
-    RREF row.  With ``ncols``, only the first ``ncols`` columns get pivots;
-    the columns after them are carried along unreduced, and the rows past
-    the rank are zero in the first ``ncols``."""
-    nrows = len(rows)
-    if ncols is None:
-        ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        _pivot(rows, r, c)
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
 def _reduced(
-    a: list[tuple[Rational, ...]], k: int
+    a: Sequence[Sequence[Rational]], k: int
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
     """(rows, pivots, gcds): the integer RREF of [a | I_m], with pivots only
-    in the ``k`` columns of the m rows ``a``.  Row i < rank = ``len(pivots)``
-    is a positive multiple of (R_i | T_i), where R is the rational RREF of a
-    and T a = R, so T_i b is the rhs entry of the rational RREF of [a | b]
-    for every consistent b; ``gcds[i]`` is the gcd of its first k entries.
-    The other rows have a zero a part, and their I parts span the left null
+    in the ``k`` columns of the m rows ``a``; the package's one row
+    reduction.  Each row is a positive multiple of its rational row (as
+    :func:`_over_lcm` scales one), so row i < rank = ``len(pivots)``
+    divided by its pivot entry ``rows[i][pivots[i]]`` (positive) is (R_i |
+    T_i), where R is the rational RREF of a and T a = R, so T_i b
+    (:func:`_images`) is the rhs entry of the rational RREF of [a | b] for
+    every consistent b; ``gcds[i]`` is the gcd of its first k entries.  The
+    other rows have a zero a part, and their I parts span the left null
     space: b is consistent exactly when they are all orthogonal to it.  Only
     the a columns get pivots, so T_i may differ from a full RREF's by a left
     null vector, which leaves T_i b unchanged for every consistent b.  Rows
@@ -198,9 +152,26 @@ def _reduced(
     unit = (0,) * m
     # a row of ints (a 0/1 constraint row) is its own numerators over d = 1
     scaled = ((1, row) if {*map(type, row)} <= {int} else _over_lcm(row) for row in a)
-    rows, pivots = _rref_rows([[*ints, *unit[:i], d, *unit[i + 1 :]] for i, (d, ints) in enumerate(scaled)], k)
-    rows = tuple(tuple(row) for row in rows)
+    rows = [[*ints, *unit[:i], d, *unit[i + 1 :]] for i, (d, ints) in enumerate(scaled)]
+    pivots: list[int] = []
+    for c in range(k):
+        r = len(pivots)
+        if r == m:
+            break
+        pivot_row = next((i for i in range(r, m) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        _pivot(rows, r, c)
+        pivots.append(c)
+    rows = tuple(map(tuple, rows))
     return rows, tuple(pivots), tuple(math.gcd(*row[:k]) for row in rows[: len(pivots)])
+
+
+def _images(rows: Iterable[Sequence[int]], k: int, b: Sequence[int]) -> Iterator[int]:
+    """T_i b, lazily, for each of :func:`_reduced`'s ``rows`` over ``k`` columns:
+    its I part dotted with the integers ``b`` (a shorter ``b``: its leading entries)."""
+    return (sum(map(operator.mul, row[k:], b)) for row in rows)
 
 
 def rank(m: RatMatrix) -> int:
@@ -247,33 +218,37 @@ def pseudoinverse(m: RatMatrix) -> RatMatrix:
     With a = d m, scaled to integers by the lcm d of m's denominators, and N
     a null-space basis of m, pinv(a) is the unique X with aᵀa X = aᵀ and
     Nᵀ X = 0, and pinv(m) = d pinv(a).  That system has full column rank, so
-    one elimination of [aᵀa | aᵀ] over [Nᵀ | 0] leaves row i with its pivot
-    in column i.  Exact: satisfies all four Penrose identities.
+    :func:`_reduced` of [aᵀa; Nᵀ] leaves row i with its pivot in column i,
+    and row i of X is its I part applied to [aᵀ; 0].  Exact: satisfies all
+    four Penrose identities.
     """
     d, ints = _over_lcm(m.entries)
-    at = [ints[j :: m.cols] for j in range(m.cols)]  # the rows of aᵀ
-    rows = [[sum(map(operator.mul, u, v)) for v in at] + u for u in at]
-    rows += [[x.numerator for x in v] + [0] * m.rows for v in null_space(m)]
-    rows, _ = _rref_rows(rows)
     n = m.cols
-    return RatMatrix(n, m.rows, tuple(Fraction(d * x, row[i]) for i, row in enumerate(rows[:n]) for x in row[n:]))
+    at = [ints[j::n] for j in range(n)]  # the rows of aᵀ
+    normal = [[sum(map(operator.mul, u, v)) for v in at] for u in at]
+    normal += [[x.numerator for x in v] for v in null_space(m)]
+    rows = _reduced(normal, n)[0][:n]
+    # X = T [aᵀ; 0], a column at a time: column c is row c of a and then zeros, which _images may drop
+    x = zip(*[_images(rows, n, ints[c * n : (c + 1) * n]) for c in range(m.rows)])
+    return RatMatrix(n, m.rows, tuple(Fraction(d * t, row[i]) for i, (row, xi) in enumerate(zip(rows, x)) for t in xi))
 
 
 def solve_consistent(m: RatMatrix, b: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:
     """One exact solution of m x = b, or None when the system is inconsistent.
 
-    Free variables are set to zero, so the residual of the returned solution
-    is exactly zero.  Used as an independent cross-check against
-    pseudoinverse application.
+    Read from :func:`_reduced` of m: None when a null row's I part is not
+    orthogonal to b; else the free variables are 0 and row i's pivot
+    variable is T_i b over its pivot entry, so the residual is exactly zero.
     """
     if len(b) != m.rows:
         raise ValueError(f"rhs length {len(b)} != rows {m.rows}")
     if not is_exact(b):
         raise TypeError("rhs entries must be exact rationals (ints or Fractions)")
-    rows, pivots = _rref_rows([_over_lcm((*m.row(i), b[i]))[1] for i in range(m.rows)])
-    if pivots and pivots[-1] == m.cols:
-        return None  # a pivot in the rhs column: 0 = nonzero
+    scale, ints = _over_lcm(b)
+    rows, pivots, _ = _reduced([m.row(i) for i in range(m.rows)], m.cols)
+    if any(_images(rows[len(pivots) :], m.cols, ints)):
+        return None  # 0 = nonzero
     x = [Fraction(0)] * m.cols
-    for j, pc in enumerate(pivots):
-        x[pc] = Fraction(rows[j][m.cols], rows[j][pc])
+    for row, pc, t in zip(rows, pivots, _images(rows, m.cols, ints)):
+        x[pc] = Fraction(t, row[pc] * scale)
     return tuple(x)

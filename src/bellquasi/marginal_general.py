@@ -35,16 +35,18 @@ import functools
 import itertools
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactla import RatMatrix, Real, _over_lcm, _pivot, _reduced, check_distribution, is_exact
+from .exactla import DEFAULT_EPS, RatMatrix, Real, _images, _over_lcm, _pivot, _reduced, is_exact
 
 #: Largest joint outcome count accepted before erroring out.
 JOINT_SIZE_CAP = 10**6
+
+#: Largest dense constraint matrix (rhs rows times joint outcomes) accepted.
+DENSE_SIZE_CAP = 10**7
 
 #: Denominator bound used when floats are rationalized for exact runs.
 RATIONALIZE_DENOMINATOR = 10**6
@@ -71,15 +73,29 @@ def rationalize(value: Real) -> Fraction:
     raise TypeError(f"cannot rationalize {type(value).__name__}")
 
 
-def _rationalized_table(table: tuple[Real, ...], exact: bool, what: str) -> tuple[Fraction, ...]:
-    """Exact copy of a checked table.  An exact one already sums to exactly
-    1, so only its int entries are made Fractions; floats are rationalized
-    and the largest entry adjusted so the total is exactly 1.  Each entry
-    moves by at most 5e-7, but thousands of tiny ones can move the total by
-    more than the largest entry holds: then ``ValueError`` names the table
-    by ``what``."""
-    if exact:
+def check_distribution(table: tuple[Real, ...], what: str) -> tuple[Fraction, ...]:
+    """The exact copy of ``table``, which must be finite, non-negative and
+    sum to 1: exactly when it is exact (:func:`bellquasi.exactla.is_exact`),
+    else within ``DEFAULT_EPS``; ``ValueError`` names the table by ``what``.
+    Floats are rationalized and the largest entry moved so the total is
+    exactly 1.  Each moves by at most 5e-7, but thousands of tiny ones can
+    move the total by more than the largest entry holds: refused too."""
+    if is_exact(table):
+        # Finite by type; sign and sum tested on integers over one denominator.
+        d, numerators = _over_lcm(table)
+        if any(n < 0 for n in numerators):
+            raise ValueError(f"negative entry in {what}")
+        if sum(numerators) != d:
+            raise ValueError(f"{what} does not sum to 1")
         return tuple([v if type(v) is Fraction else Fraction(v) for v in table])
+    # NaN fails every comparison, so it would pass the two tests below.
+    if not all(-math.inf < v < math.inf for v in table):
+        raise ValueError(f"non-finite entry in {what}")
+    if any(v < -DEFAULT_EPS for v in table):
+        raise ValueError(f"negative entry in {what}")
+    # fsum rounds once: sum() changed its float rounding in Python 3.12
+    if abs(math.fsum(table) - 1) > DEFAULT_EPS:
+        raise ValueError(f"{what} does not sum to 1")
     approx = [rationalize(v) for v in table]
     gap = 1 - sum(approx)
     if gap != 0:
@@ -102,7 +118,8 @@ class MarginalProblem:
     :func:`bellquasi.exactla.tolerance` (exactly when rational, within
     ``DEFAULT_EPS`` otherwise).  Float tables are then rationalized once
     (:func:`rationalize`, sum repaired to exactly 1): the stored tables are
-    always exact ``Fraction`` tuples.
+    always exact ``Fraction`` tuples (:func:`check_distribution`).  Then a
+    dense constraint matrix above ``DENSE_SIZE_CAP`` entries is refused.
     """
 
     observables: tuple[tuple[str, int], ...]
@@ -139,9 +156,11 @@ class MarginalProblem:
                 size *= cards[n]
             if len(table) != size:
                 raise ValueError(f"constraint {i}: table has {len(table)} entries, expected {size}")
-            what = f"table of constraint {i}"
-            constraints.append((subset, _rationalized_table(table, check_distribution(table, what), what)))
+            constraints.append((subset, check_distribution(table, f"table of constraint {i}")))
         object.__setattr__(self, "constraints", tuple(constraints))
+        rows = 1 + sum(len(table) - 1 for _, table in constraints)
+        if rows * self.joint_size() > DENSE_SIZE_CAP:
+            raise ValueError(f"constraint matrix of {rows} x {self.joint_size()} entries exceeds cap {DENSE_SIZE_CAP}")
 
     @classmethod
     def _checked(cls, observables, constraints) -> "MarginalProblem":
@@ -320,16 +339,15 @@ def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
     scale, scaled = _over_lcm(rhs)
     _, rows, pivots, _ = _eliminated(mat, ())
     rank = len(pivots)
-    if any(sum(map(operator.mul, row[n:], scaled)) for row in rows[rank:]):  # 0 = nonzero
+    if any(_images(rows[rank:], n, scaled)):  # 0 = nonzero
         return FeasibilityResult(Feasibility.INCONSISTENT, None, n - rank)
     live, rows, pivots, gcds = _eliminated(mat, tuple(i for i, b in enumerate(scaled) if not b))
     k, tableau = len(live), []
-    for row, g in zip(rows, gcds):
-        b = sum(map(operator.mul, row[k:], scaled))  # T_i b
+    for row, g, b in zip(rows, gcds, _images(rows, k, scaled)):  # b = T_i b
         g = math.gcd(g, b)
         tableau.append([c // g for c in row[:k]] + [b // g] if g > 1 else [*row[:k], b])
     # only with a forced column can a live null row have T b != 0 (0 = nonzero): x >= 0 would need it
-    quasi_only = k < n and any(sum(map(operator.mul, row[k:], scaled)) for row in rows[len(pivots) :])
+    quasi_only = k < n and any(_images(rows[len(pivots) :], k, scaled))
     x = None if quasi_only else _phase_one_simplex(tableau, pivots, k, scale)
     if x is None:
         return FeasibilityResult(Feasibility.QUASI_ONLY, None, n - rank)

@@ -37,8 +37,8 @@ import numpy as np
 
 from bellquasi import bellcheck, cli, quasi, singlet
 from bellquasi.bellcheck import bell_pair
-from bellquasi.exactla import check_distribution, tolerance
-from bellquasi.marginal_general import Feasibility, rationalize, solve_problem
+from bellquasi.exactla import tolerance
+from bellquasi.marginal_general import Feasibility, check_distribution, rationalize, solve_problem
 from bellquasi.quasi import HOMOGENEOUS, bell_problem, pseudoinverse_matrix, solve_family
 from bellquasi.singlet import (
     BellMarginals,

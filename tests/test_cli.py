@@ -747,6 +747,24 @@ class TestLoadProblemDocument:
         prob = load_problem_document(str(doc))
         assert prob.constraints[0][1] == (F(1, 4), F(3, 4))
 
+    def test_dense_matrix_over_the_cap_is_refused(self, tmp_path):
+        # two tables over 1,000 x 1,000 outcomes ask for a 1,999 x 10**6
+        # constraint matrix: refused while loading, before any of it is built
+        # (the document is never solved)
+        doc = tmp_path / "two_tables.json"
+        uniform = ["1/1000"] * 1000
+        doc.write_text(
+            json.dumps(
+                {
+                    "schema": 1,
+                    "observables": [{"name": "A", "cardinality": 1000}, {"name": "B", "cardinality": 1000}],
+                    "marginals": [{"over": ["A"], "table": uniform}, {"over": ["B"], "table": uniform}],
+                }
+            )
+        )
+        with pytest.raises(DocumentError, match=r"^constraint matrix of 1999 x 1000000 entries exceeds cap 10000000$"):
+            load_problem_document(str(doc))
+
     def test_matches_one_fraction_per_entry(self, tmp_path, monkeypatch):
         # the bundled documents and both n-cycle panels, all three verdicts
         panels = bench_cycle_documents(tmp_path, monkeypatch)

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -9,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bellquasi import exactla
+from bellquasi import exactla, marginal_general
 from bellquasi.exactla import (
     RatMatrix,
     left_null_space,
@@ -245,6 +246,27 @@ class TestSolveConsistent:
             pinv_sol = oracles.mat_vec(pseudoinverse(m), p)
             assert oracles.remove_component(sol, kernel) == pinv_sol
 
+    def test_agrees_with_lp_feasible_on_consistency(self):
+        # both read the null rows of one elimination: None exactly when the
+        # LP is Inconsistent, and a returned x solves m x = b exactly
+        rng = random.Random(211)
+        seen = Counter()
+        for case in range(600):
+            if case % 2:
+                a, b = oracles.random_lp_system(rng)
+                m = RatMatrix.from_rows(a)
+            else:
+                m = RatMatrix.from_rows(oracles.random_rational_matrix(rng))
+                b = list(oracles.mat_vec(m, [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m.cols)]))
+                if rng.random() < 0.5:
+                    b[rng.randrange(m.rows)] += F(1, rng.randint(1, 3))
+            x = solve_consistent(m, b)
+            inconsistent = marginal_general.lp_feasible(m, b).status is marginal_general.Feasibility.INCONSISTENT
+            assert (x is None) == inconsistent, (m, b)
+            assert x is None or oracles.mat_vec(m, x) == tuple(b), (m, b)
+            seen[case % 2, inconsistent] += 1
+        assert len(seen) == 4 and min(seen.values()) >= 30, seen
+
 
 class TestIntegerRowsMatchFractionReference:
     def test_rref_null_space_pseudoinverse(self, monkeypatch):
@@ -263,11 +285,12 @@ class TestIntegerRowsMatchFractionReference:
             a = oracles.random_rational_matrix(rng)
             m, ncols = RatMatrix.from_rows(a), len(a[0])
             negative_pivots.clear()
-            rows, pivots = exactla._rref_rows([exactla._over_lcm(row)[1] for row in a])
-            reduced = [[F(v, row[c]) for v in row] for row, c in zip(rows, pivots)]
-            reduced += [[F(0)] * ncols] * (len(a) - len(pivots))
+            rows, pivots, _ = exactla._reduced(a, ncols)
+            # the first ncols columns: the rows past the rank are zero there
+            reduced = [[F(v, row[c]) for v in row[:ncols]] for row, c in zip(rows, pivots)]
+            reduced += [[F(v) for v in row[:ncols]] for row in rows[len(pivots) :]]
             ref_rows, ref_pivots = oracles.reference_rref(a)
-            assert (reduced, pivots) == (ref_rows, ref_pivots), a
+            assert (reduced, list(pivots)) == (ref_rows, ref_pivots), a
             assert all(type(v) is int for row in rows for v in row)
             seen["negative pivot"] += any(negative_pivots)
             seen["zero row"] += any(all(v == 0 for v in row) for row in a)
@@ -378,7 +401,7 @@ class TestCheckDistribution:
         ids=["exact", "float", "int", "mixed", "int-only", "fraction-only", "int-and-fraction", "huge-denominators"],
     )
     def test_accepts_distribution(self, table):
-        exactla.check_distribution(table, "table 0")
+        marginal_general.check_distribution(table, "table 0")
 
     # exact tables are checked on a common denominator; the errors keep
     # their order: a negative entry is reported before a wrong sum
@@ -409,7 +432,7 @@ class TestCheckDistribution:
     )
     def test_rejects_exact_table_naming_it(self, table, error):
         with pytest.raises(ValueError, match=f"^{error}$"):
-            exactla.check_distribution(table, "table 2")
+            marginal_general.check_distribution(table, "table 2")
 
     def test_exact_tables_match_the_fraction_rule(self):
         # the integer check against the same tests written on Fractions, on
@@ -431,7 +454,7 @@ class TestCheckDistribution:
                 table[i] += F(rng.choice((-1, 1)), rng.choice((1, 3, 10**12, 10**40)))
             expected = fraction_rule(table)
             try:
-                exactla.check_distribution(tuple(table), "table 1")
+                marginal_general.check_distribution(tuple(table), "table 1")
                 error = None
             except ValueError as exc:
                 error = str(exc)
@@ -455,19 +478,20 @@ class TestCheckDistribution:
     )
     def test_rejects_non_finite_entry_naming_the_table(self, table):
         with pytest.raises(ValueError, match=r"^non-finite entry in pair table AB$"):
-            exactla.check_distribution(table, "pair table AB")
+            marginal_general.check_distribution(table, "pair table AB")
 
     def test_float_sum_is_correctly_rounded(self):
         # ten 0.1s sum to 0.9999999999999999 left to right, but to 1.0 when
-        # rounded once; the verdict at eps 0 must not depend on which sum
-        # the interpreter's sum() does
-        exactla.check_distribution([0.1] * 10, "table 4", eps=0)
+        # rounded once (math.fsum, as the check sums); the table is stored
+        # as exact tenths, and one entry 1e-9 off is refused
+        assert math.fsum([0.1] * 10) == 1 != sum([0.1] * 10)
+        assert marginal_general.check_distribution([0.1] * 10, "table 4") == (F(1, 10),) * 10
         with pytest.raises(ValueError, match=r"^table 4 does not sum to 1$"):
-            exactla.check_distribution([0.1] * 9 + [0.1 + 1e-9], "table 4")
+            marginal_general.check_distribution([0.1] * 9 + [0.1 + 1e-9], "table 4")
 
     def test_huge_exact_entries_are_compared_exactly(self):
         # the finiteness test compares, it never converts to float
         with pytest.raises(ValueError, match=r"^negative entry in table 3$"):
-            exactla.check_distribution((10**400, 1 - 10**400), "table 3")
+            marginal_general.check_distribution((10**400, 1 - 10**400), "table 3")
         with pytest.raises(ValueError, match=r"^table 3 does not sum to 1$"):
-            exactla.check_distribution((F(10**400, 3), F(1, 3)), "table 3")
+            marginal_general.check_distribution((F(10**400, 3), F(1, 3)), "table 3")

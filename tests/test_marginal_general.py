@@ -18,6 +18,7 @@ from bellquasi import exactla, marginal_general
 from bellquasi.cli import load_problem_document
 from bellquasi.exactla import RatMatrix, _pivot, rank
 from bellquasi.marginal_general import (
+    DENSE_SIZE_CAP,
     Feasibility,
     JOINT_SIZE_CAP,
     MarginalProblem,
@@ -178,6 +179,30 @@ class TestBuildConstraintSystem:
         with pytest.raises(ValueError):
             MarginalProblem(observables=observables, constraints=())
         assert 2**21 > JOINT_SIZE_CAP
+
+    def test_dense_size_cap(self):
+        # rows x joint outcomes, checked after the tables: two uniform
+        # tables over 1,000 x 1,000 outcomes (1,999 rows, about 2e9 entries)
+        # are refused; the largest slow-panel document, 100 x 100 outcomes
+        # (1.99e6 entries), and the uniform binary 12-cycle and ternary
+        # 7-cycle are admitted.  None is solved.
+        def two_tables(k):
+            uniform = (F(1, k),) * k
+            return MarginalProblem(observables=(("A", k), ("B", k)), constraints=((("A",), uniform), (("B",), uniform)))
+
+        def cycle(n, k):
+            names = [f"O{i}" for i in range(n)]
+            pairs = tuple(((names[i], names[(i + 1) % n]), (F(1, k * k),) * (k * k)) for i in range(n))
+            return MarginalProblem(observables=tuple((name, k) for name in names), constraints=pairs)
+
+        with pytest.raises(ValueError, match=r"^constraint matrix of 1999 x 1000000 entries exceeds cap 10000000$"):
+            two_tables(1000)
+        with pytest.raises(ValueError, match=r"^negative entry in table of constraint 1$"):
+            uniform, negative = (F(1, 1000),) * 1000, (2,) + (0,) * 998 + (-1,)
+            MarginalProblem(observables=(("A", 1000), ("B", 1000)), constraints=((("A",), uniform), (("B",), negative)))
+        assert two_tables(100).joint_size() * 199 == 1_990_000 <= DENSE_SIZE_CAP
+        for n, k in ((12, 2), (7, 3)):
+            assert cycle(n, k).joint_size() == k**n
 
 
 def shaped_problem(rng: random.Random, names, cards, shape) -> MarginalProblem:
@@ -695,13 +720,14 @@ class TestEliminationCache:
         systems = [build_constraint_system(prob) for prob in problems]
         patterns = {(mat, zero) for mat, rhs in systems if (zero := tuple(i for i, v in enumerate(rhs) if v == 0))}
         assert len({mat for mat, _ in systems}) == 2 and len(patterns) > 8
-        calls, rref = [], exactla._rref_rows
+        calls, reduced = [], exactla._reduced
 
-        def counted(rows, ncols=None):
-            calls.append(len(rows))
-            return rref(rows, ncols)
+        def counted(a, k):
+            calls.append(len(a))
+            return reduced(a, k)
 
-        monkeypatch.setattr(exactla, "_rref_rows", counted)
+        monkeypatch.setattr(exactla, "_reduced", counted)
+        monkeypatch.setattr(marginal_general, "_reduced", counted)
         marginal_general._eliminated.cache_clear()
         first = [lp_feasible(mat, rhs) for mat, rhs in systems]
         hits, misses = marginal_general._eliminated.cache_info()[:2]
