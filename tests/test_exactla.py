@@ -480,11 +480,12 @@ class TestCheckDistribution:
         with pytest.raises(ValueError, match=r"^non-finite entry in pair table AB$"):
             marginal_general.check_distribution(table, "pair table AB")
 
-    def test_float_sum_is_correctly_rounded(self):
-        # ten 0.1s sum to 0.9999999999999999 left to right, but to 1.0 when
-        # rounded once (math.fsum, as the check sums); the table is stored
-        # as exact tenths, and one entry 1e-9 off is refused
-        assert math.fsum([0.1] * 10) == 1 != sum([0.1] * 10)
+    def test_float_sum_is_correctly_rounded(self, monkeypatch):
+        # ten 0.1s sum to 1.0 when rounded once (math.fsum, as the check
+        # sums); before Python 3.12, sum() gives 0.9999999999999999.  With
+        # no tolerance the table passes only if the check rounds once; it is
+        # stored as exact tenths, and one entry 1e-9 off is refused
+        monkeypatch.setattr(marginal_general, "DEFAULT_EPS", 0)
         assert marginal_general.check_distribution([0.1] * 10, "table 4") == (F(1, 10),) * 10
         with pytest.raises(ValueError, match=r"^table 4 does not sum to 1$"):
             marginal_general.check_distribution([0.1] * 9 + [0.1 + 1e-9], "table 4")
