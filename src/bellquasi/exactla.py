@@ -4,7 +4,7 @@ Ranks, null spaces, pseudoinverses and linear solves are computed exactly,
 with no floating-point tolerance, and all of them read one row reduction:
 :func:`_reduced`, the integer RREF of [a | I] that every LP runs too.  The
 rank, the null spaces and :func:`solve_consistent` read it of m itself, and
-the pseudoinverse reads it of [aᵀa; Nᵀ], the stacked normal equations.
+the pseudoinverse reads it of aᵀa + N Nᵀ, the square normal system.
 Matrix entries are ints or :class:`fractions.Fraction` values, results are
 ``Fraction`` values and vectors are plain tuples of them, but the
 elimination works on rows of Python ints (each a positive multiple of its
@@ -41,6 +41,8 @@ def is_exact(values: Iterable[Real]) -> bool:
     """The package's one exactness rule: exact when every value is an int or
     Fraction.  Exact values are compared exactly (tolerance 0); anything
     else is compared at a float tolerance."""
+    if type(values) is _Scaled:
+        return True
     # A plain loop, not all(<generator>): this runs several times per scan
     # cell, and the generator costs a few times more.  Floats leave first:
     # Fraction is an ABC, and its isinstance test is the slow one.
@@ -56,9 +58,16 @@ def tolerance(values: Iterable[Real], eps: float = DEFAULT_EPS) -> float:
     return 0 if is_exact(values) else eps
 
 
-def _over_lcm(values: Iterable[Rational]) -> tuple[int, list[int]]:
-    """``(d, numerators)``: exact values as integers n/d over one lcm d, each
-    read once.  The package's one scaling of exact values to integers."""
+class _Scaled(tuple):
+    """Exact values that keep ``ints``, their :func:`_over_lcm` form, set by the code that
+    builds them (an exact triple's rhs); equal to the plain tuple, with plain slices."""
+
+
+def _over_lcm(values: Iterable[Rational]) -> tuple[int, Sequence[int]]:
+    """``(d, numerators)``: exact values as integers n/d over one lcm d, each read once (or
+    kept, by a :class:`_Scaled` tuple).  The package's one scaling of exact values to integers."""
+    if type(values) is _Scaled:
+        return values.ints
     ratios = [v.as_integer_ratio() for v in values]
     d = math.lcm(*[q for _, q in ratios])
     return d, [n * (d // q) for n, q in ratios]
@@ -213,23 +222,20 @@ def left_null_space(m: RatMatrix) -> list[tuple[Fraction, ...]]:
 
 
 def pseudoinverse(m: RatMatrix) -> RatMatrix:
-    """Exact Moore-Penrose pseudoinverse from the stacked normal equations.
+    """Exact Moore-Penrose pseudoinverse from the square normal system.
 
-    With a = d m, scaled to integers by the lcm d of m's denominators, and N
-    a null-space basis of m, pinv(a) is the unique X with aᵀa X = aᵀ and
-    Nᵀ X = 0, and pinv(m) = d pinv(a).  That system has full column rank, so
-    :func:`_reduced` of [aᵀa; Nᵀ] leaves row i with its pivot in column i,
-    and row i of X is its I part applied to [aᵀ; 0].  Exact: satisfies all
-    four Penrose identities.
+    With a = d m, scaled to integers by the lcm d of m's denominators, and N a null-space basis
+    of m, aᵀa + N Nᵀ (the Gram matrix of [a; Nᵀ]) is invertible, as xᵀ(aᵀa + N Nᵀ)x = |a x|² +
+    |Nᵀx|², and X = pinv(a) solves (aᵀa + N Nᵀ) X = aᵀ, as Nᵀ X = 0; pinv(m) = d pinv(a).  So
+    :func:`_reduced` of it leaves row i with its pivot in column i, and row i of X is its I
+    part applied to aᵀ.  Exact: satisfies all four Penrose identities.
     """
     d, ints = _over_lcm(m.entries)
     n = m.cols
-    at = [ints[j::n] for j in range(n)]  # the rows of aᵀ
-    normal = [[sum(map(operator.mul, u, v)) for v in at] for u in at]
-    normal += [[x.numerator for x in v] for v in null_space(m)]
-    rows = _reduced(normal, n)[0][:n]
-    # X = T [aᵀ; 0], a column at a time: column c is row c of a and then zeros, which _images may drop
-    x = zip(*[_images(rows, n, ints[c * n : (c + 1) * n]) for c in range(m.rows)])
+    null = [[x.numerator for x in v] for v in null_space(m)]
+    cols = [[*ints[j::n], *(v[j] for v in null)] for j in range(n)]  # the columns of [a; Nᵀ]
+    rows = _reduced([[sum(map(operator.mul, u, v)) for v in cols] for u in cols], n)[0]
+    x = zip(*[_images(rows, n, ints[c * n : (c + 1) * n]) for c in range(m.rows)])  # column c of aᵀ: row c of a
     return RatMatrix(n, m.rows, tuple(Fraction(d * t, row[i]) for i, (row, xi) in enumerate(zip(rows, x)) for t in xi))
 
 

@@ -163,11 +163,16 @@ class MarginalProblem:
             raise ValueError(f"constraint matrix of {rows} x {self.joint_size()} entries exceeds cap {DENSE_SIZE_CAP}")
 
     @classmethod
-    def _checked(cls, observables, constraints) -> "MarginalProblem":
-        """A problem from input already in the form :meth:`__post_init__` stores, taken with no check."""
+    def _checked(cls, observables, constraints, rhs) -> "MarginalProblem":
+        """A problem from input in the form :meth:`__post_init__` stores, and its :attr:`_rhs`, taken with no check."""
         prob = object.__new__(cls)
-        vars(prob).update(observables=observables, constraints=constraints)
+        vars(prob).update(observables=observables, constraints=constraints, _rhs=rhs)
         return prob
+
+    @functools.cached_property
+    def _rhs(self) -> tuple[Fraction, ...]:
+        """The rhs of :func:`build_constraint_system`, built once: each table's entries but its last, then 1."""
+        return (*[v for _, table in self.constraints for v in table[:-1]], Fraction(1))
 
     def joint_size(self) -> int:
         size = 1
@@ -191,14 +196,12 @@ def build_constraint_system(prob: MarginalProblem) -> tuple[RatMatrix, tuple[Fra
     only on the problem's shape, its cardinalities and each constraint's
     observable positions, never on the tables: problems of one shape share
     one cached matrix (:func:`_constraint_matrix`), which then also keys the
-    elimination cache of :func:`lp_feasible`, and only the rhs is built per
-    problem.
+    elimination cache of :func:`lp_feasible`.  The rhs is the problem's, which keeps it
+    (``prob._rhs``), from its tables or, in :func:`bellquasi.quasi.bell_problem`, its triple.
     """
     index = {name: i for i, (name, _) in enumerate(prob.observables)}
     shape = tuple(tuple(index[name] for name in subset) for subset, _ in prob.constraints)
-    rhs = [v for _, table in prob.constraints for v in table[:-1]]
-    rhs.append(Fraction(1))
-    return _constraint_matrix(prob.cardinalities(), shape), tuple(rhs)
+    return _constraint_matrix(prob.cardinalities(), shape), prob._rhs
 
 
 @functools.lru_cache(maxsize=8)

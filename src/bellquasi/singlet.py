@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactla import Real, _over_lcm, is_exact
+from .exactla import Real, _over_lcm, _Scaled, is_exact
 
 #: Tolerance used for construction-time sanity checks of floating values.
 NORM_TOL = 1e-12
@@ -166,12 +167,17 @@ class CorrelationTriple:
     def rhs(self) -> tuple[Real, ...]:
         """The 10-entry rhs vector, kept once built, in ``p_vector`` order: BC(++, +-, -+),
         AC(++, +-, -+), AB(++, +-, -+), 1.  Entries are (1 +- corr)/4, BC's sign flipped; exact
-        n/d on one lcm d (``integers``) give the Fractions (d +- n)/(4 d)."""
+        n/d on one lcm d (``integers``) give the Fractions (d +- n)/(4 d), in a tuple that keeps
+        them over their least denominator 4 d/g (g = 1 or 2) for the family and the LP to read."""
         if self.integers is None:
             return _rhs(self.ab, self.ac, self.bc, 1.0)
         d, (u, v, w) = self.integers
-        bc_same, bc_diff, ac_same, ac_diff, ab_same, ab_diff = (Fraction(d + n, 4 * d) for n in (-w, w, v, -v, u, -u))
-        return (bc_same, bc_diff, bc_diff, ac_same, ac_diff, ac_diff, ab_same, ab_diff, ab_diff, Fraction(1))
+        num = (d - w, d + w, d + v, d - v, d + u, d - u, 4 * d)
+        g = math.gcd(*num)  # 1 or 2, as d, u, v and w have gcd 1
+        num = [n // g for n in num]
+        rhs = _Scaled(_LAYOUT([Fraction(n, num[6]) for n in num[:6]] + [_ONE]))
+        rhs.ints = num[6], _LAYOUT(num)
+        return rhs
 
 
 @dataclass(frozen=True)
@@ -199,11 +205,13 @@ def _check_p(p: Sequence[Real]) -> None:
         raise ValueError(f"last entry of p must be exactly 1, got {p[9]!r}")
 
 
+#: The rhs in ``p_vector`` order from BC's, AC's and AB's same and diff entries, then 1.
+_LAYOUT = operator.itemgetter(0, 1, 1, 2, 3, 3, 4, 5, 5, 6)
+_ONE = Fraction(1)
+
+
 def _rhs(ab: Real, ac: Real, bc: Real, one: Real) -> tuple[Real, ...]:
-    bc_same, bc_diff = (1 - bc) / 4, (1 + bc) / 4
-    ac_same, ac_diff = (1 + ac) / 4, (1 - ac) / 4
-    ab_same, ab_diff = (1 + ab) / 4, (1 - ab) / 4
-    return (bc_same, bc_diff, bc_diff, ac_same, ac_diff, ac_diff, ab_same, ab_diff, ab_diff, one)
+    return _LAYOUT(((1 - bc) / 4, (1 + bc) / 4, (1 + ac) / 4, (1 - ac) / 4, (1 + ab) / 4, (1 - ab) / 4, one))
 
 
 def tables_from_correlations(corr: CorrelationTriple) -> BellMarginals:

@@ -23,15 +23,19 @@ the family's closed form), ``equivalence_check``, which runs the
 package's three deciders on one input to compare them, and
 ``reference_scan_rows``, the scan's cell loop as it was when each cell
 called the Bell pair's private formula, ``min`` and ``cli._fmt``.
+``sweep_triples`` loads the benchmark's own exact-sweep inputs.
 """
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -545,3 +549,21 @@ def reference_scan_rows(ab: tuple[float, float, int], ac: tuple[float, float, in
             else:
                 tag = quasi._verdict(quasi._family(singlet._rhs(u, v, w, 1.0), eps), eps).value
             yield f"{fmt_ab},{fmt_ac},{fmt_u},{fmt_v},{fmt_w},{cli._fmt(margin)},{tag}\n"
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_module(name: str):
+    """``bench/<name>.py``, imported as the bench scripts import each other: with ``bench/`` on the path."""
+    if str(BENCH) not in sys.path:
+        sys.path.append(str(BENCH))
+    return importlib.import_module(name)
+
+
+def sweep_triples(seed: int) -> list[CorrelationTriple]:
+    """The ``exact_sweep`` round of ``bench/workloads.py`` for ``seed``: 495
+    rationalized direction triples, 3 with margin exactly 0 and 2 with
+    margin exactly +-1e-10, in the acceptance-criterion-3 mix."""
+    workloads = bench_module("workloads")
+    return [CorrelationTriple(ab, ac, bc) for ab, ac, bc, _ in workloads.sweep_triples(random.Random(seed))]

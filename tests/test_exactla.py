@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from collections import Counter
 from decimal import Decimal
@@ -19,8 +21,10 @@ from bellquasi.exactla import (
     rank,
     solve_consistent,
 )
+from bellquasi.bellcheck import bell_pair
 from bellquasi.quasi import build_matrix
 from bellquasi.reference import REFERENCE_HOMOGENEOUS, REFERENCE_LEFT_NULL, REFERENCE_PSEUDOINVERSE
+from bellquasi.singlet import CorrelationTriple
 
 
 def spans_equal(vectors_a, vectors_b) -> bool:
@@ -379,6 +383,42 @@ class TestExactnessRule:
         assert exactla.is_exact(iter(values)) is exact
         assert exactla.tolerance(values, 1e-7) == (0 if exact else 1e-7)
         assert exactla.tolerance(values) == (0 if exact else exactla.DEFAULT_EPS)
+
+
+class TestScaledCarrier:
+    """An exact triple's rhs keeps the integers it was built from
+    (``exactla._Scaled``), and ``_over_lcm`` and ``is_exact`` read them back:
+    they must be exactly what ``_over_lcm`` computes from the Fractions, the
+    same least denominator and the same numerators, not merely proportional."""
+
+    # d, u, v and w all odd: the numerators over 4 d share the factor 2
+    ODD = [CorrelationTriple(F(1, 3), F(1, 3), F(1, 3)), CorrelationTriple(F(-1, 5), F(3, 7), F(1, 1)), CorrelationTriple(1, -1, 1)]
+
+    def test_kept_integers_are_the_least_denominator_form(self):
+        seen = Counter()
+        for corr in oracles.sweep_triples(3001) + oracles.sweep_triples(3002) + self.ODD:
+            p = corr.rhs
+            assert type(p) is exactla._Scaled and p == tuple(p), corr
+            d, numerators = exactla._over_lcm(p)
+            plain_d, plain_numerators = exactla._over_lcm(tuple(p))
+            assert (d, list(numerators)) == (plain_d, plain_numerators), corr
+            assert d == math.lcm(*(v.denominator for v in p)) and numerators[9] == d
+            assert exactla.is_exact(p) and exactla.tolerance(p) == 0
+            seen["halved"] += d < 4 * corr.integers[0]
+            seen["margin 0"] += bell_pair(corr).margin == 0
+            seen["margin 1e-10"] += abs(bell_pair(corr).margin) == F(1, 10**10)
+        assert seen["halved"] >= 30 and seen["margin 0"] >= 6 and seen["margin 1e-10"] == 4, seen
+
+    def test_slices_are_plain_tuples(self):
+        p = CorrelationTriple(F(1, 3), F(-2, 7), F(5, 11)).rhs
+        for part in (p[0:3], p[3:6] + p[3:4], p[:], p[::-1]):
+            assert type(part) is tuple
+        assert exactla._over_lcm(p[0:3]) == exactla._over_lcm(tuple(p)[0:3])
+
+    def test_copies_keep_the_integers(self):
+        p = CorrelationTriple(F(1, 3), F(-2, 7), F(5, 11)).rhs
+        for other in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert type(other) is exactla._Scaled and other == p and other.ints == p.ints
 
 
 NEGATIVE = "negative entry in table 2"

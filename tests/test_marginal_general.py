@@ -904,6 +904,45 @@ class TestSolveProblem:
             assert solve_problem(prob) == retained
 
 
+class TestProblemRhs:
+    """A problem keeps its rhs: built once from its tables, or handed over by
+    ``bell_problem`` as the exact triple's rhs with the integers it keeps
+    (``exactla._Scaled``), which the LP then reads instead of scaling it again."""
+
+    def test_bell_lp_on_the_kept_integers_equals_the_plain_tuple_lp(self, monkeypatch):
+        # same status, witness, homogeneous dimension and simplex pivot count
+        steps = counting_pivots(monkeypatch)
+        seen, pivots = Counter(), 0
+        rng = random.Random(3301)
+        panel = [oracles.random_rational_correlations(rng) for _ in range(100)]
+        for corr in oracles.sweep_triples(3302) + panel:
+            prob = bell_problem(corr)
+            steps.clear()
+            result = solve_problem(prob)
+            kept = len(steps)
+            mat, rhs = build_constraint_system(prob)
+            assert type(rhs) is exactla._Scaled and rhs is corr.rhs
+            steps.clear()
+            assert result == lp_feasible(mat, tuple(rhs)), corr
+            assert kept == len(steps), corr
+            seen[result.status] += 1
+            pivots += kept
+        assert seen[Feasibility.PROPER] >= 100 and seen[Feasibility.QUASI_ONLY] >= 100 and pivots >= 100, (seen, pivots)
+
+    def test_kept_rhs_equals_the_one_built_from_the_tables(self):
+        rng = random.Random(3303)
+        problems = [bell_problem(corr) for corr in oracles.sweep_triples(3304)]
+        problems += [bell_problem(CorrelationTriple(*(rng.uniform(-1, 1) for _ in range(3)))) for _ in range(50)]
+        problems += [random_problem(rng) for _ in range(50)]
+        for prob in problems:
+            built = MarginalProblem._rhs.func(prob)  # what the cached property builds from the tables
+            assert prob._rhs == built and all(type(v) is F for v in built)
+            assert built == tuple(v for _, table in prob.constraints for v in table[:-1]) + (1,)
+            assert build_constraint_system(prob)[1] is prob._rhs  # built once, kept
+            # the problem keeps its rhs only: the matrix stays in the shape cache
+            assert sorted(vars(prob)) == ["_rhs", "constraints", "observables"]
+
+
 class TestRationalize:
     def test_exact_passthrough(self):
         assert rationalize(F(3, 7)) == F(3, 7)

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -485,6 +486,25 @@ class TestCheckedTripleOnce:
         for corr in (CorrelationTriple(F(1, 3), F(-2, 7), F(5, 11)), CorrelationTriple(0.5, -0.25, 0.125)):
             assert tables_from_correlations(corr).p_vector is corr.rhs
             assert corr.rhs == oracles.fraction_rhs(corr)  # the floats are dyadic: exact
+
+
+class TestKeptIntegers:
+    """The family reads an exact rhs's kept integers (``exactla._Scaled``)
+    instead of scaling its Fractions again: on the bench's sweep mix, margin
+    0 and +-1e-10 triples included, it must return what the plain tuple gives."""
+
+    def test_family_equals_the_plain_tuples(self):
+        seen = Counter()
+        for corr in oracles.sweep_triples(3201) + oracles.sweep_triples(3202):
+            p = corr.rhs
+            family = solve_family(p)
+            assert family == solve_family(tuple(p)), corr
+            assert all(type(v) is F for v in family.x0 + (family.t_lo, family.t_hi))
+            verdict = classify(p)
+            assert verdict == classify(tuple(p)), corr
+            seen[verdict.tag] += 1
+            seen["margin 0"] += bell_pair(corr).margin == 0
+        assert seen[Feasibility.PROPER] >= 100 and seen[Feasibility.QUASI_ONLY] >= 100 and seen["margin 0"] == 6, seen
 
 
 class TestPseudoinverseMatrix:

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from bellquasi import marginal_general
 from bellquasi.exactla import is_exact
-from bellquasi.quasi import check_consistency
+from bellquasi.marginal_general import build_constraint_system
+from bellquasi.quasi import bell_problem, check_consistency
 from bellquasi.singlet import (
     NORM_TOL,
     BellMarginals,
@@ -231,3 +234,36 @@ class TestBellMarginals:
         report = check_consistency(marg.p_vector)
         assert report.ok
         assert report.residuals == (0, 0, 0)
+
+
+class TestRhs:
+    """``CorrelationTriple.rhs``: the (1 +- corr)/4 entries with BC's sign
+    flipped, in a tuple that keeps its integers when the triple is exact
+    (read back by ``exactla``), and a plain tuple of floats otherwise."""
+
+    def test_exact_rhs_on_the_sweep_mix(self):
+        seen = Counter()
+        for corr in oracles.sweep_triples(3101) + oracles.sweep_triples(3102):
+            p = corr.rhs
+            assert p == oracles.fraction_rhs(corr) and all(type(v) is F for v in p), corr
+            assert p is corr.rhs and tables_from_correlations(corr).p_vector is p
+            assert type(p[0:3]) is tuple and type(p[6:9] + p[6:7]) is tuple
+            margin = min(1 + corr.ab - abs(corr.ac - corr.bc), 1 - corr.ab - abs(corr.ac + corr.bc))
+            seen["margin 0"] += margin == 0
+            seen["margin 1e-10"] += abs(margin) == F(1, 10**10)
+        assert seen["margin 0"] == 6 and seen["margin 1e-10"] == 4, seen
+
+    def test_float_rhs_is_a_plain_tuple_that_is_checked(self, monkeypatch):
+        checks = []
+        check = marginal_general.check_distribution
+        monkeypatch.setattr(marginal_general, "check_distribution", lambda *a: checks.append(a) or check(*a))
+        rng = random.Random(3103)
+        for _ in range(50):
+            corr = correlations(*oracles.random_direction_triple(rng))
+            p = corr.rhs
+            assert type(p) is tuple and all(type(v) is float for v in p) and not is_exact(p)
+            assert p == pytest.approx(oracles.fraction_rhs(corr), abs=1e-15)
+            checks.clear()
+            prob = bell_problem(corr)
+            assert [table for table, _ in checks] == [p[0:3] + p[0:1], p[3:6] + p[3:4], p[6:9] + p[6:7]]
+            assert build_constraint_system(prob)[1] == tuple(v for _, t in prob.constraints for v in t[:-1]) + (1,)
