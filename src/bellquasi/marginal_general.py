@@ -12,10 +12,11 @@ possible answers are:
   entry,
 * ``Proper``       - a true (non-negative) joint distribution exists.
 
-The decision procedure is an exact rational phase-one simplex with Bland's
-rule, so it terminates and is authoritative on boundary cases where a
-floating solver could not adjudicate.  It starts from the RREF of the
-constraints, stores no artificial columns, and pivots with the one
+The decision procedure is an exact rational phase-one simplex that prices
+by the column norms of its starting tableau and falls back to Bland's rule
+when pivots stall, so it terminates, and it is authoritative on boundary
+cases where a floating solver could not adjudicate.  It starts from the RREF
+of the constraints, stores no artificial columns, and pivots with the one
 Gauss-Jordan step of :mod:`bellquasi.exactla`.  A constraint matrix is
 eliminated with an identity block that records the row operations, once per
 pattern of zero rhs entries, and every LP on it then only transforms its
@@ -35,6 +36,7 @@ import functools
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -50,6 +52,8 @@ DENSE_SIZE_CAP = 10**7
 
 #: Denominator bound used when floats are rationalized for exact runs.
 RATIONALIZE_DENOMINATOR = 10**6
+
+_DEGENERATE_RUN = 2  # consecutive degenerate pivots, per tableau row, before Bland's rule enters
 
 
 class Feasibility(Enum):
@@ -163,11 +167,17 @@ class MarginalProblem:
             raise ValueError(f"constraint matrix of {rows} x {self.joint_size()} entries exceeds cap {DENSE_SIZE_CAP}")
 
     @classmethod
-    def _checked(cls, observables, constraints, rhs) -> "MarginalProblem":
-        """A problem from input in the form :meth:`__post_init__` stores, and its :attr:`_rhs`, taken with no check."""
+    def _checked(cls, observables, constraints, rhs, shape) -> "MarginalProblem":
+        """A problem from input in the form :meth:`__post_init__` stores, with its :attr:`_rhs` and :attr:`_shape`, taken with no check."""
         prob = object.__new__(cls)
-        vars(prob).update(observables=observables, constraints=constraints, _rhs=rhs)
+        vars(prob).update(observables=observables, constraints=constraints, _rhs=rhs, _shape=shape)
         return prob
+
+    @functools.cached_property
+    def _shape(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The key of :func:`_constraint_matrix`, built once: the cardinalities and each constraint's observable positions."""
+        index = {name: i for i, (name, _) in enumerate(self.observables)}
+        return self.cardinalities(), tuple(tuple(index[name] for name in subset) for subset, _ in self.constraints)
 
     @functools.cached_property
     def _rhs(self) -> tuple[Fraction, ...]:
@@ -196,12 +206,11 @@ def build_constraint_system(prob: MarginalProblem) -> tuple[RatMatrix, tuple[Fra
     only on the problem's shape, its cardinalities and each constraint's
     observable positions, never on the tables: problems of one shape share
     one cached matrix (:func:`_constraint_matrix`), which then also keys the
-    elimination cache of :func:`lp_feasible`.  The rhs is the problem's, which keeps it
-    (``prob._rhs``), from its tables or, in :func:`bellquasi.quasi.bell_problem`, its triple.
+    elimination cache of :func:`lp_feasible`.  The problem keeps its shape
+    key (``prob._shape``) and its rhs (``prob._rhs``), built from its tables
+    or, in :func:`bellquasi.quasi.bell_problem`, handed over with its triple.
     """
-    index = {name: i for i, (name, _) in enumerate(prob.observables)}
-    shape = tuple(tuple(index[name] for name in subset) for subset, _ in prob.constraints)
-    return _constraint_matrix(prob.cardinalities(), shape), prob._rhs
+    return _constraint_matrix(*prob._shape), prob._rhs
 
 
 @functools.lru_cache(maxsize=8)
@@ -239,7 +248,9 @@ class FeasibilityResult:
     homogeneous_dim: int
 
 
-def _phase_one_simplex(rows: list[list[int]], pivots: Sequence[int], n: int, rhs_scale: int) -> Optional[list[Fraction]]:
+def _phase_one_simplex(
+    rows: list[list[int]], pivots: Sequence[int], n: int, rhs_scale: int, inv: Sequence[float]
+) -> Optional[list[Fraction]]:
     """Exact feasible point of {x >= 0 : rows x = rhs / rhs_scale}, or None.
 
     ``rows``, the nonzero integer rows of the RREF of a consistent [A | b]
@@ -247,10 +258,17 @@ def _phase_one_simplex(rows: list[list[int]], pivots: Sequence[int], n: int, rhs
     rational row), become the tableau in place; their pivot columns
     ``pivots`` are the starting basis.  A row with negative rhs is negated
     and made basic in an artificial (only the label ``n + i``), and phase
-    one minimizes the sum of the artificials, with Bland's rule on both
-    choices so that it terminates.  The reduced costs are the last row,
-    which starts as a weighted sum of the artificial rows, taken at their
-    nonzero entries.
+    one minimizes the sum of the artificials.  The reduced costs are the
+    last row, which starts as a weighted sum of the artificial rows, taken
+    at their nonzero entries.  The entering column has the least reduced
+    cost times ``inv[j]`` = 1 / sqrt(1 + |T_j|^2), T_j its column in the
+    starting rational RREF, lowest index on ties (floats, which round alike
+    on every IEEE platform, only rank exact negative costs); the leaving row
+    has the least ratio, ties to the lowest basic label.  It terminates: a
+    pivot that leaves a row of rhs > 0 strictly lowers the objective, so no
+    basis recurs across it, and after ``_DEGENERATE_RUN`` * m (m rows)
+    pivots in a row that do not, Bland's rule (the first negative cost)
+    enters for the rest of the run, and it cannot cycle.
     """
     m, basis = len(rows), list(pivots)
     for i, row in enumerate(rows):
@@ -273,9 +291,15 @@ def _phase_one_simplex(rows: list[list[int]], pivots: Sequence[int], n: int, rhs
     # once no structural reduced cost is negative, y^T rows <= 0 and the
     # objective is y^T rhs; any x >= 0 would give y^T rhs = y^T rows x <= 0.  A
     # positive minimum thus means no x >= 0 exists; a zero one leaves every artificial at 0.
+    stall, limit = 0, _DEGENERATE_RUN * m
     while True:
         z = rows[m]
-        enter = next((j for j in range(n) if z[j] < 0), None)
+        if stall < limit:
+            score = list(map(operator.mul, z, inv))  # inv has n entries: the rhs is not scored
+            low = min(score)
+            enter = score.index(low) if low < 0 else None
+        else:
+            enter = next((j for j in range(n) if z[j] < 0), None)
         if enter is None:
             break
         leave = None
@@ -288,6 +312,7 @@ def _phase_one_simplex(rows: list[list[int]], pivots: Sequence[int], n: int, rhs
                     leave = i
         if leave is None:
             raise AssertionError("phase-one objective is bounded; no leaving row found")
+        stall = stall + 1 if rows[leave][n] == 0 or stall >= limit else 0
         _pivot(rows, leave, enter)
         basis[leave] = enter
 
@@ -302,11 +327,12 @@ def _phase_one_simplex(rows: list[list[int]], pivots: Sequence[int], n: int, rhs
 
 @functools.lru_cache(maxsize=16)
 def _eliminated(mat: RatMatrix, zero_rows: tuple[int, ...]):
-    """(live, rows, pivots, gcds): :func:`bellquasi.exactla._reduced` on the
-    columns of ``mat`` left once each one-signed row in ``zero_rows`` (rhs 0:
-    a zero table cell) drops its support.  Every LP looks up the full
-    elimination, ``zero_rows = ()``, first, so under LRU it stays while zero
-    patterns come and go.  An entry is 0.36 MB for the 729-column 6-cycle."""
+    """(live, rows, pivots, gcds, inv): :func:`bellquasi.exactla._reduced` on
+    the columns of ``mat`` left once each one-signed row in ``zero_rows``
+    (rhs 0: a zero table cell) drops its support, and the pricing weights of
+    :func:`_phase_one_simplex`, which no rhs changes.  Every LP looks up the
+    full elimination, ``zero_rows = ()``, first, so under LRU it stays while
+    zero patterns come and go.  An entry is 0.38 MB for the 729-column 6-cycle."""
     one_signed = [row for row in map(mat.row, zero_rows) if not min(row, default=0) < 0 < max(row, default=0)]
     forced = {j for row in one_signed for j, c in enumerate(row) if c}
     keep = [j not in forced for j in range(mat.cols)]
@@ -314,7 +340,11 @@ def _eliminated(mat: RatMatrix, zero_rows: tuple[int, ...]):
     rows = [mat.row(i) for i in range(mat.rows)]
     if forced:
         rows = [tuple(itertools.compress(row, keep)) for row in rows]
-    return (live, *_reduced(rows, len(live)))
+    rows, pivots, gcds = _reduced(rows, len(live))
+    norms = [1.0] * len(live)
+    for row, p in zip(rows, pivots):
+        norms = [s + (c / row[p]) ** 2 for s, c in zip(norms, row)]
+    return live, rows, pivots, gcds, tuple([1 / math.sqrt(s) for s in norms])
 
 
 def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
@@ -340,18 +370,18 @@ def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
         raise TypeError("rhs entries must be exact rationals; rationalize floats first")
     n = mat.cols
     scale, scaled = _over_lcm(rhs)
-    _, rows, pivots, _ = _eliminated(mat, ())
+    _, rows, pivots, _, _ = _eliminated(mat, ())
     rank = len(pivots)
     if any(_images(rows[rank:], n, scaled)):  # 0 = nonzero
         return FeasibilityResult(Feasibility.INCONSISTENT, None, n - rank)
-    live, rows, pivots, gcds = _eliminated(mat, tuple(i for i, b in enumerate(scaled) if not b))
+    live, rows, pivots, gcds, inv = _eliminated(mat, tuple(i for i, b in enumerate(scaled) if not b))
     k, tableau = len(live), []
     for row, g, b in zip(rows, gcds, _images(rows, k, scaled)):  # b = T_i b
         g = math.gcd(g, b)
         tableau.append([c // g for c in row[:k]] + [b // g] if g > 1 else [*row[:k], b])
     # only with a forced column can a live null row have T b != 0 (0 = nonzero): x >= 0 would need it
     quasi_only = k < n and any(_images(rows[len(pivots) :], k, scaled))
-    x = None if quasi_only else _phase_one_simplex(tableau, pivots, k, scale)
+    x = None if quasi_only else _phase_one_simplex(tableau, pivots, k, scale, inv)
     if x is None:
         return FeasibilityResult(Feasibility.QUASI_ONLY, None, n - rank)
     witness = [Fraction(0)] * n

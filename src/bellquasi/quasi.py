@@ -201,11 +201,11 @@ def bell_problem(corr: CorrelationTriple) -> MarginalProblem:
     ++, +-, -+, then -- equal to ++) is the shape of :func:`build_matrix`,
     so the generic constraint builder returns that matrix for it.  An exact
     triple's tables are stored unchecked (the triple was checked), with its rhs,
-    whose kept integers the LP reads; floats are checked.
+    whose kept integers the LP reads, and that fixed shape key; floats are checked.
     """
     p = corr.rhs
     observables = (("A", 2), ("B", 2), ("C", 2))
     constraints = ((("B", "C"), p[0:3] + p[0:1]), (("A", "C"), p[3:6] + p[3:4]), (("A", "B"), p[6:9] + p[6:7]))
     if corr.integers is None:
         return MarginalProblem(observables, constraints)
-    return MarginalProblem._checked(observables, constraints, p)
+    return MarginalProblem._checked(observables, constraints, p, ((2, 2, 2), ((1, 2), (0, 2), (0, 1))))

@@ -387,18 +387,35 @@ def reference_pseudoinverse(a, ncols):
     return _matmul(_matmul(_matmul(gt, _inverse(_matmul(g, gt))), _inverse(_matmul(ft, f))), ft)
 
 
-def reference_phase_one_simplex(rows, pivots, n):
-    """(feasible point or None, simplex pivots): the phase-one simplex with
-    Bland's rule on the Fraction RREF rows of a consistent [A | b], started
-    from their pivot basis, an artificial (label only) on each row with
-    negative rhs, and the reduced-cost row minus the sum of those rows."""
+def reference_phase_one_simplex(rows, pivots, n, run=2):
+    """(feasible point or None, simplex pivots): the phase-one simplex on the
+    Fraction RREF rows of a consistent [A | b], started from their pivot
+    basis, an artificial (label only) on each row with negative rhs, and the
+    reduced-cost row minus the sum of those rows.  The leaving row is the
+    least ratio, ties to the lowest basic label.  The entering column has the
+    least float(reduced cost) times 1 / sqrt(1 + the sum of the float
+    squares of its column in the given RREF rows), lowest index on ties,
+    until ``run`` * m pivots in a row (m rows) have left a row whose rhs is
+    0; from then on it is the first of negative reduced cost (Bland's rule),
+    so ``run=0`` is Bland's rule throughout."""
     m, basis, steps = len(rows), list(pivots), 0
+    weights = []
+    for j in range(n):
+        total = 1.0
+        for i in range(m):
+            total += float(rows[i][j]) ** 2
+        weights.append(1 / math.sqrt(total))
+    degenerate, limit = 0, run * m
     for i, row in enumerate(rows):
         if row[n] < 0:
             rows[i], basis[i] = [-x for x in row], n + i
     rows.append([-sum(rows[i][j] for i in range(m) if basis[i] >= n) for j in range(n + 1)])
     while True:
-        enter = next((j for j in range(n) if rows[m][j] < 0), None)
+        if degenerate < limit:
+            scores = [float(c) * w for c, w in zip(rows[m], weights)]
+            enter = scores.index(min(scores)) if min(scores) < 0 else None
+        else:
+            enter = next((j for j in range(n) if rows[m][j] < 0), None)
         if enter is None:
             break
         leave = best = None
@@ -408,6 +425,8 @@ def reference_phase_one_simplex(rows, pivots, n):
                 ratio = rows[i][n] / coeff
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best, leave = ratio, i
+        if degenerate < limit:
+            degenerate = degenerate + 1 if best == 0 else 0
         _fraction_pivot(rows, leave, enter)
         basis[leave] = enter
         steps += 1
@@ -420,15 +439,16 @@ def reference_phase_one_simplex(rows, pivots, n):
     return x, steps
 
 
-def reference_lp_feasible(a, b, presolve=True):
+def reference_lp_feasible(a, b, presolve=True, run=2):
     """(verdict, witness or None, homogeneous dimension, simplex pivots) of
     {x : a x = b, x >= 0}: one Fraction RREF of [a | b] decides consistency
-    and the homogeneous dimension, then the reference phase-one simplex runs
-    on the nonzero rows of an RREF.  With ``presolve``, a row with b_i = 0
-    whose entries share one sign forces its support to 0 in every x >= 0:
-    that RREF is then of [a_S | b] over the other columns S (a pivot in its
-    rhs column means QuasiOnly, with no simplex pivot), and the witness is 0
-    off S.  Without it, the RREF is the one of [a | b]."""
+    and the homogeneous dimension, then the reference phase-one simplex runs,
+    with its entering rule's ``run``, on the nonzero rows of an RREF.  With
+    ``presolve``, a row with b_i = 0 whose entries share one sign forces its
+    support to 0 in every x >= 0: that RREF is then of [a_S | b] over the
+    other columns S (a pivot in its rhs column means QuasiOnly, with no
+    simplex pivot), and the witness is 0 off S.  Without it, the RREF is the
+    one of [a | b]."""
     n = len(a[0])
     rows = [row + [Fraction(bi)] for row, bi in zip(_fraction_rows(a), b)]
     pivots = _row_reduce(rows)
@@ -444,7 +464,7 @@ def reference_lp_feasible(a, b, presolve=True):
         pivots = _row_reduce(rows)
         if pivots and pivots[-1] == len(live):
             return "QuasiOnly", None, hom_dim, 0
-    x_live, steps = reference_phase_one_simplex(rows[: len(pivots)], pivots, len(live))
+    x_live, steps = reference_phase_one_simplex(rows[: len(pivots)], pivots, len(live), run)
     if x_live is None:
         return "QuasiOnly", None, hom_dim, steps
     x = [Fraction(0)] * n

@@ -506,7 +506,7 @@ class TestSolveCommand:
             ("bell_0_60_120", EXIT_QUASI_ONLY, "b39c0559bd8aff40ca3c5dd4778bc61c779be9549b5947d45ece24d587701d18"),
             ("bell_uniform", 0, "881422e2ec5ada6d6b2a142b43815e24c49195aa1d10707e1e1b97125dd51199"),
             ("contradictory", EXIT_INCONSISTENT, "d0f82e7390cabcf20c2e31b6943fad8eecd223cf60b150197170ae969397565a"),
-            ("uniform_ternary_6cycle", 0, "9c4c262c0d3b891436df69b9c2d6b97a163dd2c8a4f7b02cc09947d6e268001c"),
+            ("uniform_ternary_6cycle", 0, "dc75ac94eef6761651c0c6a566b155221af6451ff778aea99e89f4f6bc5a53a2"),
             ("ghz_mermin", EXIT_QUASI_ONLY, "f1724042333f4eb36a01ca7848e7db2e2f90c37fa833ec384759e6e821075cfa"),
             ("hardy_box", EXIT_QUASI_ONLY, "962a3cc89cbd53dc6cfae3184a37fd3297c9260f870fe400b6cc6c3b3aa20a16"),
         ],

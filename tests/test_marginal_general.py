@@ -515,29 +515,33 @@ class TestLpFeasible:
 
     def test_bench_cycle_panel_matches_fraction_reference(self, monkeypatch, tmp_path):
         # the benchmark's binary 8-cycle and ternary 5-cycle, and the ternary
-        # 4-cycle, all three verdicts, loaded as documents: up to 89 simplex
-        # pivots, with the reference's status, witness, dimension and pivot count
+        # 4-cycle, all three verdicts, loaded as documents, with the
+        # reference's status, witness, dimension and pivot count: by the
+        # weighted rule, then by Bland's, forced from the first pivot, where
+        # they take up to 89 pivots
         spec = importlib.util.spec_from_file_location("bench_ncycle", BENCH / "ncycle.py")
         ncycle = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, ncycle)  # its dataclass looks the module up
         spec.loader.exec_module(ncycle)
         steps = counting_pivots(monkeypatch)
-        pivots = []
-        for n, k in ((8, 2), (5, 3), (4, 3)):
-            for verdict in ncycle.VERDICTS:
-                problem = ncycle.generate(random.Random(f"panel-{n}-{k}-{verdict}-0"), n, k, verdict)
-                path = str(tmp_path / f"{n}-{k}-{verdict}.json")
-                problem.write(path)
-                mat, rhs = build_constraint_system(load_problem_document(path))
-                steps.clear()
-                result = lp_feasible(mat, rhs)
-                a = [list(mat.row(i)) for i in range(mat.rows)]
-                status, witness, hom_dim, ref_steps = oracles.reference_lp_feasible(a, list(rhs))
-                assert status == verdict, problem.label
-                assert result == marginal_general.FeasibilityResult(Feasibility(status), witness, hom_dim), problem.label
-                assert len(steps) == ref_steps, problem.label
-                pivots.append(ref_steps)
-        assert max(pivots) >= 80, pivots
+        pivots = {}
+        for run in (2, 0):
+            monkeypatch.setattr(marginal_general, "_DEGENERATE_RUN", run)
+            for n, k in ((8, 2), (5, 3), (4, 3)):
+                for verdict in ncycle.VERDICTS:
+                    problem = ncycle.generate(random.Random(f"panel-{n}-{k}-{verdict}-0"), n, k, verdict)
+                    path = str(tmp_path / f"{n}-{k}-{verdict}.json")
+                    problem.write(path)
+                    mat, rhs = build_constraint_system(load_problem_document(path))
+                    steps.clear()
+                    result = lp_feasible(mat, rhs)
+                    a = [list(mat.row(i)) for i in range(mat.rows)]
+                    status, witness, hom_dim, ref_steps = oracles.reference_lp_feasible(a, list(rhs), run=run)
+                    assert status == verdict, problem.label
+                    assert result == marginal_general.FeasibilityResult(Feasibility(status), witness, hom_dim), problem.label
+                    assert len(steps) == ref_steps, problem.label
+                    pivots.setdefault(run, []).append(ref_steps)
+        assert max(pivots[0]) >= 80 and max(pivots[2]) >= 20, pivots
 
     def test_rhs_denominators_stay_out_of_the_coefficients(self, monkeypatch):
         # the rhs is scaled once per LP, so the tables' denominators (near
@@ -627,6 +631,107 @@ def four_cycle_problem(rng: random.Random, status: Feasibility) -> MarginalProbl
         observables=tuple((name, k) for name in names),
         constraints=tuple(((names[i], names[(i + 1) % n]), tuple(t)) for i, t in enumerate(tables)),
     )
+
+
+def cycle_problem(k: int, tables) -> MarginalProblem:
+    """Pair tables over (Xi, Xi+1 mod n) of n = len(tables) observables of cardinality ``k``."""
+    names = [f"X{i}" for i in range(len(tables))]
+    return MarginalProblem(
+        observables=tuple((name, k) for name in names),
+        constraints=tuple(((names[i], names[(i + 1) % len(names)]), tuple(t)) for i, t in enumerate(tables)),
+    )
+
+
+def degenerate_cycle_problem(rng: random.Random) -> MarginalProblem:
+    """A binary 3- to 9-cycle or a ternary 3- to 5-cycle whose tables are
+    uniform on their support: mostly the whole grid, else the cells b = pi(a)
+    of one or two permutations pi, so that most rhs entries are equal or 0.
+    Most are Proper, some QuasiOnly (the permutations compose to no fixed
+    point) or Inconsistent (two permutations that agree somewhere)."""
+    k = rng.choice((2, 2, 3))
+    perms = list(itertools.permutations(range(k)))
+    tables = []
+    for _ in range(rng.randint(3, 9 if k == 2 else 5)):
+        kind = rng.choice((0, 0, 0, 1, 2))  # the whole grid, or that many permutations
+        cells = {(a, p[a]) for p in rng.sample(perms, kind) for a in range(k)} or set(itertools.product(range(k), repeat=2))
+        tables.append([F(int((a, b) in cells), len(cells)) for a in range(k) for b in range(k)])
+    return cycle_problem(k, tables)
+
+
+class TestPricing:
+    """The simplex enters by the reduced cost per unit of the column's norm
+    in the starting tableau, and by Bland's rule after
+    ``_DEGENERATE_RUN`` * (row count) consecutive degenerate pivots."""
+
+    def test_forced_fallback_is_blands_rule_on_the_lp_panel(self, monkeypatch):
+        # with the threshold at 0, every LP pivots by Bland's rule from the
+        # start, as the reference does at run=0: the bundled
+        # documents but the 729-column 6-cycle, every verdict of twelve
+        # bench n-cycle shapes, and three exact_sweep rounds
+        monkeypatch.setattr(marginal_general, "_DEGENERATE_RUN", 0)
+        steps = counting_pivots(monkeypatch)
+        ncycle = oracles.bench_module("ncycle")
+        problems = [load_problem_document(str(path)) for path in sorted(PROBLEMS.glob("*.json")) if "6cycle" not in path.name]
+        for n, k in [(n, 2) for n in range(3, 9)] + [(3, 3), (4, 3), (5, 3), (3, 4), (4, 4), (3, 5)]:
+            for verdict in ncycle.VERDICTS:
+                problems.append(cycle_problem(k, ncycle.generate(random.Random(f"fallback-{n}-{k}-{verdict}"), n, k, verdict).tables))
+        problems += [bell_problem(corr) for seed in range(3) for corr in oracles.sweep_triples(seed)]
+        seen = Counter()
+        for prob in problems:
+            mat, rhs = build_constraint_system(prob)
+            steps.clear()
+            result = lp_feasible(mat, rhs)
+            a = [list(mat.row(i)) for i in range(mat.rows)]
+            status, witness, hom_dim, ref_steps = oracles.reference_lp_feasible(a, list(rhs), run=0)
+            assert result == marginal_general.FeasibilityResult(Feasibility(status), witness, hom_dim), prob
+            assert len(steps) == ref_steps, prob
+            seen[status] += 1
+            seen["pivoted"] += ref_steps > 0
+        assert len(problems) >= 1500 and min(seen.values()) >= 10, seen
+
+    def test_degenerate_panel_terminates_with_blands_verdicts(self, monkeypatch):
+        # cycles of uniform and permutation tables: most pivots leave a row
+        # whose rhs is 0.  The default threshold, one that falls back to
+        # Bland's rule mid-run (half a pivot per row) and Bland's rule from
+        # the start all end, with one status and homogeneous dimension; the
+        # witnesses of the first two are non-negative and solve the system
+        # exactly, and where the mid-run fallback changed the path (up to 256
+        # columns) it is the reference's, to the pivot, Bland's for the rest
+        rng = random.Random(3101)
+        steps = counting_pivots(monkeypatch)
+        seen = Counter()
+        for _ in range(200):
+            mat, rhs = build_constraint_system(degenerate_cycle_problem(rng))
+            a = [list(mat.row(i)) for i in range(mat.rows)]
+            runs = {}
+            for threshold in (2, 0.5, 0):
+                monkeypatch.setattr(marginal_general, "_DEGENERATE_RUN", threshold)
+                steps.clear()
+                result = lp_feasible(mat, rhs)
+                runs[threshold] = result, len(steps)
+                if result.witness is not None and threshold:
+                    assert min(result.witness) >= 0  # and A x = b, A being 0/1:
+                    assert tuple(sum(itertools.compress(result.witness, row)) for row in a) == rhs
+            assert len({(result.status, result.homogeneous_dim) for result, _ in runs.values()}) == 1, runs
+            if runs[0.5][1] != runs[2][1] and mat.cols <= 256:
+                status, witness, hom_dim, ref_steps = oracles.reference_lp_feasible(a, list(rhs), run=0.5)
+                assert runs[0.5] == (marginal_general.FeasibilityResult(Feasibility(status), witness, hom_dim), ref_steps)
+                seen["mid-run fallback changed the path"] += 1
+            seen[runs[0][0].status] += 1
+            seen["pivoted"] += runs[2][1] > 0
+            seen["zero rhs"] += 0 in rhs
+        assert min(seen.values()) >= 5 and seen["pivoted"] >= 80, seen
+
+    def test_wall_lps_take_few_pivots(self, monkeypatch):
+        # Bland's rule takes 479 pivots on the uniform binary 10-cycle and
+        # 811 on the bundled uniform ternary 6-cycle; the weighted rule 25 and 57
+        steps = counting_pivots(monkeypatch)
+        uniform = cycle_problem(2, [[F(1, 4)] * 4] * 10)
+        six = load_problem_document(str(PROBLEMS / "uniform_ternary_6cycle.json"))
+        for prob, bound in ((uniform, 40), (six, 100)):
+            steps.clear()
+            assert solve_problem(prob).status is Feasibility.PROPER
+            assert 0 < len(steps) <= bound, len(steps)
 
 
 class TestEliminationCache:
@@ -939,8 +1044,9 @@ class TestProblemRhs:
             assert prob._rhs == built and all(type(v) is F for v in built)
             assert built == tuple(v for _, table in prob.constraints for v in table[:-1]) + (1,)
             assert build_constraint_system(prob)[1] is prob._rhs  # built once, kept
-            # the problem keeps its rhs only: the matrix stays in the shape cache
-            assert sorted(vars(prob)) == ["_rhs", "constraints", "observables"]
+            assert prob._shape == MarginalProblem._shape.func(prob)  # bell_problem's fixed key is the built one
+            # the problem keeps its rhs and shape key only: the matrix stays in the shape cache
+            assert sorted(vars(prob)) == ["_rhs", "_shape", "constraints", "observables"]
 
 
 class TestRationalize:
