@@ -245,17 +245,17 @@ def _parse_table_entry(i: int, j: int, value, parsed: dict[str, Fraction]) -> Re
     rationalizes the table once.  Errors name the position, not the value.
     A decimal exponent is checked from the text first: ``Fraction`` would
     expand it in full, so an entry whose exact value needs more digits than
-    the interpreter's int/str limit is rejected like a longer digit string.
-    ``parsed`` maps each string already read to its (immutable) Fraction, so
-    a string that repeats is parsed once; a bad one is never stored, so it
-    fails at its first position."""
+    the int/str limit (CPython's default, 4,300, before Python 3.10.7) is
+    rejected like a longer digit string.  ``parsed`` maps each string already
+    read to its (immutable) Fraction, so a string that repeats is parsed
+    once; a bad one is never stored, so it fails at its first position."""
     if isinstance(value, str):
         number = parsed.get(value)
         if number is not None:
             return number
         mantissa, _, exponent = value.strip().lower().partition("e")
         try:
-            if exponent and len(mantissa) + abs(int(exponent)) > sys.get_int_max_str_digits():
+            if exponent and len(mantissa) + abs(int(exponent)) > getattr(sys, "get_int_max_str_digits", lambda: 4300)():
                 raise ValueError("exponent too large")
             number = parsed[value] = Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -141,23 +141,21 @@ def _pivot(rows: list[list[int]], r: int, c: int) -> None:
         rows[i] = [x // g for x in row] if g > 1 else row
 
 
-def _reduced(
-    a: Sequence[Sequence[Rational]], k: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
-    """(rows, pivots, gcds): the integer RREF of [a | I_m], with pivots only
-    in the ``k`` columns of the m rows ``a``; the package's one row
-    reduction.  Each row is a positive multiple of its rational row (as
-    :func:`_over_lcm` scales one), so row i < rank = ``len(pivots)``
-    divided by its pivot entry ``rows[i][pivots[i]]`` (positive) is (R_i |
-    T_i), where R is the rational RREF of a and T a = R, so T_i b
-    (:func:`_images`) is the rhs entry of the rational RREF of [a | b] for
-    every consistent b; ``gcds[i]`` is the gcd of its first k entries.  The
+def _reduced(a: Sequence[Sequence[Rational]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(rows, pivots): the integer RREF of [a | I_m], with pivots only in
+    the k columns of the m rows ``a`` (k = ``len(a[0])``, 0 when there are
+    no rows); the package's one row reduction.  Each row is a positive
+    multiple of its rational row (as :func:`_over_lcm` scales one), so row
+    i < rank = ``len(pivots)`` divided by its pivot entry
+    ``rows[i][pivots[i]]`` (positive) is (R_i | T_i), where R is the
+    rational RREF of a and T a = R, so T_i b (:func:`_images`) is the rhs
+    entry of the rational RREF of [a | b] for every consistent b.  The
     other rows have a zero a part, and their I parts span the left null
     space: b is consistent exactly when they are all orthogonal to it.  Only
     the a columns get pivots, so T_i may differ from a full RREF's by a left
     null vector, which leaves T_i b unchanged for every consistent b.  Rows
     are tuples, so no caller can change a cached entry."""
-    m = len(a)
+    m, k = len(a), len(a[0]) if a else 0
     unit = (0,) * m
     # a row of ints (a 0/1 constraint row) is its own numerators over d = 1
     scaled = ((1, row) if {*map(type, row)} <= {int} else _over_lcm(row) for row in a)
@@ -173,8 +171,7 @@ def _reduced(
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         _pivot(rows, r, c)
         pivots.append(c)
-    rows = tuple(map(tuple, rows))
-    return rows, tuple(pivots), tuple(math.gcd(*row[:k]) for row in rows[: len(pivots)])
+    return tuple(map(tuple, rows)), tuple(pivots)
 
 
 def _images(rows: Iterable[Sequence[int]], k: int, b: Sequence[int]) -> Iterator[int]:
@@ -185,7 +182,7 @@ def _images(rows: Iterable[Sequence[int]], k: int, b: Sequence[int]) -> Iterator
 
 def rank(m: RatMatrix) -> int:
     """Exact rank: the pivot count of :func:`_reduced`."""
-    return len(_reduced([m.row(i) for i in range(m.rows)], m.cols)[1])
+    return len(_reduced([m.row(i) for i in range(m.rows)])[1])
 
 
 def _canonical_kernel_vector(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -201,7 +198,7 @@ def _canonical_kernel_vector(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 def null_space(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space {x : m x = 0}, canonicalized."""
-    rows, pivots, _ = _reduced([m.row(i) for i in range(m.rows)], m.cols)
+    rows, pivots = _reduced([m.row(i) for i in range(m.rows)])
     pivot_set = set(pivots)
     basis = []
     for free in range(m.cols):
@@ -217,7 +214,7 @@ def null_space(m: RatMatrix) -> list[tuple[Fraction, ...]]:
 
 def left_null_space(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     """Canonical basis of {y : yᵀ m = 0}: the I parts of :func:`_reduced`'s null rows."""
-    rows, pivots, _ = _reduced([m.row(i) for i in range(m.rows)], m.cols)
+    rows, pivots = _reduced([m.row(i) for i in range(m.rows)])
     return [_canonical_kernel_vector(row[m.cols :]) for row in rows[len(pivots) :]]
 
 
@@ -234,7 +231,7 @@ def pseudoinverse(m: RatMatrix) -> RatMatrix:
     n = m.cols
     null = [[x.numerator for x in v] for v in null_space(m)]
     cols = [[*ints[j::n], *(v[j] for v in null)] for j in range(n)]  # the columns of [a; Nᵀ]
-    rows = _reduced([[sum(map(operator.mul, u, v)) for v in cols] for u in cols], n)[0]
+    rows = _reduced([[sum(map(operator.mul, u, v)) for v in cols] for u in cols])[0]
     x = zip(*[_images(rows, n, ints[c * n : (c + 1) * n]) for c in range(m.rows)])  # column c of aᵀ: row c of a
     return RatMatrix(n, m.rows, tuple(Fraction(d * t, row[i]) for i, (row, xi) in enumerate(zip(rows, x)) for t in xi))
 
@@ -251,7 +248,7 @@ def solve_consistent(m: RatMatrix, b: Sequence[Fraction]) -> Optional[tuple[Frac
     if not is_exact(b):
         raise TypeError("rhs entries must be exact rationals (ints or Fractions)")
     scale, ints = _over_lcm(b)
-    rows, pivots, _ = _reduced([m.row(i) for i in range(m.rows)], m.cols)
+    rows, pivots = _reduced([m.row(i) for i in range(m.rows)])
     if any(_images(rows[len(pivots) :], m.cols, ints)):
         return None  # 0 = nonzero
     x = [Fraction(0)] * m.cols

@@ -155,9 +155,7 @@ class MarginalProblem:
                 raise ValueError(f"constraint {i}: repeated observable")
             if any(n not in cards for n in subset):
                 raise ValueError(f"constraint {i}: unknown observable")
-            size = 1
-            for n in subset:
-                size *= cards[n]
+            size = math.prod(cards[n] for n in subset)
             if len(table) != size:
                 raise ValueError(f"constraint {i}: table has {len(table)} entries, expected {size}")
             constraints.append((subset, check_distribution(table, f"table of constraint {i}")))
@@ -185,10 +183,7 @@ class MarginalProblem:
         return (*[v for _, table in self.constraints for v in table[:-1]], Fraction(1))
 
     def joint_size(self) -> int:
-        size = 1
-        for _, c in self.observables:
-            size *= c
-        return size
+        return math.prod(c for _, c in self.observables)
 
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(c for _, c in self.observables)
@@ -249,40 +244,41 @@ class FeasibilityResult:
 
 
 def _phase_one_simplex(
-    rows: list[list[int]], pivots: Sequence[int], n: int, rhs_scale: int, inv: Sequence[float]
-) -> Optional[list[Fraction]]:
-    """Exact feasible point of {x >= 0 : rows x = rhs / rhs_scale}, or None.
+    rows: list[list[int]], pivots: Sequence[int], live: Sequence[int], n: int, rhs_scale: int, inv: Sequence[float]
+) -> Optional[tuple[Fraction, ...]]:
+    """The exact feasible point of {x >= 0 : A x = rhs / rhs_scale}, its ``n``
+    entries 0 off the columns ``live`` of A, or None.
 
-    ``rows``, the nonzero integer rows of the RREF of a consistent [A | b]
-    (``n`` coefficients, then the rhs; each a positive multiple of its
-    rational row), become the tableau in place; their pivot columns
-    ``pivots`` are the starting basis.  A row with negative rhs is negated
-    and made basic in an artificial (only the label ``n + i``), and phase
-    one minimizes the sum of the artificials.  The reduced costs are the
-    last row, which starts as a weighted sum of the artificial rows, taken
-    at their nonzero entries.  The entering column has the least reduced
-    cost times ``inv[j]`` = 1 / sqrt(1 + |T_j|^2), T_j its column in the
-    starting rational RREF, lowest index on ties (floats, which round alike
-    on every IEEE platform, only rank exact negative costs); the leaving row
-    has the least ratio, ties to the lowest basic label.  It terminates: a
-    pivot that leaves a row of rhs > 0 strictly lowers the objective, so no
-    basis recurs across it, and after ``_DEGENERATE_RUN`` * m (m rows)
-    pivots in a row that do not, Bland's rule (the first negative cost)
-    enters for the rest of the run, and it cannot cycle.
-    """
-    m, basis = len(rows), list(pivots)
+    ``rows``, the nonzero integer rows of the RREF of a consistent
+    [A_live | b] (k = ``len(live)`` coefficients, then the rhs; each a
+    positive multiple of its rational row), become the tableau in place;
+    their pivot columns ``pivots`` are the starting basis, and basic
+    variable j < k is entry ``live[j]`` of the point.  A row with negative
+    rhs is negated and made basic in an artificial (only the label k + i),
+    and phase one minimizes the sum of the artificials.  The reduced costs
+    are the last row, which starts as a weighted sum of the artificial rows,
+    taken at their nonzero entries.  The entering column has the least
+    reduced cost times ``inv[j]`` = 1 / sqrt(1 + |T_j|^2), T_j its column in
+    the starting rational RREF, lowest index on ties (floats, which round
+    alike on every IEEE platform, only rank exact negative costs); the
+    leaving row has the least ratio, ties to the lowest basic label.  It
+    terminates: a pivot that leaves a row of rhs > 0 strictly lowers the
+    objective, so no basis recurs across it, and after ``_DEGENERATE_RUN`` *
+    m (m rows) pivots in a row that do not, Bland's rule (the first negative
+    cost) enters for the rest of the run, and it cannot cycle."""
+    m, k, basis = len(rows), len(live), list(pivots)
     for i, row in enumerate(rows):
-        if row[n] < 0:
-            rows[i], basis[i] = [-x for x in row], n + i
+        if row[k] < 0:
+            rows[i], basis[i] = [-x for x in row], k + i
     # Row i is its rational row times |rows[i][pivots[i]]| (a pivot entry of
     # the rational RREF is 1), so weighting each artificial row by lcm / that
     # factor makes the reduced-cost row lcm times minus their rational sum.
-    art = [(rows[i], abs(rows[i][pivots[i]])) for i in range(m) if basis[i] >= n]
+    art = [(rows[i], abs(rows[i][pivots[i]])) for i in range(m) if basis[i] >= k]
     scale = math.lcm(*(a for _, a in art))
-    cost = [0] * (n + 1)
+    cost = [0] * (k + 1)
     for row, a in art:
         w = scale // a
-        for j in itertools.compress(range(n + 1), row):
+        for j in itertools.compress(range(k + 1), row):
             cost[j] -= w * row[j]
     rows.append(cost)
     # No artificial column is needed, whichever rows started with one: the
@@ -295,11 +291,11 @@ def _phase_one_simplex(
     while True:
         z = rows[m]
         if stall < limit:
-            score = list(map(operator.mul, z, inv))  # inv has n entries: the rhs is not scored
+            score = list(map(operator.mul, z, inv))  # inv has k entries: the rhs is not scored
             low = min(score)
             enter = score.index(low) if low < 0 else None
         else:
-            enter = next((j for j in range(n) if z[j] < 0), None)
+            enter = next((j for j in range(k) if z[j] < 0), None)
         if enter is None:
             break
         leave = None
@@ -307,43 +303,43 @@ def _phase_one_simplex(
             coeff = rows[i][enter]
             if coeff > 0:  # ratios rhs / coeff compared by cross-multiplying positive coeffs
                 if leave is not None:
-                    lhs, rhs = rows[i][n] * rows[leave][enter], rows[leave][n] * coeff
+                    lhs, rhs = rows[i][k] * rows[leave][enter], rows[leave][k] * coeff
                 if leave is None or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise AssertionError("phase-one objective is bounded; no leaving row found")
-        stall = stall + 1 if rows[leave][n] == 0 or stall >= limit else 0
+        stall = stall + 1 if rows[leave][k] == 0 or stall >= limit else 0
         _pivot(rows, leave, enter)
         basis[leave] = enter
 
-    if rows[m][n] != 0:  # minimal artificial sum is positive
+    if rows[m][k] != 0:  # minimal artificial sum is positive
         return None
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):
-        if var < n:
-            x[var] = Fraction(rows[i][n], rows[i][var] * rhs_scale)
-    return x
+        if var < k:
+            x[live[var]] = Fraction(rows[i][k], rows[i][var] * rhs_scale)
+    return tuple(x)
 
 
 @functools.lru_cache(maxsize=16)
 def _eliminated(mat: RatMatrix, zero_rows: tuple[int, ...]):
     """(live, rows, pivots, gcds, inv): :func:`bellquasi.exactla._reduced` on
-    the columns of ``mat`` left once each one-signed row in ``zero_rows``
-    (rhs 0: a zero table cell) drops its support, and the pricing weights of
-    :func:`_phase_one_simplex`, which no rhs changes.  Every LP looks up the
-    full elimination, ``zero_rows = ()``, first, so under LRU it stays while
-    zero patterns come and go.  An entry is 0.38 MB for the 729-column 6-cycle."""
+    the columns ``live`` of ``mat`` left once each one-signed row in
+    ``zero_rows`` (rhs 0: a zero table cell) drops its support, the gcd of
+    each rank row's A part, and the pricing weights of
+    :func:`_phase_one_simplex`; no rhs changes any of them.  Every LP looks up
+    the full elimination, ``zero_rows = ()``, first, so under LRU it stays
+    while zero patterns come and go.  An entry is 0.38 MB for the 729-column 6-cycle."""
     one_signed = [row for row in map(mat.row, zero_rows) if not min(row, default=0) < 0 < max(row, default=0)]
     forced = {j for row in one_signed for j, c in enumerate(row) if c}
     keep = [j not in forced for j in range(mat.cols)]
     live = tuple(itertools.compress(range(mat.cols), keep))
-    rows = [mat.row(i) for i in range(mat.rows)]
-    if forced:
-        rows = [tuple(itertools.compress(row, keep)) for row in rows]
-    rows, pivots, gcds = _reduced(rows, len(live))
+    rows = [tuple(itertools.compress(row, keep)) if forced else row for row in map(mat.row, range(mat.rows))]
+    rows, pivots = _reduced(rows)
     norms = [1.0] * len(live)
     for row, p in zip(rows, pivots):
         norms = [s + (c / row[p]) ** 2 for s, c in zip(norms, row)]
+    gcds = tuple(math.gcd(*row[: len(live)]) for row in rows[: len(pivots)])
     return live, rows, pivots, gcds, tuple([1 / math.sqrt(s) for s in norms])
 
 
@@ -355,15 +351,16 @@ def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
     when the equality system itself is unsolvable.  ``rhs`` must be exact
     (``TypeError`` otherwise).  It is scaled once, by the lcm of its
     denominators, so that the table denominators stay out of the
-    coefficients; the witness is divided by that scale at the end.
-    ``mat`` is eliminated once per pattern of zero rhs entries
-    (:func:`_eliminated`), and each call only transforms its rhs.  The full
-    elimination decides consistency and rank.  The one for the call's zero
-    rows drops the columns that a zero row of one sign forces to 0, and,
-    the rational RREF of [mat_live | rhs] being unique, gives exactly its
-    nonzero rows: the simplex's system and starting basis.  A null row there
-    with T b != 0 means ``QuasiOnly`` with no pivot: [mat | rhs] is
-    consistent, so x >= 0 would need a forced column."""
+    coefficients; the simplex returns the witness divided by it, 0 on the
+    forced columns.  ``mat`` is eliminated once per pattern of zero rhs entries
+    (:func:`_eliminated`), and each call only transforms its rhs (each row
+    divided by the gcd of its A part and rhs).  The full elimination decides
+    consistency and rank.  The one for the call's zero rows drops the
+    columns that a zero row of one sign forces to 0, and, the rational RREF
+    of [mat_live | rhs] being unique, gives exactly its nonzero rows: the
+    simplex's system and starting basis.  A null row there with T b != 0
+    means ``QuasiOnly`` with no pivot: [mat | rhs] is consistent, so x >= 0
+    would need a forced column."""
     if len(rhs) != mat.rows:
         raise ValueError(f"rhs length {len(rhs)} != rows {mat.rows}")
     if not is_exact(rhs):
@@ -381,13 +378,8 @@ def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
         tableau.append([c // g for c in row[:k]] + [b // g] if g > 1 else [*row[:k], b])
     # only with a forced column can a live null row have T b != 0 (0 = nonzero): x >= 0 would need it
     quasi_only = k < n and any(_images(rows[len(pivots) :], k, scaled))
-    x = None if quasi_only else _phase_one_simplex(tableau, pivots, k, scale, inv)
-    if x is None:
-        return FeasibilityResult(Feasibility.QUASI_ONLY, None, n - rank)
-    witness = [Fraction(0)] * n
-    for j, v in zip(live, x):
-        witness[j] = v
-    return FeasibilityResult(Feasibility.PROPER, tuple(witness), n - rank)
+    x = None if quasi_only else _phase_one_simplex(tableau, pivots, live, n, scale, inv)
+    return FeasibilityResult(Feasibility.QUASI_ONLY if x is None else Feasibility.PROPER, x, n - rank)
 
 
 def solve_problem(prob: MarginalProblem) -> FeasibilityResult:

@@ -33,6 +33,12 @@ from bellquasi.singlet import CorrelationTriple, tables_from_correlations
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SRC = Path(__file__).resolve().parent.parent / "src"
+#: Every pinned output, by argv: (exit code, sha256 of stdout).  CI runs the
+#: same table through the installed console script.
+PINS = {
+    tuple(pin["argv"]): (pin["exit"], pin["sha256"])
+    for pin in json.loads((Path(__file__).resolve().parent / "pins.json").read_text())
+}
 
 
 def run(capsys, *argv):
@@ -95,7 +101,11 @@ class TestSingletCommand:
 
     @pytest.mark.parametrize(
         "axes",
-        [("--angles", "nan,0,0"), ("--alpha", "nan,0,0", "--beta", "0,1,0", "--gamma", "0,0,1")],
+        [
+            ("--angles", "nan,0,0"),
+            ("--alpha", "nan,0,0", "--beta", "0,1,0", "--gamma", "0,0,1"),
+            pytest.param(("--angles", "0,90"), id="two-angles"),
+        ],
     )
     def test_non_finite_axis_exits_2(self, capsys, axes):
         code, _, err = run(capsys, "singlet", *axes)
@@ -134,10 +144,7 @@ class TestSingletCommand:
 
     @pytest.mark.parametrize(
         "angles, expected_code, digest",
-        [
-            ("0,45,90", EXIT_QUASI_ONLY, "103cbecb2b4146599c008a88bbc5d00629b4eb80a62d8fa32263ee84b67ab787"),
-            ("0,90,180", 0, "39ebb56d1d8975452408b57d00517a1912d0b38abde3e4bced19b073511219c7"),
-        ],
+        [(argv[2], *pin) for argv, pin in PINS.items() if argv[0] == "singlet" and "--exact" in argv],
     )
     def test_exact_json_reports_are_pinned(self, capsys, angles, expected_code, digest):
         # the whole exact report byte for byte: tables, residuals, x0, the t
@@ -148,9 +155,10 @@ class TestSingletCommand:
 
     def test_float_json_report_is_pinned(self, capsys):
         # the float report byte for byte: floats as json writes them, the verdict as its value
-        code, out, _ = run(capsys, "singlet", "--angles", "0,60,120", "--json")
+        argv = ("singlet", "--angles", "0,60,120", "--json")
+        code, out, _ = run(capsys, *argv)
         assert code == EXIT_QUASI_ONLY
-        assert hashlib.sha256(out.encode()).hexdigest() == "d52fa293b68622aaa226cd4b2ca6ca6624826f3f9031de56ce906877fa03ec33"
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINS[argv]
 
     def test_json_hook_writes_fractions_and_verdicts_and_refuses_the_rest(self):
         assert cli._json_default(F(-3, 16)) == "-3/16"
@@ -224,20 +232,14 @@ class TestScanCommand:
         # <BC> is rarely found in the scan's memo): any change to a float
         # path shows here.  These digests are the same on Python 3.10 to
         # 3.13; the --eps 0 maps are not (sum() rounds differently since
-        # 3.12), so none is pinned.
-        cases = [
-            (("--ab", "0:360:5", "--ac", "0:360:5"),
-             "82dca9cc60a054141913603a4e6f31aac303d3ed808a643b13715c04e0724354"),
-            (("--ab", "0:360:2", "--ac", "0:360:2", "--eps", "1e-3"),
-             "58a8fdd20624035161b0c3f2c81ee1399f1e0ac7d0c457d5a3ec64739b1cc66c"),
-            (("--ab", "0.5:360:0.73", "--ac", "1.25:360:0.61"),
-             "9675164fb3caedb084dc255140d2e8a680d3a81f0f96702693e66be8a69a7bdc"),
-        ]
+        # 3.12), so none is pinned.  The --out file holds stdout's bytes.
+        cases = [(argv, pin) for argv, pin in PINS.items() if argv[0] == "scan" and argv != ("scan",)]
+        assert len(cases) == 3
         out_path = tmp_path / "scan.csv"
-        for args, expected in cases:
-            code, _, _ = run(capsys, "scan", *args, "--out", str(out_path))
-            assert code == 0
-            assert hashlib.sha256(out_path.read_bytes()).hexdigest() == expected, args
+        for argv, (expected_code, expected) in cases:
+            code, _, _ = run(capsys, *argv, "--out", str(out_path))
+            assert code == expected_code == 0
+            assert hashlib.sha256(out_path.read_bytes()).hexdigest() == expected, argv
 
     def test_cells_build_no_result_objects(self, capsys, tmp_path, monkeypatch):
         # a cell runs the deciders' formulas, not the deciders: with every
@@ -306,7 +308,7 @@ class TestScanCommand:
         code, _, _ = run(capsys, "scan", "--out", str(out_path))
         assert code == 0
         digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
-        assert digest == "c8f6b612aca422dab9ec2f7c8132ba5fc55498173207dae3bf50917715d43030"
+        assert (code, digest) == PINS[("scan",)]
         rows = out_path.read_text().splitlines()[1:]
         assert len(rows) == 129_600
         eps = 1e-10
@@ -387,6 +389,10 @@ class TestScanCommand:
         code, out, err = run(capsys, "scan", "--ab", "10:10:1")
         assert code == EXIT_USAGE
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        # no step field: exit 2 with one error line
+        code, out, err = run(capsys, "scan", "--ab", "0:10")
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: expected 'start:stop:step'") and err.count("\n") == 1
 
     def test_classification_agrees_with_margin_at_default_eps(self, capsys):
         code, out, _ = run(capsys, "scan", "--ab", "90:90.5:1", "--ac", "179.99999999:180:1")
@@ -501,15 +507,7 @@ class TestSolveCommand:
             F(value)  # every entry parses back as an exact fraction
 
     @pytest.mark.parametrize(
-        "name, expected_code, digest",
-        [
-            ("bell_0_60_120", EXIT_QUASI_ONLY, "b39c0559bd8aff40ca3c5dd4778bc61c779be9549b5947d45ece24d587701d18"),
-            ("bell_uniform", 0, "881422e2ec5ada6d6b2a142b43815e24c49195aa1d10707e1e1b97125dd51199"),
-            ("contradictory", EXIT_INCONSISTENT, "d0f82e7390cabcf20c2e31b6943fad8eecd223cf60b150197170ae969397565a"),
-            ("uniform_ternary_6cycle", 0, "dc75ac94eef6761651c0c6a566b155221af6451ff778aea99e89f4f6bc5a53a2"),
-            ("ghz_mermin", EXIT_QUASI_ONLY, "f1724042333f4eb36a01ca7848e7db2e2f90c37fa833ec384759e6e821075cfa"),
-            ("hardy_box", EXIT_QUASI_ONLY, "962a3cc89cbd53dc6cfae3184a37fd3297c9260f870fe400b6cc6c3b3aa20a16"),
-        ],
+        "name, expected_code, digest", [(Path(argv[1]).stem, *pin) for argv, pin in PINS.items() if argv[0] == "solve"]
     )
     def test_bundled_json_reports_are_pinned(self, capsys, name, expected_code, digest):
         # the whole --json report, witness included, byte for byte: a change
@@ -687,20 +685,51 @@ class TestSolveCommand:
         assert code == EXIT_USAGE
         assert err.startswith("error: marginal 0, table entry 0: ") and err.count("\n") == 1
 
+    def test_exponent_guard_without_the_digit_limit_function(self, capsys, tmp_path, monkeypatch):
+        # sys.get_int_max_str_digits arrived in Python 3.10.7; without it the
+        # guard reads CPython's default limit, 4,300 digits
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        doc = tmp_path / "doc.json"
+
+        def solve(*table):
+            observables, marginals = [{"name": "A", "cardinality": 2}], [{"over": ["A"], "table": list(table)}]
+            doc.write_text(json.dumps({"schema": 1, "observables": observables, "marginals": marginals}))
+            return run(capsys, "solve", str(doc))
+
+        assert solve("1e-1", "9e-1") == (0, "status: Proper\nhomogeneous dimension: 0\nwitness: 1/10  9/10\n", "")
+        # 4,300 digits pass the guard, and the table is then refused for its sum
+        assert solve("1e4299", "0") == (EXIT_USAGE, "", "error: table of constraint 0 does not sum to 1\n")
+
+        def no_fraction(*args):
+            raise AssertionError("Fraction called on a table entry with a huge exponent")
+
+        monkeypatch.setattr(cli, "Fraction", no_fraction)
+        for entry in ("1e4300", "1e-4300", "1e3000000"):
+            code, out, err = solve(entry, "1/2")
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err.startswith("error: marginal 0, table entry 0: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
-        "cardinality, table",
+        "cardinality, table, changes",
         [
             # json writes non-finite floats as Infinity/-Infinity/NaN, which json.load accepts
-            pytest.param(2, [float("inf"), 0], id="infinity-entry"),
-            pytest.param(2, [float("-inf"), 1], id="minus-infinity-entry"),
-            pytest.param(2, [float("nan"), 1], id="nan-entry"),
-            pytest.param(2.9, ["1/2", "1/2"], id="float-cardinality"),
-            pytest.param("2", ["1/2", "1/2"], id="string-cardinality"),
-            pytest.param(True, ["1/2", "1/2"], id="bool-cardinality"),
-            pytest.param(None, ["1/2", "1/2"], id="null-cardinality"),
+            pytest.param(2, [float("inf"), 0], {}, id="infinity-entry"),
+            pytest.param(2, [float("-inf"), 1], {}, id="minus-infinity-entry"),
+            pytest.param(2, [float("nan"), 1], {}, id="nan-entry"),
+            pytest.param(2, [1.5, -0.5], {}, id="negative-float-entry"),
+            pytest.param(2.9, ["1/2", "1/2"], {}, id="float-cardinality"),
+            pytest.param("2", ["1/2", "1/2"], {}, id="string-cardinality"),
+            pytest.param(True, ["1/2", "1/2"], {}, id="bool-cardinality"),
+            pytest.param(None, ["1/2", "1/2"], {}, id="null-cardinality"),
+            # the document's other fields, each replaced on a valid document
+            pytest.param(2, ["1/2", "1/2"], {"observables": []}, id="no-observables"),
+            pytest.param(2, ["1/2", "1/2"], {"marginals": {}}, id="marginals-object"),
+            pytest.param(2, ["1/2", "1/2"], {"marginals": [{"over": "A", "table": ["1/2", "1/2"]}]}, id="over-string"),
+            pytest.param(2, ["1/2", "1/2"], {"marginals": [{"over": [], "table": ["1"]}]}, id="over-empty"),
+            pytest.param(2, ["1/2", "1/2"], {"observables": [{"name": "A", "cardinality": 2}] * 2}, id="repeated-name"),
         ],
     )
-    def test_bad_document_exits_2(self, capsys, tmp_path, cardinality, table):
+    def test_bad_document_exits_2(self, capsys, tmp_path, cardinality, table, changes):
         bad = tmp_path / "bad.json"
         bad.write_text(
             json.dumps(
@@ -708,14 +737,16 @@ class TestSolveCommand:
                     "schema": 1,
                     "observables": [{"name": "A", "cardinality": cardinality}],
                     "marginals": [{"over": ["A"], "table": table}],
+                    **changes,
                 }
             )
         )
         with pytest.raises(DocumentError):
             load_problem_document(str(bad))
-        code, _, err = run(capsys, "solve", str(bad))
+        code, out, err = run(capsys, "solve", str(bad))
         assert code == EXIT_USAGE
         assert err.startswith("error:")
+        assert out == "" and err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestLoadProblemDocument:
@@ -732,6 +763,22 @@ class TestLoadProblemDocument:
         )
         prob = load_problem_document(str(doc))
         assert prob.constraints[0][1] == (F(1, 4), F(3, 4))
+
+    def test_integer_entries_load_as_fractions(self, capsys, tmp_path):
+        doc = tmp_path / "doc.json"
+        doc.write_text(
+            json.dumps(
+                {
+                    "schema": 1,
+                    "observables": [{"name": "A", "cardinality": 2}],
+                    "marginals": [{"over": ["A"], "table": [1, 0]}],
+                }
+            )
+        )
+        table = load_problem_document(str(doc)).constraints[0][1]
+        assert table == (1, 0) and all(type(v) is F for v in table)
+        code, out, _ = run(capsys, "solve", str(doc))
+        assert code == 0 and "status: Proper" in out
 
     def test_parses_exponents_within_the_digit_limit(self, tmp_path):
         doc = tmp_path / "doc.json"
@@ -861,6 +908,12 @@ def bench_cycle_documents(tmp_path, monkeypatch) -> dict:
     return paths
 
 
+def test_every_pin_is_read():
+    # the pin tests read tests/pins.json by command: a pin of another kind would go unchecked
+    kinds = Counter(argv[0] + " --exact" * ("--exact" in argv) for argv in PINS)
+    assert kinds == {"paper-check": 1, "solve": 6, "singlet --exact": 2, "singlet": 1, "scan": 4}
+
+
 class TestPaperCheckCommand:
     def test_fresh_run_all_pass(self, capsys):
         code, out, _ = run(capsys, "paper-check")
@@ -868,6 +921,11 @@ class TestPaperCheckCommand:
         assert out.count("PASS") == 4
         assert "4/4 checks passed" in out
         assert "80 entries match" in out
+
+    def test_report_is_pinned(self, capsys):
+        # the four items byte for byte: a failed item prints FAIL, so the digest changes
+        code, out, _ = run(capsys, "paper-check")
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINS[("paper-check",)]
 
     def test_altered_pseudoinverse_entry_detected(self, monkeypatch):
         altered = [list(row) for row in REFERENCE_PSEUDOINVERSE]

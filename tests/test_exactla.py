@@ -289,7 +289,7 @@ class TestIntegerRowsMatchFractionReference:
             a = oracles.random_rational_matrix(rng)
             m, ncols = RatMatrix.from_rows(a), len(a[0])
             negative_pivots.clear()
-            rows, pivots, _ = exactla._reduced(a, ncols)
+            rows, pivots = exactla._reduced(a)
             # the first ncols columns: the rows past the rank are zero there
             reduced = [[F(v, row[c]) for v in row[:ncols]] for row, c in zip(rows, pivots)]
             reduced += [[F(v) for v in row[:ncols]] for row in rows[len(pivots) :]]

@@ -420,6 +420,20 @@ class TestLpFeasible:
         with pytest.raises(TypeError):
             lp_feasible(RatMatrix.from_rows([[1, 1], [1, 0]]), (F(1), entry))
 
+    def test_tableau_rows_are_divided_by_their_content(self, monkeypatch):
+        # a rank row whose A part has gcd 2 (its I part does not) and a rhs
+        # entry sharing it: the simplex starts from the primitive row
+        tableaux, simplex = [], marginal_general._phase_one_simplex
+
+        def watched(rows, *args):
+            tableaux.append([list(row) for row in rows])
+            return simplex(rows, *args)
+
+        monkeypatch.setattr(marginal_general, "_phase_one_simplex", watched)
+        result = lp_feasible(RatMatrix.from_rows([[2, 4]]), (F(2),))
+        assert tableaux == [[[1, 2, 1]]]
+        assert result == marginal_general.FeasibilityResult(Feasibility.PROPER, (F(1), F(0)), 1)
+
     def test_inconsistent_system_never_enters_simplex(self, monkeypatch):
         def no_simplex(*args):
             raise AssertionError("simplex entered on an inconsistent system")
@@ -827,9 +841,9 @@ class TestEliminationCache:
         assert len({mat for mat, _ in systems}) == 2 and len(patterns) > 8
         calls, reduced = [], exactla._reduced
 
-        def counted(a, k):
+        def counted(a):
             calls.append(len(a))
-            return reduced(a, k)
+            return reduced(a)
 
         monkeypatch.setattr(exactla, "_reduced", counted)
         monkeypatch.setattr(marginal_general, "_reduced", counted)
@@ -1058,3 +1072,24 @@ class TestRationalize:
         r = rationalize(1 / 3)
         assert r.denominator <= 10**6
         assert abs(r - F(1, 3)) < F(1, 10**9)
+
+
+IDENTITY = RatMatrix.from_rows([[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: RatMatrix(2, 2, (1, 2, 3)), ValueError, r"^entry count 3 != rows\*cols = 4$", id="entry-count"),
+        pytest.param(lambda: RatMatrix.from_rows([[1, 2], [3]]), ValueError, r"^ragged rows$", id="ragged-rows"),
+        pytest.param(lambda: exactla.solve_consistent(IDENTITY, (F(1),)), ValueError, r"^rhs length 1 != rows 2$", id="solve-rhs"),
+        pytest.param(lambda: lp_feasible(IDENTITY, (F(1),)), ValueError, r"^rhs length 1 != rows 2$", id="lp-rhs"),
+        pytest.param(lambda: rationalize("1/2"), TypeError, r"^cannot rationalize str$", id="rationalize-str"),
+        pytest.param(lambda: MarginalProblem((), ()), ValueError, r"^at least one observable required$", id="no-observables"),
+        pytest.param(lambda: solve_family((F(1, 8),) * 8 + (F(1),)), ValueError, r"^p must have 10 entries, got 9$", id="short-p"),
+    ],
+)
+def test_malformed_arguments_are_refused(call, error, message):
+    # each refusal that no other test reaches, with its message
+    with pytest.raises(error, match=message):
+        call()
