@@ -78,12 +78,7 @@ def _table_dict(table: singlet.PairTable) -> dict:
 
 
 def cmd_singlet(args) -> int:
-    try:
-        alpha, beta, gamma = _parse_directions(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    alpha, beta, gamma = _parse_directions(args)
     corr = singlet.correlations(alpha, beta, gamma)
     if args.exact:
         corr = singlet.CorrelationTriple(*(rationalize(v) for v in corr.as_tuple()))
@@ -211,15 +206,10 @@ def _scan_rows(ab: tuple[float, float, int], ac: tuple[float, float, int], eps: 
 
 
 def cmd_scan(args) -> int:
-    try:
-        ab, ac = _parse_range(args.ab), _parse_range(args.ac)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    ab, ac = _parse_range(args.ab), _parse_range(args.ac)
     cells = ab[2] * ac[2]
     if cells > MAX_SCAN_CELLS:
-        print(f"error: grid has {cells} cells; at most {MAX_SCAN_CELLS} are allowed", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"grid has {cells} cells; at most {MAX_SCAN_CELLS} are allowed")
 
     to_stdout = args.out in (None, "-")
     try:
@@ -255,6 +245,9 @@ def _parse_table_entry(i: int, j: int, value, parsed: dict[str, Fraction]) -> Re
             return number
         mantissa, _, exponent = value.strip().lower().partition("e")
         try:
+            # Fraction reads "_" from Python 3.11 on and spaces around "/" from 3.12 on: refused on every version
+            if "_" in value or len(value.split()) > 1:
+                raise ValueError("not in the grammar of every supported Python")
             if exponent and len(mantissa) + abs(int(exponent)) > getattr(sys, "get_int_max_str_digits", lambda: 4300)():
                 raise ValueError("exponent too large")
             number = parsed[value] = Fraction(value)
@@ -314,25 +307,20 @@ def load_problem_document(path: str) -> MarginalProblem:
 
 
 def cmd_solve(args) -> int:
-    try:
-        problem = load_problem_document(args.path)
-        result = solve_problem(problem)
-    except ValueError as exc:  # DocumentError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    result = solve_problem(load_problem_document(args.path))
     report = {
         "status": result.status,
         "homogeneous_dim": result.homogeneous_dim,
         "witness": list(result.witness) if result.witness else None,
     }
+    # built whole before it is written: a witness entry past the int/str digit limit raises ValueError
     if args.json:
-        print(json.dumps(report, indent=2, default=_json_default))
+        text = json.dumps(report, indent=2, default=_json_default)
     else:
-        print(f"status: {result.status.value}")
-        print(f"homogeneous dimension: {result.homogeneous_dim}")
+        text = f"status: {result.status.value}\nhomogeneous dimension: {result.homogeneous_dim}"
         if result.witness is not None:
-            print("witness: " + "  ".join(_fmt(v) for v in result.witness))
+            text += "\nwitness: " + "  ".join(_fmt(v) for v in result.witness)
+    print(text)
     return _STATUS_EXIT[result.status]
 
 
@@ -394,6 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand; its exit code.  A command raises ``ValueError`` on bad input before it
+    writes stdout, and only this function reports it: one ``error:`` line on stderr, exit 2."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -402,6 +392,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
+    except ValueError as exc:  # bad input, DocumentError included; no command has written stdout yet
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:  # stdout's: every other file is handled where it is opened
         print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -47,7 +47,7 @@ from .exactla import DEFAULT_EPS, RatMatrix, Real, _images, _over_lcm, _pivot, _
 #: Largest joint outcome count accepted before erroring out.
 JOINT_SIZE_CAP = 10**6
 
-#: Largest dense constraint matrix (rhs rows times joint outcomes) accepted.
+#: Largest constraint matrix accepted, as its elimination holds it: rows x (joint outcomes + rows).
 DENSE_SIZE_CAP = 10**7
 
 #: Denominator bound used when floats are rationalized for exact runs.
@@ -122,8 +122,8 @@ class MarginalProblem:
     :func:`bellquasi.exactla.tolerance` (exactly when rational, within
     ``DEFAULT_EPS`` otherwise).  Float tables are then rationalized once
     (:func:`rationalize`, sum repaired to exactly 1): the stored tables are
-    always exact ``Fraction`` tuples (:func:`check_distribution`).  Then a
-    dense constraint matrix above ``DENSE_SIZE_CAP`` entries is refused.
+    always exact ``Fraction`` tuples (:func:`check_distribution`).  Then an
+    elimination [A | I] over ``DENSE_SIZE_CAP`` entries is refused.
     """
 
     observables: tuple[tuple[str, int], ...]
@@ -141,10 +141,10 @@ class MarginalProblem:
         if not names:
             raise ValueError("at least one observable required")
         cards = dict(self.observables)
-        if self.joint_size() > JOINT_SIZE_CAP:
-            raise ValueError(
-                f"joint outcome count {self.joint_size()} exceeds cap {JOINT_SIZE_CAP}"
-            )
+        joint = 1
+        for c in cards.values():  # stops at the cap: the full product of many observables is huge
+            if (joint := joint * c) > JOINT_SIZE_CAP:
+                raise ValueError(f"joint outcome count exceeds cap {JOINT_SIZE_CAP}")
         constraints = []
         # Errors name a constraint by its position, never by its (unbounded) names.
         for i, (subset, table) in enumerate(self.constraints):
@@ -161,8 +161,9 @@ class MarginalProblem:
             constraints.append((subset, check_distribution(table, f"table of constraint {i}")))
         object.__setattr__(self, "constraints", tuple(constraints))
         rows = 1 + sum(len(table) - 1 for _, table in constraints)
-        if rows * self.joint_size() > DENSE_SIZE_CAP:
-            raise ValueError(f"constraint matrix of {rows} x {self.joint_size()} entries exceeds cap {DENSE_SIZE_CAP}")
+        if rows * (joint + rows) > DENSE_SIZE_CAP:
+            shape = f"{rows} x {joint}" if rows * joint > DENSE_SIZE_CAP else f"{rows} x ({joint} + {rows})"
+            raise ValueError(f"constraint matrix of {shape} entries exceeds cap {DENSE_SIZE_CAP}")
 
     @classmethod
     def _checked(cls, observables, constraints, rhs, shape) -> "MarginalProblem":
@@ -323,12 +324,10 @@ def _phase_one_simplex(
 
 @functools.lru_cache(maxsize=16)
 def _eliminated(mat: RatMatrix, zero_rows: tuple[int, ...]):
-    """(live, rows, pivots, gcds, inv): :func:`bellquasi.exactla._reduced` on
-    the columns ``live`` of ``mat`` left once each one-signed row in
-    ``zero_rows`` (rhs 0: a zero table cell) drops its support, the gcd of
-    each rank row's A part, and the pricing weights of
-    :func:`_phase_one_simplex`; no rhs changes any of them.  Every LP looks up
-    the full elimination, ``zero_rows = ()``, first, so under LRU it stays
+    """(live, rows, pivots, inv): :func:`bellquasi.exactla._reduced` on the columns ``live`` of
+    ``mat`` left once each one-signed row in ``zero_rows`` (rhs 0: a zero table cell) drops its
+    support, and the pricing weights of :func:`_phase_one_simplex`; no rhs changes any of them.
+    Every LP looks up the full elimination, ``zero_rows = ()``, first, so under LRU it stays
     while zero patterns come and go.  An entry is 0.38 MB for the 729-column 6-cycle."""
     one_signed = [row for row in map(mat.row, zero_rows) if not min(row, default=0) < 0 < max(row, default=0)]
     forced = {j for row in one_signed for j, c in enumerate(row) if c}
@@ -339,8 +338,7 @@ def _eliminated(mat: RatMatrix, zero_rows: tuple[int, ...]):
     norms = [1.0] * len(live)
     for row, p in zip(rows, pivots):
         norms = [s + (c / row[p]) ** 2 for s, c in zip(norms, row)]
-    gcds = tuple(math.gcd(*row[: len(live)]) for row in rows[: len(pivots)])
-    return live, rows, pivots, gcds, tuple([1 / math.sqrt(s) for s in norms])
+    return live, rows, pivots, tuple([1 / math.sqrt(s) for s in norms])
 
 
 def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
@@ -352,30 +350,30 @@ def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
     (``TypeError`` otherwise).  It is scaled once, by the lcm of its
     denominators, so that the table denominators stay out of the
     coefficients; the simplex returns the witness divided by it, 0 on the
-    forced columns.  ``mat`` is eliminated once per pattern of zero rhs entries
-    (:func:`_eliminated`), and each call only transforms its rhs (each row
-    divided by the gcd of its A part and rhs).  The full elimination decides
-    consistency and rank.  The one for the call's zero rows drops the
-    columns that a zero row of one sign forces to 0, and, the rational RREF
-    of [mat_live | rhs] being unique, gives exactly its nonzero rows: the
-    simplex's system and starting basis.  A null row there with T b != 0
-    means ``QuasiOnly`` with no pivot: [mat | rhs] is consistent, so x >= 0
-    would need a forced column."""
+    forced columns.  ``mat`` is eliminated once per pattern of zero rhs
+    entries (:func:`_eliminated`), and each call only transforms its rhs: a
+    rank row becomes the tableau row (its live part, T_i b) as it stands.
+    The simplex reads a row only up to a positive factor, and
+    :func:`bellquasi.exactla._pivot` divides every row it updates by its
+    gcd.  The full elimination decides consistency and rank.  The one for
+    the call's zero rows drops the columns that a zero row of one sign
+    forces to 0, and, the rational RREF of [mat_live | rhs] being unique,
+    gives exactly its nonzero rows: the simplex's system and starting basis.
+    A null row there with T b != 0 means ``QuasiOnly`` with no pivot:
+    [mat | rhs] is consistent, so x >= 0 would need a forced column."""
     if len(rhs) != mat.rows:
         raise ValueError(f"rhs length {len(rhs)} != rows {mat.rows}")
     if not is_exact(rhs):
         raise TypeError("rhs entries must be exact rationals; rationalize floats first")
     n = mat.cols
     scale, scaled = _over_lcm(rhs)
-    _, rows, pivots, _, _ = _eliminated(mat, ())
+    _, rows, pivots, _ = _eliminated(mat, ())
     rank = len(pivots)
     if any(_images(rows[rank:], n, scaled)):  # 0 = nonzero
         return FeasibilityResult(Feasibility.INCONSISTENT, None, n - rank)
-    live, rows, pivots, gcds, inv = _eliminated(mat, tuple(i for i, b in enumerate(scaled) if not b))
-    k, tableau = len(live), []
-    for row, g, b in zip(rows, gcds, _images(rows, k, scaled)):  # b = T_i b
-        g = math.gcd(g, b)
-        tableau.append([c // g for c in row[:k]] + [b // g] if g > 1 else [*row[:k], b])
+    live, rows, pivots, inv = _eliminated(mat, tuple(i for i, b in enumerate(scaled) if not b))
+    k = len(live)
+    tableau = [[*row[:k], b] for row, b in zip(rows[: len(pivots)], _images(rows, k, scaled))]  # b = T_i b
     # only with a forced column can a live null row have T b != 0 (0 = nonzero): x >= 0 would need it
     quasi_only = k < n and any(_images(rows[len(pivots) :], k, scaled))
     x = None if quasi_only else _phase_one_simplex(tableau, pivots, live, n, scale, inv)

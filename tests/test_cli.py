@@ -627,6 +627,16 @@ class TestSolveCommand:
         assert code == EXIT_USAGE
         assert err.startswith("error:") and err.count("\n") == 1 and len(err) <= 201
 
+    @pytest.mark.parametrize("n", [14000, 20000])
+    def test_joint_size_refusal_is_one_short_line(self, capsys, tmp_path, n):
+        # 2^n joint outcomes: the count has 4,215 or 6,021 digits, and past
+        # the int/str digit limit writing it out would replace the refusal
+        doc = tmp_path / "wide.json"
+        observables = [{"name": f"O{i}", "cardinality": 2} for i in range(n)]
+        doc.write_text(json.dumps({"schema": 1, "observables": observables, "marginals": []}))
+        code, out, err = run(capsys, "solve", str(doc))
+        assert (code, out, err) == (EXIT_USAGE, "", "error: joint outcome count exceeds cap 1000000\n")
+
     @pytest.mark.parametrize(
         "over, table",
         [
@@ -717,6 +727,9 @@ class TestSolveCommand:
             pytest.param(2, [float("-inf"), 1], {}, id="minus-infinity-entry"),
             pytest.param(2, [float("nan"), 1], {}, id="nan-entry"),
             pytest.param(2, [1.5, -0.5], {}, id="negative-float-entry"),
+            # Fraction reads these from Python 3.11 ("_") and 3.12 (spaces around "/") on
+            pytest.param(2, ["1_0/2_0", "1/2"], {}, id="underscore-entry"),
+            pytest.param(2, ["1 / 2", "1/2"], {}, id="spaced-slash-entry"),
             pytest.param(2.9, ["1/2", "1/2"], {}, id="float-cardinality"),
             pytest.param("2", ["1/2", "1/2"], {}, id="string-cardinality"),
             pytest.param(True, ["1/2", "1/2"], {}, id="bool-cardinality"),
@@ -747,6 +760,29 @@ class TestSolveCommand:
         assert code == EXIT_USAGE
         assert err.startswith("error:")
         assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_elimination_over_the_cap_exits_2(self, capsys, tmp_path):
+        # one binary table 4,000 times: 4,001 x 2 entries, but the elimination
+        # [A | I] holds 4,001 x 4,003, over the cap (solved, it peaks near 270 MB)
+        doc = tmp_path / "copies.json"
+        copies = [{"over": ["A"], "table": ["1/2", "1/2"]}] * 4000
+        doc.write_text(json.dumps({"schema": 1, "observables": [{"name": "A", "cardinality": 2}], "marginals": copies}))
+        code, out, err = run(capsys, "solve", str(doc))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: constraint matrix of 4001 x (2 + 4001) entries exceeds cap 10000000\n"
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_unprintable_witness_exits_2_before_any_output(self, capsys, tmp_path, flags):
+        # two tables with coprime 4,001-digit denominators: a witness entry has
+        # about 8,000 digits, past the int/str limit, so it cannot be written
+        p, q = 10**4000 + 1, 10**4000 + 3
+        doc = tmp_path / "wide.json"
+        tables = [{"over": [name], "table": [f"1/{d}", f"{d - 1}/{d}"]} for name, d in (("A", p), ("B", q))]
+        observables = [{"name": name, "cardinality": 2} for name in "AB"]
+        doc.write_text(json.dumps({"schema": 1, "observables": observables, "marginals": tables}))
+        code, out, err = run(capsys, "solve", *flags, str(doc))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 201
 
 
 class TestLoadProblemDocument:
