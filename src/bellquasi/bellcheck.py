@@ -56,7 +56,7 @@ def _inequalities(u: Real, v: Real, w: Real, one: Real = 1) -> tuple[Real, Real,
 
 
 #: Bound on |4 * (t_hi - t_lo) - margin| for floats u, v, w in [-1, 1]: the
-#: first from ``quasi._family(singlet._rhs(u, v, w, 1.0), tol)``, the second
+#: first from ``quasi.solve_family(singlet._rhs(u, v, w, 1.0), eps)``, the second
 #: from ``_inequalities(u, v, w)``.  In exact arithmetic the two are equal.
 #: With d = 2**-53 the unit roundoff (no under- or overflow can occur here):
 #:
@@ -64,7 +64,7 @@ def _inequalities(u: Real, v: Real, w: Real, one: Real = 1) -> tuple[Real, Real,
 #:   the last is 1.  fl(1 - x) + fl(1 + x) lies on the 2**-53 grid within
 #:   1.5 grid steps of 2, so it rounds to 2: every + row or column sum of a
 #:   table is exactly 1/2.  So the three consistency residuals are exactly
-#:   0 (``_family`` never returns None) and, in ``quasi._scaled_x0``, each
+#:   0 (``solve_family`` never returns None) and, in ``quasi._scaled_x0``, each
 #:   doubled single marginal is exactly 1 and their sum exactly 3.
 #: * the -- entry of a table is fl(1/2 - X/4) = fl(2 - X)/4, within 2 d
 #:   (times 1/4) of its exact value, like every other entry.

@@ -63,14 +63,15 @@ def _json_default(value):
 
 
 def _parse_directions(args) -> tuple[singlet.Direction, singlet.Direction, singlet.Direction]:
-    if args.angles is not None:
-        parts = args.angles.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"--angles expects three comma-separated degrees, got {args.angles!r}")
-        return tuple(singlet.Direction.from_degrees(float(p)) for p in parts)
-    if args.alpha is None or args.beta is None or args.gamma is None:
+    axes = (args.alpha, args.beta, args.gamma)
+    if axes.count(None) != (0 if args.angles is None else 3):  # one form, whole, and never both
         raise ValueError("provide either --angles or all of --alpha/--beta/--gamma")
-    return tuple(singlet.Direction.from_string(text) for text in (args.alpha, args.beta, args.gamma))
+    if args.angles is None:
+        return tuple(singlet.Direction.from_string(text) for text in axes)
+    parts = args.angles.split(",")
+    if len(parts) != 3:
+        raise ValueError(f"--angles expects three comma-separated degrees, got {args.angles!r}")
+    return tuple(singlet.Direction.from_degrees(float(p)) for p in parts)
 
 
 def _table_dict(table: singlet.PairTable) -> dict:
@@ -174,10 +175,12 @@ def _scan_rows(ab: tuple[float, float, int], ac: tuple[float, float, int], eps: 
     from it: ``classify`` compares the family's 4 * (t_hi - t_lo) with
     -eps, and in floats that value is within ``bellcheck._FAMILY_GAP`` of
     the margin.  So a margin at least that far above -eps is Proper, one
-    that far below is QuasiOnly, and only a margin inside the band runs the
-    private formulas behind ``classify`` (at tolerance ``eps``: its values
-    are floats); any other cell makes no call but the memo's.  Both band
-    edges are rounded outward, so the band holds for every finite eps >= 0."""
+    that far below is QuasiOnly, and only a margin inside the band makes the
+    two calls ``classify`` makes, ``quasi.solve_family`` and
+    ``QuasiFamily.interval_nonempty``, at tolerance ``eps`` (its values are
+    floats; their residuals are exactly 0, so the family is never None); any
+    other cell makes no call but the memo's.  Both band edges are rounded
+    outward, so the band holds for every finite eps >= 0."""
     inner = list(_axis(*ac))
     proper_from = math.nextafter(-eps + bellcheck._FAMILY_GAP, math.inf)
     quasi_below = math.nextafter(-eps - bellcheck._FAMILY_GAP, -math.inf)
@@ -201,7 +204,7 @@ def _scan_rows(ab: tuple[float, float, int], ac: tuple[float, float, int], eps: 
             elif margin < quasi_below:
                 tag = quasi_only
             else:
-                tag = quasi._verdict(quasi._family(singlet._rhs(u, v, w, 1.0), eps), eps).value
+                tag = proper if quasi.solve_family(singlet._rhs(u, v, w, 1.0), eps).interval_nonempty(eps) else quasi_only
             yield f"{fmt_ab},{fmt_ac},{fmt_u},{fmt_v},{fmt_w},{margin:.12g},{tag}\n"
 
 

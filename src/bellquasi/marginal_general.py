@@ -37,6 +37,7 @@ import itertools
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -261,12 +262,14 @@ def _phase_one_simplex(
     taken at their nonzero entries.  The entering column has the least
     reduced cost times ``inv[j]`` = 1 / sqrt(1 + |T_j|^2), T_j its column in
     the starting rational RREF, lowest index on ties (floats, which round
-    alike on every IEEE platform, only rank exact negative costs); the
-    leaving row has the least ratio, ties to the lowest basic label.  It
-    terminates: a pivot that leaves a row of rhs > 0 strictly lowers the
-    objective, so no basis recurs across it, and after ``_DEGENERATE_RUN`` *
-    m (m rows) pivots in a row that do not, Bland's rule (the first negative
-    cost) enters for the rest of the run, and it cannot cycle."""
+    alike on every IEEE platform, only rank exact negative costs: ``inv``
+    is positive, and a cost past the float range hands the run to Bland's
+    rule); the leaving row has the least ratio, ties to the lowest basic
+    label.  It terminates: a pivot that leaves a row of rhs > 0 strictly
+    lowers the objective, so no basis recurs across it, and after
+    ``_DEGENERATE_RUN`` * m (m rows) pivots in a row that do not, Bland's
+    rule (the first negative cost) enters for the rest of the run, and it
+    cannot cycle."""
     m, k, basis = len(rows), len(live), list(pivots)
     for i, row in enumerate(rows):
         if row[k] < 0:
@@ -291,8 +294,11 @@ def _phase_one_simplex(
     stall, limit = 0, _DEGENERATE_RUN * m
     while True:
         z = rows[m]
-        if stall < limit:
-            score = list(map(operator.mul, z, inv))  # inv has k entries: the rhs is not scored
+        try:  # inv has k entries: the rhs is not scored
+            score = list(map(operator.mul, z, inv)) if stall < limit else None
+        except OverflowError:  # a cost past the float range: Bland's rule for the rest of the run
+            score, stall = None, limit
+        if score is not None:
             low = min(score)
             enter = score.index(low) if low < 0 else None
         else:
@@ -337,8 +343,17 @@ def _eliminated(mat: RatMatrix, zero_rows: tuple[int, ...]):
     rows, pivots = _reduced(rows)
     norms = [1.0] * len(live)
     for row, p in zip(rows, pivots):
-        norms = [s + (c / row[p]) ** 2 for s, c in zip(norms, row)]
-    return live, rows, pivots, tuple([1 / math.sqrt(s) for s in norms])
+        norms = [s + _squared(c, row[p]) for s, c in zip(norms, row)]
+    # clamped, so every weight is positive and a score is < 0 exactly when its integer cost is
+    return live, rows, pivots, tuple([1 / math.sqrt(min(s, sys.float_info.max)) for s in norms])
+
+
+def _squared(c: int, a: int) -> float:
+    """(c / a) ** 2, or the largest float where that passes the float range."""
+    try:
+        return (c / a) ** 2
+    except OverflowError:
+        return sys.float_info.max
 
 
 def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:

@@ -47,11 +47,14 @@ HOMOGENEOUS: tuple[int, ...] = (-1, 1, 1, -1, 1, -1, -1, 1)
 _T_LO = operator.itemgetter(*(i for i, h in enumerate(HOMOGENEOUS) if h == 1))
 _T_HI = operator.itemgetter(*(i for i, h in enumerate(HOMOGENEOUS) if h == -1))
 
+#: The ``_constraint_matrix`` shape key of binary A, B, C and the BC, AC, AB tables.
+_BELL_SHAPE = ((2, 2, 2), ((1, 2), (0, 2), (0, 1)))
+
 def build_matrix() -> RatMatrix:
     """The fixed 10x8 constraint matrix (three rows per pair, BC/AC/AB
     order, entries ++, +-, -+ of each, then the all-ones normalization
     row): the generic builder's matrix for the shape of :func:`bell_problem`."""
-    return _constraint_matrix((2, 2, 2), ((1, 2), (0, 2), (0, 1)))
+    return _constraint_matrix(*_BELL_SHAPE)
 
 
 @lru_cache(maxsize=1)
@@ -107,34 +110,6 @@ def _scaled_x0(p: Sequence[Real]) -> list[Real]:
     ]
 
 
-def _family(p: Sequence[Real], tol: Real) -> Optional[tuple[tuple[Real, ...], Real, Real]]:
-    """``(x0, t_lo, t_hi)`` for rhs p, or None when a consistency residual
-    exceeds ``tol`` (0 when p is exact).  x0 is the closed form of
-    :func:`_scaled_x0`, exact p on integer numerators over one lcm d.  The
-    feasible interval splits the constraints x0[i] + t*xh[i] >= 0 by the
-    sign of xh[i]: t >= -x0[i] where xh[i] is +1 and t <= x0[i] where it is -1."""
-    d = 0  # the common denominator of exact p; 0 for float p
-    if is_exact(p):
-        d, p = _over_lcm(p)
-        tol = 0
-    if not all(abs(r) <= tol for r in _residuals(p)):  # a NaN residual fails too
-        return None
-    x8 = _scaled_x0(p)
-    lo, hi = min(_T_LO(x8)), min(_T_HI(x8))
-    if d:  # integers over 8 d: one Fraction per returned value
-        return tuple([Fraction(n, 8 * d) for n in x8]), Fraction(-lo, 8 * d), Fraction(hi, 8 * d)
-    # 0 - lo, not -lo: a zero bound is 0, never -0.0
-    return tuple([v / 8 for v in x8]), 0 - lo / 8, hi / 8
-
-
-def _verdict(family: Optional[tuple[tuple[Real, ...], Real, Real]], tol: Real) -> Feasibility:
-    """Verdict on a :func:`_family` result, by :meth:`QuasiFamily.interval_nonempty`'s test."""
-    if family is None:
-        return Feasibility.INCONSISTENT
-    _, t_lo, t_hi = family
-    return Feasibility.PROPER if 4 * (t_hi - t_lo) >= -tol else Feasibility.QUASI_ONLY
-
-
 @dataclass(frozen=True)
 class QuasiFamily:
     """The one-parameter family x(t) = x0 + t*xh, xh = ``HOMOGENEOUS``, of quasiprobabilities.
@@ -151,17 +126,30 @@ class QuasiFamily:
         return tuple(x + t * h for x, h in zip(self.x0, HOMOGENEOUS))
 
     def interval_nonempty(self, eps: Real = 0) -> bool:
-        """``4 * (t_hi - t_lo) >= -eps``: ``eps`` is on the Bell-margin scale,
-        since for singlet tables ``4 * (t_hi - t_lo)`` is exactly the margin
-        of :func:`bellquasi.bellcheck.bell_pair`."""
-        return _verdict((self.x0, self.t_lo, self.t_hi), eps) is Feasibility.PROPER
+        """``eps`` is on the Bell-margin scale: for singlet tables
+        ``4 * (t_hi - t_lo)`` is exactly the margin of :func:`bellquasi.bellcheck.bell_pair`."""
+        return 4 * (self.t_hi - self.t_lo) >= -eps
 
 
 def solve_family(p: Sequence[Real], eps: float = DEFAULT_EPS) -> Optional[QuasiFamily]:
-    """Quasiprobability family for rhs p, or None when p is inconsistent."""
+    """Quasiprobability family for rhs p, or None when a consistency
+    residual exceeds ``eps`` (0 when p is exact).  x0 is the closed form of
+    :func:`_scaled_x0`, exact p on integer numerators over one lcm d.  The
+    feasible interval splits the constraints x0[i] + t*xh[i] >= 0 by the
+    sign of xh[i]: t >= -x0[i] where xh[i] is +1 and t <= x0[i] where it is -1."""
     _check_p(p)
-    family = _family(p, eps)
-    return None if family is None else QuasiFamily(*family)
+    d = 0  # the common denominator of exact p; 0 for float p
+    if is_exact(p):
+        d, p = _over_lcm(p)
+        eps = 0
+    if not all(abs(r) <= eps for r in _residuals(p)):  # a NaN residual fails too
+        return None
+    x8 = _scaled_x0(p)
+    lo, hi = min(_T_LO(x8)), min(_T_HI(x8))
+    if d:  # integers over 8 d: one Fraction per returned value
+        return QuasiFamily(tuple([Fraction(n, 8 * d) for n in x8]), Fraction(-lo, 8 * d), Fraction(hi, 8 * d))
+    # 0 - lo, not -lo: a zero bound is 0, never -0.0
+    return QuasiFamily(tuple([v / 8 for v in x8]), 0 - lo / 8, hi / 8)
 
 
 @dataclass(frozen=True)
@@ -208,4 +196,4 @@ def bell_problem(corr: CorrelationTriple) -> MarginalProblem:
     constraints = ((("B", "C"), p[0:3] + p[0:1]), (("A", "C"), p[3:6] + p[3:4]), (("A", "B"), p[6:9] + p[6:7]))
     if corr.integers is None:
         return MarginalProblem(observables, constraints)
-    return MarginalProblem._checked(observables, constraints, p, ((2, 2, 2), ((1, 2), (0, 2), (0, 1))))
+    return MarginalProblem._checked(observables, constraints, p, _BELL_SHAPE)

@@ -567,7 +567,7 @@ def reference_scan_rows(ab: tuple[float, float, int], ac: tuple[float, float, in
             elif margin < quasi_below:
                 tag = quasi_only
             else:
-                tag = quasi._verdict(quasi._family(singlet._rhs(u, v, w, 1.0), eps), eps).value
+                tag = proper if quasi.solve_family(singlet._rhs(u, v, w, 1.0), eps).interval_nonempty(eps) else quasi_only
             yield f"{fmt_ab},{fmt_ac},{fmt_u},{fmt_v},{fmt_w},{cli._fmt(margin)},{tag}\n"
 
 

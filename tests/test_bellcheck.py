@@ -166,10 +166,9 @@ class TestEquivalenceCheck:
 def family_value(u, v, w, one):
     """4 * (t_hi - t_lo) as a scan cell's fallback computes it (at tolerance 0:
     the rhs of any triple in [-1, 1] is consistent, in floats too)."""
-    family = quasi._family(singlet._rhs(u, v, w, one), 0)
+    family = quasi.solve_family(singlet._rhs(u, v, w, one), 0)
     assert family is not None, (u, v, w)
-    _, t_lo, t_hi = family
-    return 4 * (t_hi - t_lo)
+    return 4 * (family.t_hi - family.t_lo)
 
 
 def float_gap(u, v, w):
@@ -211,13 +210,13 @@ class TestFamilyGap:
 
 def count_family_calls(monkeypatch):
     calls = []
-    family = quasi._family
+    family = quasi.solve_family
 
-    def counting(p, tol):
+    def counting(p, eps):
         calls.append(p)
-        return family(p, tol)
+        return family(p, eps)
 
-    monkeypatch.setattr(quasi, "_family", counting)
+    monkeypatch.setattr(quasi, "solve_family", counting)
     return calls
 
 

@@ -105,11 +105,15 @@ class TestSingletCommand:
             ("--angles", "nan,0,0"),
             ("--alpha", "nan,0,0", "--beta", "0,1,0", "--gamma", "0,0,1"),
             pytest.param(("--angles", "0,90"), id="two-angles"),
+            # one form or the other: --angles never silently wins over the axes
+            pytest.param(("--angles", "0,60,120", "--alpha", "1,0,0", "--beta", "0,1,0", "--gamma", "0,0,1"), id="angles-and-axes"),
+            pytest.param(("--angles", "0,60,120", "--alpha", "1,0,0"), id="angles-and-alpha"),
         ],
     )
     def test_non_finite_axis_exits_2(self, capsys, axes):
-        code, _, err = run(capsys, "singlet", *axes)
+        code, out, err = run(capsys, "singlet", *axes)
         assert code == EXIT_USAGE
+        assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
 
@@ -179,7 +183,7 @@ class TestSingletCommand:
         assert "(empty)" in out
 
     def test_family_solved_once(self, capsys, monkeypatch):
-        calls = {"solve_family": 0, "check_consistency": 0, "_family": 0}
+        calls = {"solve_family": 0, "check_consistency": 0}
 
         def counted(name):
             original = getattr(quasi, name)
@@ -194,7 +198,7 @@ class TestSingletCommand:
             monkeypatch.setattr(quasi, name, counted(name))
         assert cli.main(["singlet", "--angles", "0,60,120"]) == EXIT_QUASI_ONLY
         capsys.readouterr()
-        assert calls == {"solve_family": 1, "check_consistency": 1, "_family": 1}
+        assert calls == {"solve_family": 1, "check_consistency": 1}
 
     def test_json_contains_every_report_field(self, capsys):
         _, out, _ = run(capsys, "singlet", "--angles", "10,20,30", "--json")
@@ -227,14 +231,16 @@ class TestScanCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_five_degree_scan_digest(self, capsys, tmp_path):
-        # the published 5-degree map, the 2-degree map at a wide eps, and an
-        # uneven grid whose angle differences are almost all distinct (so
-        # <BC> is rarely found in the scan's memo): any change to a float
-        # path shows here.  These digests are the same on Python 3.10 to
-        # 3.13; the --eps 0 maps are not (sum() rounds differently since
-        # 3.12), so none is pinned.  The --out file holds stdout's bytes.
+        # the published 5-degree map, the 2-degree map at a wide eps and at
+        # eps 0, and an uneven grid whose angle differences are almost all
+        # distinct (so <BC> is rarely found in the scan's memo): any change
+        # to a float path shows here.  These digests are the same on Python
+        # 3.10 to 3.13, the --eps 0 map too: x0 is computed in a fixed order
+        # of float operations.  Its 1,072 cells within _FAMILY_GAP of 0 are
+        # the only pinned ones that ask the family.  The --out file holds
+        # stdout's bytes.
         cases = [(argv, pin) for argv, pin in PINS.items() if argv[0] == "scan" and argv != ("scan",)]
-        assert len(cases) == 3
+        assert len(cases) == 4
         out_path = tmp_path / "scan.csv"
         for argv, (expected_code, expected) in cases:
             code, _, _ = run(capsys, *argv, "--out", str(out_path))
@@ -947,7 +953,7 @@ def bench_cycle_documents(tmp_path, monkeypatch) -> dict:
 def test_every_pin_is_read():
     # the pin tests read tests/pins.json by command: a pin of another kind would go unchecked
     kinds = Counter(argv[0] + " --exact" * ("--exact" in argv) for argv in PINS)
-    assert kinds == {"paper-check": 1, "solve": 6, "singlet --exact": 2, "singlet": 1, "scan": 4}
+    assert kinds == {"paper-check": 1, "solve": 6, "singlet --exact": 2, "singlet": 1, "scan": 5}
 
 
 class TestPaperCheckCommand:

@@ -751,6 +751,46 @@ class TestPricing:
             assert solve_problem(prob).status is Feasibility.PROPER
             assert 0 < len(steps) <= bound, len(steps)
 
+    def test_column_norm_past_the_float_range_still_prices(self):
+        # the squared norm of column 2 is 2 * 10**308, past the largest
+        # float: its weight once became 0.0, its score 0, and phase one
+        # stopped with QuasiOnly on a system that x = (0, 0, 1/M) solves
+        m = 10**154
+        result = lp_feasible(RatMatrix(2, 3, (1, 0, -m, 0, 1, -m)), (-1, -1))
+        assert result == marginal_general.FeasibilityResult(Feasibility.PROPER, (0, 0, F(1, m)), 1)
+        # an entry whose quotient is past the float range
+        assert lp_feasible(RatMatrix(1, 2, (1, 10**200)), (1,)).status is Feasibility.PROPER
+
+    @pytest.mark.parametrize("bits", [100, 400, 520, 1100])
+    def test_big_entry_lps_match_blands_reference(self, monkeypatch, bits):
+        # seeded 3 x 6 integer LPs, half of them with rhs a x for some
+        # x >= 0: the reference's status and dimension, and an exact witness.
+        # From 400 bits on, an LP that pivots at all has a reduced cost past
+        # the float range at its first pricing, so it runs by Bland's rule
+        # throughout: the reference's at run=0, witness and pivot count included
+        rng = random.Random(f"big-{bits}")
+        steps = counting_pivots(monkeypatch)
+        seen = Counter()
+        for k in range(200):
+            a = [[rng.randint(-(2**bits), 2**bits) for _ in range(6)] for _ in range(3)]
+            if k % 2:
+                x = [rng.randint(0, 3) for _ in range(6)]
+                b = [sum(u * v for u, v in zip(row, x)) for row in a]
+            else:
+                b = [rng.randint(-(2**bits), 2**bits) for _ in range(3)]
+            steps.clear()
+            result = lp_feasible(RatMatrix.from_rows(a), [F(v) for v in b])
+            status, witness, hom_dim, ref_steps = oracles.reference_lp_feasible(a, b, run=0)
+            assert (result.status, result.homogeneous_dim) == (Feasibility(status), hom_dim), (a, b)
+            if result.witness is not None:
+                assert min(result.witness) >= 0
+                assert [sum(u * v for u, v in zip(row, result.witness)) for row in a] == b
+            if bits >= 400:
+                assert (result.witness, len(steps)) == (witness, ref_steps), (a, b)
+            seen[status] += 1
+            seen["pivoted"] += ref_steps > 0
+        assert min(seen["Proper"], seen["QuasiOnly"], seen["pivoted"]) >= 20, seen
+
 
 class TestEliminationCache:
     def test_reused_elimination_matches_cold_calls_and_reference(self, monkeypatch):

@@ -173,7 +173,7 @@ class TestClosedForm:
             if k % 2 and sum(x):  # normalized, like every rhs the deciders take
                 x = [v / sum(x) for v in x]
             p = oracles.mat_vec(m, x)
-            assert quasi._family(p, 0)[0] == oracles.mat_vec(pinv, p)
+            assert tuple(v / 8 for v in quasi._scaled_x0(p)) == oracles.mat_vec(pinv, p)
 
     def test_closed_form_matrix_agrees_with_pseudoinverse_on_the_range(self):
         # L: the closed form applied to the unit rhs vectors, column by column
@@ -196,7 +196,7 @@ class TestClosedForm:
         for u, v, w in triples:
             p = singlet._rhs(u, v, w, 1.0)
             exact = oracles.mat_vec(pinv, [F(e) for e in p])
-            for got, want in zip(quasi._family(p, 0)[0], exact):
+            for got, want in zip(solve_family(p, 0).x0, exact):
                 assert abs(got - float(want)) <= 2 * math.ulp(0.5), (u, v, w)
 
 
@@ -304,7 +304,11 @@ class TestSharedCores:
         tags = set()
         for p in self.p_vectors(random.Random(1401)):
             tol = tolerance(p, eps)
-            tag = quasi._verdict(quasi._family(p, tol), tol)
+            family = solve_family(p, tol)
+            if family is None:
+                tag = Feasibility.INCONSISTENT
+            else:
+                tag = Feasibility.PROPER if family.interval_nonempty(tol) else Feasibility.QUASI_ONLY
             assert tag is classify(p, eps).tag, p
             tags.add(tag)
         assert tags == set(Feasibility)
@@ -321,7 +325,7 @@ class TestSharedCores:
             p = singlet._rhs(u, v, w, F(1) if exact else 1.0)
             assert p == corr.rhs
             if exact:  # the two deciders agree exactly: Proper iff the margin is >= 0
-                assert (quasi._verdict(quasi._family(p, 0), 0) is Feasibility.PROPER) == (margin >= 0)
+                assert solve_family(p, 0).interval_nonempty(0) == (margin >= 0)
 
 
 class TestIntegerNumerators:
