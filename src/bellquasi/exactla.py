@@ -21,6 +21,7 @@ lives here too: :func:`is_exact` tells exact inputs from float ones, and
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -127,8 +128,9 @@ def _pivot(rows: list[list[int]], r: int, c: int) -> None:
     scaled by the pivot entry into a new list, and takes the gcd."""
     if rows[r][c] < 0:
         rows[r] = [-x for x in rows[r]]
-    p = rows[r][c]
-    nonzeros = [(j, b) for j, b in enumerate(rows[r]) if b]
+    top = rows[r]
+    p = top[c]
+    nonzeros = [(j, top[j]) for j in itertools.compress(range(len(top)), top)]
     for i, row in enumerate(rows):
         f = row[c]
         if i == r or f == 0:

@@ -28,6 +28,22 @@ GHZ-Mermin or Hardy tables no joint outcome, or only one, survives, and
 ``QuasiOnly`` follows without a pivot.  This module doubles as the
 independent oracle for the specialized three-observable machinery in
 :mod:`bellquasi.quasi`.
+
+A wide problem is solved on a chordal cover of its tables instead
+(:func:`_cover`, once per shape): a greedy min-fill elimination order on
+the primal graph (observables joined when they share a table), its maximal
+cliques, a junction tree on them, and each table held by one clique.  When
+the cliques' outcomes number fewer than half of the N joint outcomes, the
+LP has one column per clique outcome: each clique's tables and
+normalization, and on each separator S of the tree, the clique's marginal
+equal to its parent's.  Non-negative clique tables that agree on the
+separators glue to the joint p = prod p_C / prod p_S, 0 wherever p_S is 0
+(Vorob'ev 1962), and signed ones always glue to a signed joint (add the
+cliques one at a time: p'(u, e) = p(u) r(e) + (q_D(s, e) - q_S(s) r(e)) w(u),
+for any r summing to 1 and any w summing to 1 over each separator outcome
+s), so the clique LP decides all three verdicts exactly; the dimension is
+read from the shape.  Otherwise, as for the Bell triple (one clique), the
+LP is the dense one above.
 """
 
 from __future__ import annotations
@@ -330,22 +346,29 @@ def _phase_one_simplex(
 
 @functools.lru_cache(maxsize=16)
 def _eliminated(mat: RatMatrix, zero_rows: tuple[int, ...]):
-    """(live, rows, pivots, inv): :func:`bellquasi.exactla._reduced` on the columns ``live`` of
-    ``mat`` left once each one-signed row in ``zero_rows`` (rhs 0: a zero table cell) drops its
-    support, and the pricing weights of :func:`_phase_one_simplex`; no rhs changes any of them.
-    Every LP looks up the full elimination, ``zero_rows = ()``, first, so under LRU it stays
-    while zero patterns come and go.  An entry is 0.38 MB for the 729-column 6-cycle."""
-    one_signed = [row for row in map(mat.row, zero_rows) if not min(row, default=0) < 0 < max(row, default=0)]
-    forced = {j for row in one_signed for j, c in enumerate(row) if c}
+    """(live, kept, rows, pivots, inv): :func:`bellquasi.exactla._reduced` on the rows ``kept``
+    and the columns ``live`` of ``mat`` left once each one-signed row in ``zero_rows`` (rhs 0: a
+    zero table cell) drops its support and itself (it is then 0 on every live column, so it says
+    nothing about the live system), and the pricing weights of :func:`_phase_one_simplex`; no
+    rhs changes any of them.  Every LP looks up the full elimination, ``zero_rows = ()``, first,
+    so under LRU it stays while zero patterns come and go.  An entry is 0.38 MB for the
+    729-column 6-cycle."""
+    rows = list(map(mat.row, range(mat.rows)))
+    forcing = {i for i in zero_rows if not min(rows[i], default=0) < 0 < max(rows[i], default=0)}
+    forced = {j for i in forcing for j, c in enumerate(rows[i]) if c}
     keep = [j not in forced for j in range(mat.cols)]
     live = tuple(itertools.compress(range(mat.cols), keep))
-    rows = [tuple(itertools.compress(row, keep)) if forced else row for row in map(mat.row, range(mat.rows))]
-    rows, pivots = _reduced(rows)
+    kept = tuple(i for i in range(mat.rows) if i not in forcing)
+    rows, pivots = _reduced([tuple(itertools.compress(rows[i], keep)) if forced else rows[i] for i in kept])
     norms = [1.0] * len(live)
     for row, p in zip(rows, pivots):
-        norms = [s + _squared(c, row[p]) for s, c in zip(norms, row)]
+        a = row[p]
+        try:
+            norms = [s + (c / a) ** 2 for s, c in zip(norms, row)]
+        except OverflowError:
+            norms = [s + _squared(c, a) for s, c in zip(norms, row)]
     # clamped, so every weight is positive and a score is < 0 exactly when its integer cost is
-    return live, rows, pivots, tuple([1 / math.sqrt(min(s, sys.float_info.max)) for s in norms])
+    return live, kept, rows, pivots, tuple([1 / math.sqrt(min(s, sys.float_info.max)) for s in norms])
 
 
 def _squared(c: int, a: int) -> float:
@@ -372,8 +395,9 @@ def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
     :func:`bellquasi.exactla._pivot` divides every row it updates by its
     gcd.  The full elimination decides consistency and rank.  The one for
     the call's zero rows drops the columns that a zero row of one sign
-    forces to 0, and, the rational RREF of [mat_live | rhs] being unique,
-    gives exactly its nonzero rows: the simplex's system and starting basis.
+    forces to 0, and those rows, and, the rational RREF of [mat_live | rhs]
+    being unique, gives exactly its nonzero rows: the simplex's system and
+    starting basis.
     A null row there with T b != 0 means ``QuasiOnly`` with no pivot:
     [mat | rhs] is consistent, so x >= 0 would need a forced column."""
     if len(rhs) != mat.rows:
@@ -382,12 +406,12 @@ def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
         raise TypeError("rhs entries must be exact rationals; rationalize floats first")
     n = mat.cols
     scale, scaled = _over_lcm(rhs)
-    _, rows, pivots, _ = _eliminated(mat, ())
+    _, _, rows, pivots, _ = _eliminated(mat, ())
     rank = len(pivots)
     if any(_images(rows[rank:], n, scaled)):  # 0 = nonzero
         return FeasibilityResult(Feasibility.INCONSISTENT, None, n - rank)
-    live, rows, pivots, inv = _eliminated(mat, tuple(i for i, b in enumerate(scaled) if not b))
-    k = len(live)
+    live, kept, rows, pivots, inv = _eliminated(mat, tuple(i for i, b in enumerate(scaled) if not b))
+    k, scaled = len(live), [scaled[i] for i in kept]
     tableau = [[*row[:k], b] for row, b in zip(rows[: len(pivots)], _images(rows, k, scaled))]  # b = T_i b
     # only with a forced column can a live null row have T b != 0 (0 = nonzero): x >= 0 would need it
     quasi_only = k < n and any(_images(rows[len(pivots) :], k, scaled))
@@ -396,5 +420,134 @@ def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
 
 
 def solve_problem(prob: MarginalProblem) -> FeasibilityResult:
-    """Feasibility of a marginal problem (its tables are exact since construction)."""
-    return lp_feasible(*build_constraint_system(prob))
+    """Feasibility of a marginal problem (its tables are exact since construction): on the
+    clique LP of its shape's :func:`_cover`, the witness glued (:func:`_glued`), or, when
+    there is none, on :func:`build_constraint_system`."""
+    cover = _cover(*prob._shape)
+    if cover is None:
+        return lp_feasible(*build_constraint_system(prob))
+    _, held, mat, homogeneous_dim, glue = cover
+    rhs: list = []
+    for tables in held:
+        for t in tables:
+            rhs += prob.constraints[t][1][:-1]
+        rhs.append(1)
+    result = lp_feasible(mat, rhs + [0] * (mat.rows - len(rhs)))
+    witness = result.witness and _glued(glue, prob.cardinalities(), result.witness)
+    return FeasibilityResult(result.status, witness, homogeneous_dim)
+
+
+@functools.lru_cache(maxsize=8)
+def _cover(cards: tuple[int, ...], shape: tuple[tuple[int, ...], ...]) -> Optional[tuple]:
+    """The chordal cover of a shape, ``(cliques, held, matrix, homogeneous_dim, glue)``, or None
+    when its cliques have at least half as many outcomes as the joint, so the dense LP of
+    :func:`_constraint_matrix` is used.  ``cliques`` are observable positions, ascending, the
+    root first and each after its parent; ``held`` the tables each clique holds, by position in
+    the shape; ``matrix`` the clique LP (:func:`_clique_matrix`); ``glue``, per clique, its
+    separator with its parent (none for the root), its other observables, and for each of its
+    outcomes, row-major, their values on each and the joint index of the latter.
+
+    Observables are eliminated greedily by least fill (pairs of remaining neighbours not yet
+    joined; lowest position on ties), each with its remaining neighbours forming a clique, and
+    the maximal ones are joined by a maximum-weight spanning tree of their intersection sizes,
+    which on the cliques of a chordal graph is a junction tree (a component of its own hangs on
+    an empty separator).  Each table goes to the first clique, in tree order, that holds it."""
+    adj = {v: set() for v in range(len(cards))}
+    for positions in shape:
+        for p in positions:
+            adj[p].update(q for q in positions if q != p)
+    cliques: list[set[int]] = []
+    while adj:
+        v = min(adj, key=lambda v: sum(len(adj[v] - adj[u]) - 1 for u in adj[v]))  # twice the fill
+        clique = adj.pop(v)
+        for u in clique:
+            adj[u] |= clique - {u}
+            adj[u].discard(v)
+        clique.add(v)
+        if not any(clique <= c for c in cliques):
+            cliques.append(clique)
+    if 2 * sum(math.prod(cards[p] for p in c) for c in cliques) >= math.prod(cards):
+        return None
+    # link: for each clique outside the tree, the tree clique it shares the most observables with
+    order, parents, link = [0], [], {j: 0 for j in range(1, len(cliques))}
+    while link:
+        j = max(link, key=lambda j: len(cliques[j] & cliques[link[j]]))
+        parents.append(order.index(link.pop(j)))
+        order.append(j)
+        for i in link:
+            if len(cliques[i] & cliques[j]) > len(cliques[i] & cliques[link[i]]):
+                link[i] = j
+    cliques = [cliques[i] for i in order]
+    held: list[list[int]] = [[] for _ in cliques]
+    for t, positions in enumerate(shape):
+        held[next(i for i, c in enumerate(cliques) if c.issuperset(positions))].append(t)
+    links = tuple((parent, tuple(sorted(cliques[child] & cliques[parent]))) for child, parent in enumerate(parents, 1))
+    cliques, held = tuple(tuple(sorted(c)) for c in cliques), tuple(map(tuple, held))
+    strides = [math.prod(cards[i + 1 :]) for i in range(len(cards))]
+    glue = []
+    for clique, separator in zip(cliques, ((), *(s for _, s in links))):
+        new = tuple(p for p in clique if p not in separator)
+        outcomes = [dict(zip(clique, outcome)) for outcome in itertools.product(*(range(cards[p]) for p in clique))]
+        plan = [(tuple(o[p] for p in separator), tuple(o[p] for p in new), sum(o[p] * strides[p] for p in new)) for o in outcomes]
+        glue.append((separator, new, tuple(plan)))
+    return cliques, held, _clique_matrix(cards, shape, cliques, held, links), _homogeneous_dim(cards, shape), tuple(glue)
+
+
+def _clique_matrix(cards, shape, cliques, held, links) -> RatMatrix:
+    """The clique LP: on each clique's own columns, the :func:`_constraint_matrix` of its tables
+    ``held`` (their rows, then its normalization); then for each clique but the root, linked to
+    its parent by a separator, that of the separator alone but the normalization, in the clique
+    minus in the parent (rhs 0).  A one-clique cover of every observable, its tables in their
+    order, gives :func:`_constraint_matrix`."""
+    offsets = list(itertools.accumulate((math.prod(cards[p] for p in c) for c in cliques), initial=0))
+
+    def placed(c, tables, sign=1):  # the rows of clique c's _constraint_matrix over ``tables``, widened
+        local = tuple(tuple(map(cliques[c].index, t)) for t in tables)
+        block = _constraint_matrix.__wrapped__(tuple(cards[p] for p in cliques[c]), local)
+        return [[0] * offsets[c] + [sign * v for v in block.row(i)] + [0] * (offsets[-1] - offsets[c + 1]) for i in range(block.rows)]
+
+    rows = [row for c, ts in enumerate(held) for row in placed(c, [shape[t] for t in ts])]
+    for child, (parent, separator) in enumerate(links, 1):
+        rows += [list(map(operator.add, a, b)) for a, b in zip(placed(child, [separator]), placed(parent, [separator], -1))][:-1]
+    return RatMatrix.from_rows(rows)
+
+
+def _homogeneous_dim(cards: tuple[int, ...], shape: tuple[tuple[int, ...], ...]) -> int:
+    """N - rank of the dense constraint matrix, from the shape alone: its rows span the functions
+    of the joint outcome that depend only on some table's observables, the sum over the
+    down-closure of the tables, the empty set included, of the functions of exactly T that sum
+    to 0 along each of its observables, of dimension prod over T of (k_i - 1)."""
+    closure = {frozenset(sub) for positions in shape for r in range(len(positions) + 1) for sub in itertools.combinations(positions, r)}
+    return math.prod(cards) - sum(math.prod(cards[i] - 1 for i in t) for t in closure | {frozenset()})
+
+
+def _glued(glue: tuple, cards: tuple[int, ...], x: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The joint prod p_C / prod p_S of the clique LP's non-negative solution ``x``, built
+    outward from the root's support in integers (the entries of ``x`` over one lcm) with one
+    ``Fraction`` per joint outcome in its support, and 0 elsewhere: an outcome whose separator
+    marginal is 0 is not reached.  Each clique outcome in the support extends every partial
+    outcome that agrees with it on the separator (whose marginal, from either side, is the same)."""
+    _, ints = _over_lcm(x)
+    partials = [([0] * len(cards), 0, 1, 1)]  # (outcome so far, its joint index, numerator, denominator)
+    start = 0
+    for separator, new, outcomes in glue:
+        grow: dict[tuple[int, ...], list] = {}  # separator values: [their marginal, their extensions]
+        for o in itertools.compress(range(len(outcomes)), ints[start : start + len(outcomes)]):
+            key, values, step = outcomes[o]
+            entry = grow.setdefault(key, [0, []])
+            entry[0] += ints[start + o]
+            entry[1].append((values, step, ints[start + o]))
+        start += len(outcomes)
+        grown = []
+        for outcome, index, num, den in partials:
+            total, extensions = grow[tuple(outcome[p] for p in separator)]
+            for values, step, a in extensions:
+                nxt = outcome.copy()
+                for p, v in zip(new, values):
+                    nxt[p] = v
+                grown.append((nxt, index + step, num * a, den * total))
+        partials = grown
+    joint = [Fraction(0)] * math.prod(cards)
+    for _, index, num, den in partials:
+        joint[index] = Fraction(num, den)
+    return tuple(joint)

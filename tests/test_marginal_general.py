@@ -741,14 +741,15 @@ class TestPricing:
         assert min(seen.values()) >= 5 and seen["pivoted"] >= 80, seen
 
     def test_wall_lps_take_few_pivots(self, monkeypatch):
-        # Bland's rule takes 479 pivots on the uniform binary 10-cycle and
-        # 811 on the bundled uniform ternary 6-cycle; the weighted rule 25 and 57
+        # on their dense LPs (solve_problem takes their clique LPs), Bland's
+        # rule takes 479 pivots on the uniform binary 10-cycle and 811 on the
+        # bundled uniform ternary 6-cycle; the weighted rule 25 and 57
         steps = counting_pivots(monkeypatch)
         uniform = cycle_problem(2, [[F(1, 4)] * 4] * 10)
         six = load_problem_document(str(PROBLEMS / "uniform_ternary_6cycle.json"))
         for prob, bound in ((uniform, 40), (six, 100)):
             steps.clear()
-            assert solve_problem(prob).status is Feasibility.PROPER
+            assert lp_feasible(*build_constraint_system(prob)).status is Feasibility.PROPER
             assert 0 < len(steps) <= bound, len(steps)
 
     def test_column_norm_past_the_float_range_still_prices(self):
@@ -1059,12 +1060,17 @@ class TestSolveProblem:
             assert joint_marginal(prob, result.witness, subset) == table
 
     def test_redundant_rows_never_change_the_answer(self):
+        # the dense LP with each table's last row kept gives the same answer,
+        # witness included; solve_problem gives its status and dimension (a
+        # problem whose cover has few columns is solved on its clique LP)
         rng = random.Random(113)
         for _ in range(200):
             prob = random_problem(rng)
             rows, rhs = oracles.full_constraint_system(prob)
             retained = lp_feasible(RatMatrix.from_rows(rows), rhs)
-            assert solve_problem(prob) == retained
+            assert lp_feasible(*build_constraint_system(prob)) == retained
+            result = solve_problem(prob)
+            assert (result.status, result.homogeneous_dim) == (retained.status, retained.homogeneous_dim)
 
 
 class TestProblemRhs:
@@ -1105,6 +1111,180 @@ class TestProblemRhs:
             assert prob._shape == MarginalProblem._shape.func(prob)  # bell_problem's fixed key is the built one
             # the problem keeps its rhs and shape key only: the matrix stays in the shape cache
             assert sorted(vars(prob)) == ["_rhs", "_shape", "constraints", "observables"]
+
+
+def reproduces(prob: MarginalProblem, witness) -> bool:
+    """Is ``witness`` a non-negative joint table whose marginals are exactly
+    every table of ``prob``?  One pass over its support."""
+    cards = prob.cardinalities()
+    index = {name: i for i, (name, _) in enumerate(prob.observables)}
+    if len(witness) != math.prod(cards) or min(witness) < 0:
+        return False
+    sums = [[0] * len(table) for _, table in prob.constraints]
+    for w, outcome in zip(witness, itertools.product(*map(range, cards))):
+        if w:
+            for (subset, _), cells in zip(prob.constraints, sums):
+                k = 0
+                for name in subset:
+                    k = k * cards[index[name]] + outcome[index[name]]
+                cells[k] += w
+    return all(tuple(cells) == table for cells, (_, table) in zip(sums, prob.constraints))
+
+
+def panel_problems() -> list:
+    """The LP panel: the bundled documents, three ``exact_sweep`` rounds and
+    108 bench n-cycles (binary n = 3-8, ternary n = 3-5, k = 4 n = 3-4,
+    k = 5 n = 3; every verdict; seeds 0-2)."""
+    ncycle = oracles.bench_module("ncycle")
+    problems = [load_problem_document(str(path)) for path in sorted(PROBLEMS.glob("*.json"))]
+    problems += [bell_problem(corr) for seed in range(3) for corr in oracles.sweep_triples(seed)]
+    for n, k in [(n, 2) for n in range(3, 9)] + [(3, 3), (4, 3), (5, 3), (3, 4), (4, 4), (3, 5)]:
+        for verdict in ncycle.VERDICTS:
+            problems += [cycle_problem(k, ncycle.generate(random.Random(seed), n, k, verdict).tables) for seed in range(3)]
+    return problems
+
+
+def hypergraph_problem(rng: random.Random, kind: str) -> MarginalProblem:
+    """Tables on a seeded hypergraph of ``kind`` (chain, star, cycle, disjoint
+    pairs with a table of X0 alone, or a cycle of three-observable tables), at most 729
+    joint outcomes: the marginals of a mixture of assignments, each with its
+    shifts by 1, 2, ... mod k (uniform single marginals), then one table's
+    observable relabelled v -> v + 1 (twisted: often QuasiOnly), or mass moved
+    inside one table (often Inconsistent), or neither."""
+    k = rng.choice((2, 3))
+    n = rng.randint(3, 8 if k == 2 else 6)
+    cards = [k] * n if rng.random() < 0.7 else [rng.choice((2, 3)) for _ in range(n)]
+    while math.prod(cards) > 729:
+        cards[cards.index(3)] = 2
+    shape = {
+        "chain": [(i, i + 1) for i in range(n - 1)],
+        "star": [(0, i) for i in range(1, n)],
+        "cycle": [(i, (i + 1) % n) for i in range(n)],
+        "disjoint": [(0,)] + [tuple(range(i, min(i + 2, n))) for i in range(0, n, 2)],
+        "triples": [(i, (i + 1) % n, (i + 2) % n) for i in range(0, n - 1, 2)],
+    }[kind]
+    weights = Counter()
+    for _ in range(rng.randint(1, 4)):
+        s, w = [rng.randrange(c) for c in cards], rng.randint(1, 97)
+        for j in range(max(cards)):
+            weights[tuple((v + j) % c for v, c in zip(s, cards))] += w
+    total = sum(weights.values())
+    tables = [[F(0)] * math.prod(cards[p] for p in positions) for positions in shape]
+    change, t = rng.choice(("none", "twist", "move")), rng.randrange(len(shape))
+    for outcome, w in weights.items():
+        for i, positions in enumerate(shape):
+            values = [outcome[p] for p in positions]
+            if change == "twist" and i == t:
+                values[-1] = (values[-1] + 1) % cards[positions[-1]]
+            cell = 0
+            for p, v in zip(positions, values):
+                cell = cell * cards[p] + v
+            tables[i][cell] += F(w, total)
+    if change == "move":
+        table = tables[t]
+        src = max(range(len(table)), key=lambda c: table[c])
+        dst = (src + len(table) // cards[shape[t][0]]) % len(table)  # the next value of the table's first observable
+        moved = table[src] / 2
+        table[src] -= moved
+        table[dst] += moved
+    names = [f"X{i}" for i in range(n)]
+    return MarginalProblem(
+        observables=tuple(zip(names, cards)),
+        constraints=tuple((tuple(names[p] for p in positions), tuple(table)) for positions, table in zip(shape, tables)),
+    )
+
+
+class TestChordalCover:
+    """``solve_problem`` decides a problem whose chordal cover has fewer than
+    half as many clique outcomes as joint outcomes on the clique LP, and
+    glues its witness; every other problem keeps the dense LP."""
+
+    def test_one_clique_cover_is_the_dense_matrix(self):
+        rng = random.Random(3501)
+        shapes = [load_problem_document(str(path))._shape for path in sorted(PROBLEMS.glob("*.json"))]
+        shapes += [random_shape(rng) for _ in range(300)]
+        for cards, shape in shapes:
+            one = marginal_general._clique_matrix(cards, shape, (tuple(range(len(cards))),), (tuple(range(len(shape))),), ())
+            assert one == marginal_general._constraint_matrix(cards, shape), (cards, shape)
+
+    def test_covers_of_the_bundled_and_bench_shapes(self):
+        # the Bell triple, the bundled documents, criterion 3's sweep and
+        # every ncycle_small shape keep the dense LP; the ncycle_large shapes
+        # and the 6-cycle take n - 2 triangles
+        ncycle = oracles.bench_module("ncycle")
+        cycles = {(n, k): cycle_problem(k, ncycle.generate(random.Random(0), n, k, "Proper").tables) for n, k in ((4, 2), (6, 2), (4, 3), (8, 2), (5, 3))}
+        dense = [load_problem_document(str(path)) for path in sorted(PROBLEMS.glob("*.json")) if "6cycle" not in path.name]
+        for prob in dense + [cycles[4, 2], cycles[6, 2], cycles[4, 3]]:
+            assert marginal_general._cover(*prob._shape) is None, prob._shape
+        six = load_problem_document(str(PROBLEMS / "uniform_ternary_6cycle.json"))
+        for prob, cols in ((cycles[8, 2], 48), (cycles[5, 3], 81), (six, 108)):
+            cliques, held, mat, _, _ = marginal_general._cover(*prob._shape)
+            n = len(prob.observables)
+            assert len(cliques) == n - 2 and {len(c) for c in cliques} == {3}
+            assert mat.cols == cols and sorted(t for tables in held for t in tables) == list(range(n))
+        # least fill eliminates a star's leaves before its centre, wherever the centre sits
+        for centre in (0, 6):
+            shape = tuple((centre, leaf) for leaf in range(7) if leaf != centre)
+            assert sorted(marginal_general._cover((2,) * 7, shape)[0]) == sorted(tuple(sorted(t)) for t in shape)
+        # one cached lookup per problem of a shape already seen, none other
+        marginal_general._cover.cache_clear()
+        for corr in oracles.sweep_triples(3501)[:50]:
+            solve_problem(bell_problem(corr))
+        assert marginal_general._cover.cache_info()[:2] == (49, 1)
+
+    def test_verdicts_and_dimensions_match_the_dense_lp_on_the_panel(self):
+        seen = Counter()
+        for prob in panel_problems():
+            result, dense = solve_problem(prob), lp_feasible(*build_constraint_system(prob))
+            assert (result.status, result.homogeneous_dim) == (dense.status, dense.homogeneous_dim), prob._shape
+            assert (result.witness is None) == (dense.witness is None)
+            if result.witness is not None:
+                assert reproduces(prob, result.witness), prob._shape
+            seen[marginal_general._cover(*prob._shape) is not None, result.status] += 1
+        assert len(seen) == 6 and seen[True, Feasibility.PROPER] >= 10, seen
+
+    @pytest.mark.parametrize("kind", ["chain", "star", "cycle", "disjoint", "triples"])
+    def test_verdicts_and_dimensions_match_the_dense_lp_on_hypergraphs(self, kind):
+        # and every glued witness is non-negative and gives every table exactly
+        rng = random.Random(f"hypergraph-{kind}")
+        seen = Counter()
+        for _ in range(80):
+            prob = hypergraph_problem(rng, kind)
+            result, dense = solve_problem(prob), lp_feasible(*build_constraint_system(prob))
+            assert (result.status, result.homogeneous_dim) == (dense.status, dense.homogeneous_dim), prob
+            if result.witness is not None:
+                assert all(type(v) is F for v in result.witness) and reproduces(prob, result.witness), prob
+            seen[marginal_general._cover(*prob._shape) is not None, result.status] += 1
+        clique = {status for on_cover, status in seen if on_cover}
+        assert clique >= {Feasibility.PROPER, Feasibility.INCONSISTENT} and seen[True, Feasibility.PROPER] >= 5, seen
+        if kind in ("cycle", "triples"):  # a twisted chain, star or forest is still Proper
+            assert seen[True, Feasibility.QUASI_ONLY] >= 3, seen
+
+    def test_dimension_formula_is_the_rank_on_the_panel_shapes(self):
+        rng = random.Random(3502)
+        shapes = {prob._shape for prob in panel_problems()}
+        shapes |= {hypergraph_problem(rng, kind)._shape for kind in ("chain", "star", "cycle", "disjoint", "triples") for _ in range(6)}
+        shapes |= {random_shape(rng) for _ in range(100)}
+        for cards, shape in shapes:
+            mat = marginal_general._constraint_matrix(cards, shape)
+            assert marginal_general._homogeneous_dim(cards, shape) == mat.cols - rank(mat), (cards, shape)
+
+    def test_glued_witness_is_zero_off_the_separator_support(self):
+        # a chain whose middle observable never takes its last value: every
+        # joint outcome with it is 0, and the witness still gives every table
+        k = 3
+        tables = [[F(int(b < k - 1), k * (k - 1)) for a in range(k) for b in range(k)]]
+        tables.append([F(int(a < k - 1), k * (k - 1)) for a in range(k) for b in range(k)])
+        names = ("A", "B", "C", "D")
+        prob = MarginalProblem(
+            observables=tuple((name, k) for name in names),
+            constraints=((("A", "B"), tuple(tables[0])), (("B", "C"), tuple(tables[1])), (("C", "D"), tuple([F(1, k * k)] * k * k))),
+        )
+        assert marginal_general._cover(*prob._shape) is not None
+        result = solve_problem(prob)
+        assert result.status is Feasibility.PROPER and reproduces(prob, result.witness)
+        for w, outcome in zip(result.witness, itertools.product(range(k), repeat=4)):
+            assert w == 0 or outcome[1] < k - 1
 
 
 class TestRationalize:
