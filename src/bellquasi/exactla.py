@@ -60,8 +60,15 @@ def tolerance(values: Iterable[Real], eps: float = DEFAULT_EPS) -> float:
 
 
 class _Scaled(tuple):
-    """Exact values that keep ``ints``, their :func:`_over_lcm` form, set by the code that
-    builds them (an exact triple's rhs); equal to the plain tuple, with plain slices."""
+    """Exact values that keep ``ints``, their :func:`_over_lcm` form, set by :func:`_scaled`: an exact
+    triple's rhs, a problem's tables and rhs, an LP's witness; equal to the plain tuple, with plain slices."""
+
+
+def _scaled(values: Sequence[Rational], ints: Optional[tuple[int, Sequence[int]]] = None) -> _Scaled:
+    """``values`` as a :class:`_Scaled` tuple keeping ``ints``, their :func:`_over_lcm` form (computed when not given)."""
+    kept = _Scaled(values)
+    kept.ints = _over_lcm(values) if ints is None else ints
+    return kept
 
 
 def _over_lcm(values: Iterable[Rational]) -> tuple[int, Sequence[int]]:

@@ -19,14 +19,16 @@ cases where a floating solver could not adjudicate.  It starts from the RREF
 of the constraints, stores no artificial columns, and pivots with the one
 Gauss-Jordan step of :mod:`bellquasi.exactla`.  A constraint matrix is
 eliminated with an identity block that records the row operations, once per
-pattern of zero rhs entries, and every LP on it then only transforms its
-rhs.  A constraint row with rhs 0 and entries of one sign (a zero cell of a
-prescribed table) is 0 on its whole support in every non-negative solution,
-so the simplex pivots only on the other joint outcomes.  This is the
-possibilistic reasoning of "nonlocality without inequalities": on
-GHZ-Mermin or Hardy tables no joint outcome, or only one, survives, and
-``QuasiOnly`` follows without a pivot.  This module doubles as the
-independent oracle for the specialized three-observable machinery in
+pattern of zero rhs entries, and every LP on it then only transforms its rhs,
+paying only for the nonzero entries of that record.  Exact tables, rhs vectors
+and witnesses keep their integers (:class:`bellquasi.exactla._Scaled`), so
+each is scaled once.  A constraint row with rhs 0 and entries of one sign (a
+zero cell of a prescribed table) is 0 on its whole support in every
+non-negative solution, so the simplex pivots only on the other joint
+outcomes.  This is the possibilistic reasoning of "nonlocality without
+inequalities": on GHZ-Mermin or Hardy tables no joint outcome, or only one,
+survives, and ``QuasiOnly`` follows without a pivot.  This module doubles as
+the independent oracle for the specialized three-observable machinery in
 :mod:`bellquasi.quasi`.
 
 A wide problem is solved on a chordal cover of its tables instead
@@ -59,7 +61,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactla import DEFAULT_EPS, RatMatrix, Real, _images, _over_lcm, _pivot, _reduced, is_exact
+from .exactla import DEFAULT_EPS, RatMatrix, Real, _over_lcm, _pivot, _reduced, _scaled, is_exact
 
 #: Largest joint outcome count accepted before erroring out.
 JOINT_SIZE_CAP = 10**6
@@ -71,6 +73,8 @@ DENSE_SIZE_CAP = 10**7
 RATIONALIZE_DENOMINATOR = 10**6
 
 _DEGENERATE_RUN = 2  # consecutive degenerate pivots, per tableau row, before Bland's rule enters
+_NORMALIZATION = _scaled((Fraction(1), Fraction(0)))  # the rhs entry 1, as a table's entries but its last
+_FLOAT_MAX = int(sys.float_info.max)
 
 
 class Feasibility(Enum):
@@ -95,12 +99,12 @@ def rationalize(value: Real) -> Fraction:
 
 
 def check_distribution(table: tuple[Real, ...], what: str) -> tuple[Fraction, ...]:
-    """The exact copy of ``table``, which must be finite, non-negative and
-    sum to 1: exactly when it is exact (:func:`bellquasi.exactla.is_exact`),
-    else within ``DEFAULT_EPS``; ``ValueError`` names the table by ``what``.
-    Floats are rationalized and the largest entry moved so the total is
-    exactly 1.  Each moves by at most 5e-7, but thousands of tiny ones can
-    move the total by more than the largest entry holds: refused too."""
+    """The exact copy of ``table``, kept with its integers (:func:`bellquasi.exactla._scaled`),
+    which must be finite, non-negative and sum to 1: exactly when it is exact
+    (:func:`bellquasi.exactla.is_exact`), else within ``DEFAULT_EPS``; ``ValueError`` names the
+    table by ``what``.  Floats are rationalized and the largest entry moved so the total is
+    exactly 1.  Each moves by at most 5e-7, but thousands of tiny ones can move the total by
+    more than the largest entry holds: refused too."""
     if is_exact(table):
         # Finite by type; sign and sum tested on integers over one denominator.
         d, numerators = _over_lcm(table)
@@ -108,14 +112,17 @@ def check_distribution(table: tuple[Real, ...], what: str) -> tuple[Fraction, ..
             raise ValueError(f"negative entry in {what}")
         if sum(numerators) != d:
             raise ValueError(f"{what} does not sum to 1")
-        return tuple([v if type(v) is Fraction else Fraction(v) for v in table])
+        return _scaled([v if type(v) is Fraction else Fraction(v) for v in table], (d, numerators))
     # NaN fails every comparison, so it would pass the two tests below.
     if not all(-math.inf < v < math.inf for v in table):
         raise ValueError(f"non-finite entry in {what}")
     if any(v < -DEFAULT_EPS for v in table):
         raise ValueError(f"negative entry in {what}")
-    # fsum rounds once: sum() changed its float rounding in Python 3.12
-    if abs(math.fsum(table) - 1) > DEFAULT_EPS:
+    try:  # fsum rounds once: sum() changed its float rounding in Python 3.12
+        total = math.fsum(table)
+    except OverflowError:  # finite entries whose sum is past the float range
+        total = math.inf
+    if abs(total - 1) > DEFAULT_EPS:
         raise ValueError(f"{what} does not sum to 1")
     approx = [rationalize(v) for v in table]
     gap = 1 - sum(approx)
@@ -124,7 +131,7 @@ def check_distribution(table: tuple[Real, ...], what: str) -> tuple[Fraction, ..
         approx[k] += gap
         if approx[k] < 0:
             raise ValueError(f"{what}: cannot rationalize: sum repair made an entry negative")
-    return tuple(approx)
+    return _scaled(approx)
 
 
 @dataclass(frozen=True)
@@ -198,7 +205,7 @@ class MarginalProblem:
     @functools.cached_property
     def _rhs(self) -> tuple[Fraction, ...]:
         """The rhs of :func:`build_constraint_system`, built once: each table's entries but its last, then 1."""
-        return (*[v for _, table in self.constraints for v in table[:-1]], Fraction(1))
+        return _stacked([[table for _, table in self.constraints]])
 
     def joint_size(self) -> int:
         return math.prod(c for _, c in self.observables)
@@ -261,6 +268,20 @@ class FeasibilityResult:
     homogeneous_dim: int
 
 
+def _stacked(groups: Sequence[Sequence[Sequence[Fraction]]], rows: int = 0) -> tuple[Fraction, ...]:
+    """The rhs of exact tables, kept with its integers (:func:`bellquasi.exactla._scaled`) read off
+    the tables' own: for each group, each table's entries but its last (which have the table's lcm,
+    the last being 1 minus their sum), then 1; then 0 up to ``rows`` entries."""
+    scaled = [(table, _over_lcm(table)) for group in groups for table in (*group, _NORMALIZATION)]
+    d = math.lcm(*[q for _, (q, _) in scaled])
+    values, ints = [], []
+    for table, (q, numerators) in scaled:
+        values += table[:-1]
+        ints += [v * (d // q) for v in numerators[:-1]]
+    pad = [0] * (rows - len(values))
+    return _scaled(values + pad, (d, ints + pad))
+
+
 def _phase_one_simplex(
     rows: list[list[int]], pivots: Sequence[int], live: Sequence[int], n: int, rhs_scale: int, inv: Sequence[float]
 ) -> Optional[tuple[Fraction, ...]]:
@@ -278,14 +299,15 @@ def _phase_one_simplex(
     taken at their nonzero entries.  The entering column has the least
     reduced cost times ``inv[j]`` = 1 / sqrt(1 + |T_j|^2), T_j its column in
     the starting rational RREF, lowest index on ties (floats, which round
-    alike on every IEEE platform, only rank exact negative costs: ``inv``
-    is positive, and a cost past the float range hands the run to Bland's
-    rule); the leaving row has the least ratio, ties to the lowest basic
-    label.  It terminates: a pivot that leaves a row of rhs > 0 strictly
-    lowers the objective, so no basis recurs across it, and after
-    ``_DEGENERATE_RUN`` * m (m rows) pivots in a row that do not, Bland's
-    rule (the first negative cost) enters for the rest of the run, and it
-    cannot cycle."""
+    alike on every IEEE platform, only rank exact negative costs: only
+    those are scored, ``inv`` is positive, and a cost of either sign past
+    the float range hands the run to Bland's rule); the leaving row has the
+    least ratio among the rows with a positive entry in the entering
+    column, ties to the lowest basic label.  It terminates: a pivot that
+    leaves a row of rhs > 0 strictly lowers the objective, so no basis
+    recurs across it, and after ``_DEGENERATE_RUN`` * m (m rows) pivots in a
+    row that do not, Bland's rule (the first negative cost) enters for the
+    rest of the run, and it cannot cycle.  The point keeps its integers."""
     m, k, basis = len(rows), len(live), list(pivots)
     for i, row in enumerate(rows):
         if row[k] < 0:
@@ -309,16 +331,17 @@ def _phase_one_simplex(
     # positive minimum thus means no x >= 0 exists; a zero one leaves every artificial at 0.
     stall, limit = 0, _DEGENERATE_RUN * m
     while True:
-        z = rows[m]
-        try:  # inv has k entries: the rhs is not scored
-            score = list(map(operator.mul, z, inv)) if stall < limit else None
+        z, enter, best = rows[m], None, 0.0
+        try:  # over the nonzero costs only; the rhs, entry k, is not priced
+            for j in itertools.compress(range(k), z) if stall < limit else ():
+                if (c := z[j]) < 0 and (score := c * inv[j]) < best:
+                    enter, best = j, score
+                elif c > _FLOAT_MAX:
+                    float(c)  # unscored, but past the float range it raises as a negative cost does
         except OverflowError:  # a cost past the float range: Bland's rule for the rest of the run
-            score, stall = None, limit
-        if score is not None:
-            low = min(score)
-            enter = score.index(low) if low < 0 else None
-        else:
-            enter = next((j for j in range(k) if z[j] < 0), None)
+            stall = limit
+        if stall >= limit:
+            enter = next((j for j in itertools.compress(range(k), z) if z[j] < 0), None)
         if enter is None:
             break
         leave = None
@@ -337,22 +360,24 @@ def _phase_one_simplex(
 
     if rows[m][k] != 0:  # minimal artificial sum is positive
         return None
-    x = [Fraction(0)] * n
-    for i, var in enumerate(basis):
-        if var < k:
-            x[live[var]] = Fraction(rows[i][k], rows[i][var] * rhs_scale)
-    return tuple(x)
+    values = [(live[var], Fraction(rows[i][k], rows[i][var] * rhs_scale)) for i, var in enumerate(basis) if var < k]
+    d = math.lcm(*(v.denominator for _, v in values))
+    x, ints = [Fraction(0)] * n, [0] * n
+    for j, v in values:
+        x[j], ints[j] = v, v.numerator * (d // v.denominator)
+    return _scaled(x, (d, ints))
 
 
 @functools.lru_cache(maxsize=16)
 def _eliminated(mat: RatMatrix, zero_rows: tuple[int, ...]):
-    """(live, kept, rows, pivots, inv): :func:`bellquasi.exactla._reduced` on the rows ``kept``
+    """(live, rows, pivots, inv, images): :func:`bellquasi.exactla._reduced` on the rows ``kept``
     and the columns ``live`` of ``mat`` left once each one-signed row in ``zero_rows`` (rhs 0: a
     zero table cell) drops its support and itself (it is then 0 on every live column, so it says
-    nothing about the live system), and the pricing weights of :func:`_phase_one_simplex`; no
-    rhs changes any of them.  Every LP looks up the full elimination, ``zero_rows = ()``, first,
-    so under LRU it stays while zero patterns come and go.  An entry is 0.38 MB for the
-    729-column 6-cycle."""
+    nothing about the live system): ``rows`` the live parts of its rank rows, ``inv`` the pricing
+    weights of :func:`_phase_one_simplex`, ``images`` each row's T part, rank rows first, as a getter
+    of the rhs entries (rows of ``mat``) at its nonzero positions and their values (:func:`_applied`),
+    with no dense copy.  No rhs changes any of them.  Every LP looks up the full elimination,
+    ``zero_rows = ()``, first, so under LRU it stays.  An entry is 0.29 MB for the 729-column 6-cycle."""
     rows = list(map(mat.row, range(mat.rows)))
     forcing = {i for i in zero_rows if not min(rows[i], default=0) < 0 < max(rows[i], default=0)}
     forced = {j for i in forcing for j, c in enumerate(rows[i]) if c}
@@ -360,7 +385,12 @@ def _eliminated(mat: RatMatrix, zero_rows: tuple[int, ...]):
     live = tuple(itertools.compress(range(mat.cols), keep))
     kept = tuple(i for i in range(mat.rows) if i not in forcing)
     rows, pivots = _reduced([tuple(itertools.compress(rows[i], keep)) if forced else rows[i] for i in kept])
-    norms = [1.0] * len(live)
+    k, images = len(live), []
+    for row in rows:  # T_i != 0 (T is invertible); a zero term keeps a one-position getter returning a tuple
+        at = [kept[j] for j in itertools.compress(range(len(kept)), row[k:])]
+        images.append((operator.itemgetter(*at, at[0]), (*filter(None, row[k:]), 0)))
+    rows = [row[:k] for row in rows[: len(pivots)]]
+    norms = [1.0] * k
     for row, p in zip(rows, pivots):
         a = row[p]
         try:
@@ -368,7 +398,12 @@ def _eliminated(mat: RatMatrix, zero_rows: tuple[int, ...]):
         except OverflowError:
             norms = [s + _squared(c, a) for s, c in zip(norms, row)]
     # clamped, so every weight is positive and a score is < 0 exactly when its integer cost is
-    return live, kept, rows, pivots, tuple([1 / math.sqrt(min(s, sys.float_info.max)) for s in norms])
+    return live, rows, pivots, tuple([1 / math.sqrt(min(s, sys.float_info.max)) for s in norms]), tuple(images)
+
+
+def _applied(images, b: Sequence[int]):
+    """T_i b, lazily, for each ``(get, values)`` of :func:`_eliminated`'s ``images``: ``get(b)`` dotted with ``values``."""
+    return (sum(map(operator.mul, get(b), values)) for get, values in images)
 
 
 def _squared(c: int, a: int) -> float:
@@ -386,11 +421,12 @@ def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
     is consistent but no non-negative solution exists; ``Inconsistent``
     when the equality system itself is unsolvable.  ``rhs`` must be exact
     (``TypeError`` otherwise).  It is scaled once, by the lcm of its
-    denominators, so that the table denominators stay out of the
-    coefficients; the simplex returns the witness divided by it, 0 on the
-    forced columns.  ``mat`` is eliminated once per pattern of zero rhs
-    entries (:func:`_eliminated`), and each call only transforms its rhs: a
-    rank row becomes the tableau row (its live part, T_i b) as it stands.
+    denominators (or read so scaled from a kept rhs), so that the table
+    denominators stay out of the coefficients; the simplex returns the
+    witness divided by it, 0 on the forced columns, with its integers.
+    ``mat`` is eliminated once per pattern of zero rhs entries
+    (:func:`_eliminated`), and each call only transforms its rhs, over T's
+    nonzero entries: a rank row's live part, with T_i b, is its tableau row.
     The simplex reads a row only up to a positive factor, and
     :func:`bellquasi.exactla._pivot` divides every row it updates by its
     gcd.  The full elimination decides consistency and rank.  The one for
@@ -405,34 +441,28 @@ def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
     if not is_exact(rhs):
         raise TypeError("rhs entries must be exact rationals; rationalize floats first")
     n = mat.cols
-    scale, scaled = _over_lcm(rhs)
-    _, _, rows, pivots, _ = _eliminated(mat, ())
+    scale, b = _over_lcm(rhs)
+    *_, pivots, _, images = _eliminated(mat, ())
     rank = len(pivots)
-    if any(_images(rows[rank:], n, scaled)):  # 0 = nonzero
+    if any(_applied(images[rank:], b)):  # 0 = nonzero
         return FeasibilityResult(Feasibility.INCONSISTENT, None, n - rank)
-    live, kept, rows, pivots, inv = _eliminated(mat, tuple(i for i, b in enumerate(scaled) if not b))
-    k, scaled = len(live), [scaled[i] for i in kept]
-    tableau = [[*row[:k], b] for row, b in zip(rows[: len(pivots)], _images(rows, k, scaled))]  # b = T_i b
+    live, rows, pivots, inv, images = _eliminated(mat, tuple(itertools.compress(range(len(b)), map(operator.not_, b))))
+    tableau = [[*row, t] for row, t in zip(rows, _applied(images, b))]  # t = T_i b
     # only with a forced column can a live null row have T b != 0 (0 = nonzero): x >= 0 would need it
-    quasi_only = k < n and any(_images(rows[len(pivots) :], k, scaled))
+    quasi_only = len(live) < n and any(_applied(images[len(pivots) :], b))
     x = None if quasi_only else _phase_one_simplex(tableau, pivots, live, n, scale, inv)
     return FeasibilityResult(Feasibility.QUASI_ONLY if x is None else Feasibility.PROPER, x, n - rank)
 
 
 def solve_problem(prob: MarginalProblem) -> FeasibilityResult:
     """Feasibility of a marginal problem (its tables are exact since construction): on the
-    clique LP of its shape's :func:`_cover`, the witness glued (:func:`_glued`), or, when
-    there is none, on :func:`build_constraint_system`."""
+    clique LP of its shape's :func:`_cover` (rhs: :func:`_stacked`), the witness glued
+    (:func:`_glued`), or, when there is none, on :func:`build_constraint_system`."""
     cover = _cover(*prob._shape)
     if cover is None:
         return lp_feasible(*build_constraint_system(prob))
     _, held, mat, homogeneous_dim, glue = cover
-    rhs: list = []
-    for tables in held:
-        for t in tables:
-            rhs += prob.constraints[t][1][:-1]
-        rhs.append(1)
-    result = lp_feasible(mat, rhs + [0] * (mat.rows - len(rhs)))
+    result = lp_feasible(mat, _stacked([[prob.constraints[t][1] for t in tables] for tables in held], mat.rows))
     witness = result.witness and _glued(glue, prob.cardinalities(), result.witness)
     return FeasibilityResult(result.status, witness, homogeneous_dim)
 
@@ -523,9 +553,9 @@ def _homogeneous_dim(cards: tuple[int, ...], shape: tuple[tuple[int, ...], ...])
 
 def _glued(glue: tuple, cards: tuple[int, ...], x: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """The joint prod p_C / prod p_S of the clique LP's non-negative solution ``x``, built
-    outward from the root's support in integers (the entries of ``x`` over one lcm) with one
-    ``Fraction`` per joint outcome in its support, and 0 elsewhere: an outcome whose separator
-    marginal is 0 is not reached.  Each clique outcome in the support extends every partial
+    outward from the root's support in integers (the entries of ``x`` over one lcm, which its
+    witness keeps) with one ``Fraction`` per joint outcome in its support, and 0 elsewhere: an
+    outcome whose separator marginal is 0 is not reached.  Each clique outcome in the support extends every partial
     outcome that agrees with it on the separator (whose marginal, from either side, is the same)."""
     _, ints = _over_lcm(x)
     partials = [([0] * len(cards), 0, 1, 1)]  # (outcome so far, its joint index, numerator, denominator)

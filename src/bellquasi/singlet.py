@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactla import Real, _over_lcm, _Scaled, is_exact
+from .exactla import Real, _over_lcm, _scaled, is_exact
 
 #: Tolerance used for construction-time sanity checks of floating values.
 NORM_TOL = 1e-12
@@ -175,9 +175,7 @@ class CorrelationTriple:
         num = (d - w, d + w, d + v, d - v, d + u, d - u, 4 * d)
         g = math.gcd(*num)  # 1 or 2, as d, u, v and w have gcd 1
         num = [n // g for n in num]
-        rhs = _Scaled(_LAYOUT([Fraction(n, num[6]) for n in num[:6]] + [_ONE]))
-        rhs.ints = num[6], _LAYOUT(num)
-        return rhs
+        return _scaled(_LAYOUT([Fraction(n, num[6]) for n in num[:6]] + [_ONE]), (num[6], _LAYOUT(num)))
 
 
 @dataclass(frozen=True)

@@ -604,6 +604,13 @@ class TestSolveCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("error: table of constraint 1: cannot rationalize: ") and err.count("\n") == 1
 
+    def test_float_table_summing_past_the_float_range_exits_2(self, capsys, tmp_path):
+        # finite entries whose sum overflows: one error line naming the table, no traceback
+        doc = tmp_path / "overflow.json"
+        doc.write_text('{"schema": 1, "observables": [{"name": "A", "cardinality": 2}], "marginals": [{"over": ["A"], "table": [1e308, 1e308]}]}')
+        code, out, err = run(capsys, "solve", str(doc))
+        assert (code, out, err) == (EXIT_USAGE, "", "error: table of constraint 0 does not sum to 1\n")
+
     def test_bad_table_length_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(

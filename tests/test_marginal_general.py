@@ -290,6 +290,17 @@ class TestStoredTables:
             MarginalProblem(observables=observables, constraints=((("B",), (0.5, 0.5)), (("A",), table)))
 
 
+    @pytest.mark.parametrize("table", [(1e308, 1e308), (0.0, 1e308, 1e308), (sys.float_info.max,) * 2], ids=repr)
+    def test_float_table_summing_past_the_float_range_is_refused_by_constraint(self, table):
+        # finite, non-negative entries whose sum is past the float range: refused as
+        # a table that does not sum to 1, by name, not by an OverflowError from fsum
+        with pytest.raises(ValueError, match=r"^table 0 does not sum to 1$"):
+            marginal_general.check_distribution(table, "table 0")
+        observables = (("B", 2), ("A", len(table)))
+        with pytest.raises(ValueError, match=r"^table of constraint 1 does not sum to 1$"):
+            MarginalProblem(observables=observables, constraints=((("B",), (0.5, 0.5)), (("A",), table)))
+
+
 class TestConstraintMatrixCache:
     def test_matches_the_full_system_without_each_tables_last_row(self):
         rng = random.Random(173)
@@ -561,6 +572,42 @@ class TestLpFeasible:
                     pivots.setdefault(run, []).append(ref_steps)
         assert max(pivots[0]) >= 80 and max(pivots[2]) >= 20, pivots
 
+    def test_bench_cycle_clique_lps_match_fraction_reference(self, monkeypatch, tmp_path):
+        # the clique LP that solve_problem builds (its cover's matrix and rhs) for the
+        # benchmark's binary 8-cycle and ternary 5-cycle documents, all three verdicts,
+        # with the reference's status, solution, dimension and pivot count: by the
+        # weighted rule, then by Bland's, forced from the first pivot
+        ncycle = oracles.bench_module("ncycle")
+        steps = counting_pivots(monkeypatch)
+        solved = []
+
+        def recording(mat, rhs):
+            steps.clear()
+            solved.append((mat, rhs, lp_feasible(mat, rhs), len(steps)))
+            return solved[-1][2]
+
+        monkeypatch.setattr(marginal_general, "lp_feasible", recording)
+        seen = Counter()
+        for run in (2, 0):
+            monkeypatch.setattr(marginal_general, "_DEGENERATE_RUN", run)
+            for n, k in ((8, 2), (5, 3)):
+                for verdict in ncycle.VERDICTS:
+                    problem = ncycle.generate(random.Random(f"panel-{n}-{k}-{verdict}-0"), n, k, verdict)
+                    path = str(tmp_path / f"{n}-{k}-{verdict}.json")
+                    problem.write(path)
+                    prob = load_problem_document(path)
+                    solved.clear()
+                    assert solve_problem(prob).status.value == verdict, problem.label
+                    [(mat, rhs, result, pivots)] = solved
+                    assert mat is marginal_general._cover(*prob._shape)[2], problem.label
+                    a = [list(mat.row(i)) for i in range(mat.rows)]
+                    status, witness, hom_dim, ref_steps = oracles.reference_lp_feasible(a, list(rhs), run=run)
+                    assert status == verdict, problem.label
+                    assert result == marginal_general.FeasibilityResult(Feasibility(status), witness, hom_dim), problem.label
+                    assert pivots == ref_steps, problem.label
+                    seen[run, "pivoted"] += ref_steps > 0
+        assert seen[2, "pivoted"] >= 3 and seen[0, "pivoted"] >= 3, seen
+
     def test_rhs_denominators_stay_out_of_the_coefficients(self, monkeypatch):
         # the rhs is scaled once per LP, so the tables' denominators (near
         # 10**6) never multiply the 0/1 coefficients of a Bell system: not
@@ -761,6 +808,19 @@ class TestPricing:
         assert result == marginal_general.FeasibilityResult(Feasibility.PROPER, (0, 0, F(1, m)), 1)
         # an entry whose quotient is past the float range
         assert lp_feasible(RatMatrix(1, 2, (1, 10**200)), (1,)).status is Feasibility.PROPER
+
+    def test_positive_cost_past_the_float_range_hands_over_to_blands_rule(self, monkeypatch):
+        # the row [a, -1, -2 | -1], a = 2**1100, is the integer RREF row and the one
+        # artificial row; its reduced costs are (a, -1, -2): only the positive one is past
+        # the float range, and it hands the run to Bland's rule, which enters column 1 as the
+        # reference does at run=0.  The weighted rule would enter column 2 (score -2 against
+        # -1, both weights 1 as float) and give the witness (0, 0, 1/2)
+        steps = counting_pivots(monkeypatch)
+        a = [[2**1100, -1, -2]]
+        result = lp_feasible(RatMatrix.from_rows(a), (F(-1),))
+        status, witness, hom_dim, ref_steps = oracles.reference_lp_feasible(a, [-1], run=0)
+        assert result == marginal_general.FeasibilityResult(Feasibility(status), witness, hom_dim)
+        assert witness == (0, 1, 0) and steps == [(0, 1)] and ref_steps == 1
 
     @pytest.mark.parametrize("bits", [100, 400, 520, 1100])
     def test_big_entry_lps_match_blands_reference(self, monkeypatch, bits):
@@ -1111,6 +1171,52 @@ class TestProblemRhs:
             assert prob._shape == MarginalProblem._shape.func(prob)  # bell_problem's fixed key is the built one
             # the problem keeps its rhs and shape key only: the matrix stays in the shape cache
             assert sorted(vars(prob)) == ["_rhs", "_shape", "constraints", "observables"]
+
+
+    def test_kept_integers_are_those_of_the_plain_values(self, monkeypatch):
+        # every stored exact table, dense rhs, clique rhs and LP witness keeps its
+        # _over_lcm form, which must be what _over_lcm computes from its plain values:
+        # a stale one would change the verdict silently
+        solved = []
+
+        def recording(mat, rhs):
+            result = lp_feasible(mat, rhs)
+            solved.append((rhs, result.witness))
+            return result
+
+        def kept(x, what):
+            assert type(x) is exactla._Scaled, what
+            d, ints = x.ints
+            assert (d, list(ints)) == exactla._over_lcm(tuple(x)), what
+            seen[what] += 1
+
+        monkeypatch.setattr(marginal_general, "lp_feasible", recording)
+        ncycle = oracles.bench_module("ncycle")
+        problems = [load_problem_document(str(path)) for path in sorted(PROBLEMS.glob("*.json"))]
+        for n, k in [(n, 2) for n in range(3, 9)] + [(3, 3), (4, 3), (5, 3), (3, 4), (4, 4), (3, 5)]:
+            for verdict in ncycle.VERDICTS:
+                problems.append(cycle_problem(k, ncycle.generate(random.Random(f"kept-{n}-{k}-{verdict}"), n, k, verdict).tables))
+        rng = random.Random(3601)
+        for i in range(300):  # Fraction, int-and-Fraction and float tables
+            prob = hypergraph_problem(rng, ("chain", "star", "cycle", "disjoint", "triples")[i % 5])
+            tables = [table for _, table in prob.constraints]
+            if i % 3 == 1:
+                tables = [tuple(v.numerator if v.denominator == 1 else v for v in t) for t in tables]
+            elif i % 3 == 2:
+                tables = [tuple(map(float, t)) for t in tables]
+            problems.append(MarginalProblem(prob.observables, tuple((subset, t) for (subset, _), t in zip(prob.constraints, tables))))
+        seen = Counter()
+        for prob in problems:
+            for _, table in prob.constraints:
+                kept(table, "table")
+            kept(build_constraint_system(prob)[1], "dense rhs")
+            solved.clear()
+            solve_problem(prob)
+            [(rhs, witness)] = solved
+            kept(rhs, "clique rhs" if marginal_general._cover(*prob._shape) else "dense rhs")
+            if witness is not None:
+                kept(witness, "witness")
+        assert min(seen.values()) >= 100, seen
 
 
 def reproduces(prob: MarginalProblem, witness) -> bool:
