@@ -27,9 +27,16 @@ zero cell of a prescribed table) is 0 on its whole support in every
 non-negative solution, so the simplex pivots only on the other joint
 outcomes.  This is the possibilistic reasoning of "nonlocality without
 inequalities": on GHZ-Mermin or Hardy tables no joint outcome, or only one,
-survives, and ``QuasiOnly`` follows without a pivot.  This module doubles as
-the independent oracle for the specialized three-observable machinery in
-:mod:`bellquasi.quasi`.
+survives, and ``QuasiOnly`` follows without a pivot.  Its other ``QuasiOnly``
+exit leaves a proof, read off the exit cost row z with no solve: z is a sum of
+the starting rows (R_i | T_i b) and only row i is nonzero (a_i) at its pivot
+column p_i, so u = sum_i z[p_i] / a_i T_i has uᵀA >= 0 on every live column
+and uᵀb < 0, a Bell inequality that the data violate (Fine 1982, Pitowsky
+1989).  An elimination keeps a few such u, checked exactly, and a later LP on
+it that one refutes (uᵀb < 0) is ``QuasiOnly`` with no pivot, as the simplex
+would find: x >= 0 with A x = b would give uᵀb = uᵀA x >= 0.  So no result
+depends on earlier calls.  This module doubles as the independent oracle for
+the specialized three-observable machinery in :mod:`bellquasi.quasi`.
 
 A wide problem is solved on a chordal cover of its tables instead
 (:func:`_cover`, once per shape): a greedy min-fill elimination order on
@@ -73,6 +80,7 @@ DENSE_SIZE_CAP = 10**7
 RATIONALIZE_DENOMINATOR = 10**6
 
 _DEGENERATE_RUN = 2  # consecutive degenerate pivots, per tableau row, before Bland's rule enters
+_CERTIFICATES = 16  # Farkas vectors kept per elimination, most recently useful first
 _NORMALIZATION = _scaled((Fraction(1), Fraction(0)))  # the rhs entry 1, as a table's entries but its last
 _FLOAT_MAX = int(sys.float_info.max)
 
@@ -105,14 +113,21 @@ def check_distribution(table: tuple[Real, ...], what: str) -> tuple[Fraction, ..
     table by ``what``.  Floats are rationalized and the largest entry moved so the total is
     exactly 1.  Each moves by at most 5e-7, but thousands of tiny ones can move the total by
     more than the largest entry holds: refused too."""
-    if is_exact(table):
-        # Finite by type; sign and sum tested on integers over one denominator.
-        d, numerators = _over_lcm(table)
-        if any(n < 0 for n in numerators):
+    ratios, converted = [], False
+    for v in table:  # one pass over an exact table: each entry's type, then its integer ratio
+        if type(v) is not Fraction:
+            if isinstance(v, float) or not isinstance(v, (Fraction, int)):
+                break
+            converted = True
+        ratios.append(v.as_integer_ratio())
+    else:  # finite by type; sign and sum tested on integers over one denominator
+        d = math.lcm(*[q for _, q in ratios])
+        numerators = [n * (d // q) for n, q in ratios]
+        if min(numerators, default=0) < 0:
             raise ValueError(f"negative entry in {what}")
         if sum(numerators) != d:
             raise ValueError(f"{what} does not sum to 1")
-        return _scaled([v if type(v) is Fraction else Fraction(v) for v in table], (d, numerators))
+        return _scaled(tuple(map(Fraction, table)) if converted else table, (d, numerators))
     # NaN fails every comparison, so it would pass the two tests below.
     if not all(-math.inf < v < math.inf for v in table):
         raise ValueError(f"non-finite entry in {what}")
@@ -307,7 +322,8 @@ def _phase_one_simplex(
     leaves a row of rhs > 0 strictly lowers the objective, so no basis
     recurs across it, and after ``_DEGENERATE_RUN`` * m (m rows) pivots in a
     row that do not, Bland's rule (the first negative cost) enters for the
-    rest of the run, and it cannot cycle.  The point keeps its integers."""
+    rest of the run, and it cannot cycle.  The point keeps its integers; the
+    exit cost row stays the last of ``rows``, for :func:`_learn`."""
     m, k, basis = len(rows), len(live), list(pivots)
     for i, row in enumerate(rows):
         if row[k] < 0:
@@ -370,14 +386,15 @@ def _phase_one_simplex(
 
 @functools.lru_cache(maxsize=16)
 def _eliminated(mat: RatMatrix, zero_rows: tuple[int, ...]):
-    """(live, rows, pivots, inv, images): :func:`bellquasi.exactla._reduced` on the rows ``kept``
+    """(live, rows, pivots, inv, images, known): :func:`bellquasi.exactla._reduced` on the rows ``kept``
     and the columns ``live`` of ``mat`` left once each one-signed row in ``zero_rows`` (rhs 0: a
     zero table cell) drops its support and itself (it is then 0 on every live column, so it says
     nothing about the live system): ``rows`` the live parts of its rank rows, ``inv`` the pricing
     weights of :func:`_phase_one_simplex`, ``images`` each row's T part, rank rows first, as a getter
     of the rhs entries (rows of ``mat``) at its nonzero positions and their values (:func:`_applied`),
-    with no dense copy.  No rhs changes any of them.  Every LP looks up the full elimination,
-    ``zero_rows = ()``, first, so under LRU it stays.  An entry is 0.29 MB for the 729-column 6-cycle."""
+    with no dense copy, ``known`` in that form the Farkas vectors of QuasiOnly exits on it (:func:`_learn`).
+    No rhs changes the others; ``known`` changes only how fast a result comes.  Every LP looks up the full
+    elimination, ``zero_rows = ()``, first, so under LRU it stays.  An entry is 0.29 MB for the 729-column 6-cycle."""
     rows = list(map(mat.row, range(mat.rows)))
     forcing = {i for i in zero_rows if not min(rows[i], default=0) < 0 < max(rows[i], default=0)}
     forced = {j for i in forcing for j, c in enumerate(rows[i]) if c}
@@ -398,7 +415,7 @@ def _eliminated(mat: RatMatrix, zero_rows: tuple[int, ...]):
         except OverflowError:
             norms = [s + _squared(c, a) for s, c in zip(norms, row)]
     # clamped, so every weight is positive and a score is < 0 exactly when its integer cost is
-    return live, rows, pivots, tuple([1 / math.sqrt(min(s, sys.float_info.max)) for s in norms]), tuple(images)
+    return live, rows, pivots, tuple([1 / math.sqrt(min(s, sys.float_info.max)) for s in norms]), tuple(images), []
 
 
 def _applied(images, b: Sequence[int]):
@@ -435,23 +452,46 @@ def lp_feasible(mat: RatMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
     being unique, gives exactly its nonzero rows: the simplex's system and
     starting basis.
     A null row there with T b != 0 means ``QuasiOnly`` with no pivot:
-    [mat | rhs] is consistent, so x >= 0 would need a forced column."""
+    [mat | rhs] is consistent, so x >= 0 would need a forced column.  So
+    does a kept Farkas vector u with uᵀb < 0, checked before the tableau is
+    built; a QuasiOnly exit of the simplex keeps its own (:func:`_learn`)."""
     if len(rhs) != mat.rows:
         raise ValueError(f"rhs length {len(rhs)} != rows {mat.rows}")
     if not is_exact(rhs):
         raise TypeError("rhs entries must be exact rationals; rationalize floats first")
     n = mat.cols
     scale, b = _over_lcm(rhs)
-    *_, pivots, _, images = _eliminated(mat, ())
+    *_, pivots, _, images, _ = _eliminated(mat, ())
     rank = len(pivots)
     if any(_applied(images[rank:], b)):  # 0 = nonzero
         return FeasibilityResult(Feasibility.INCONSISTENT, None, n - rank)
-    live, rows, pivots, inv, images = _eliminated(mat, tuple(itertools.compress(range(len(b)), map(operator.not_, b))))
-    tableau = [[*row, t] for row, t in zip(rows, _applied(images, b))]  # t = T_i b
+    live, rows, pivots, inv, images, known = _eliminated(mat, tuple(itertools.compress(range(len(b)), map(operator.not_, b))))
     # only with a forced column can a live null row have T b != 0 (0 = nonzero): x >= 0 would need it
-    quasi_only = len(live) < n and any(_applied(images[len(pivots) :], b))
-    x = None if quasi_only else _phase_one_simplex(tableau, pivots, live, n, scale, inv)
+    if len(live) < n and any(_applied(images[len(pivots) :], b)):
+        return FeasibilityResult(Feasibility.QUASI_ONLY, None, n - rank)
+    for i, dot in enumerate(_applied(known, b)):  # a kept Farkas vector u with uᵀb < 0: no x >= 0 exists
+        if dot < 0:
+            known.insert(0, known.pop(i))
+            return FeasibilityResult(Feasibility.QUASI_ONLY, None, n - rank)
+    tableau = [[*row, t] for row, t in zip(rows, _applied(images, b))]  # t = T_i b
+    x = _phase_one_simplex(tableau, pivots, live, n, scale, inv)
+    if x is None:
+        _learn(known, mat, live, rows, pivots, images, tableau[-1], b)
     return FeasibilityResult(Feasibility.QUASI_ONLY if x is None else Feasibility.PROPER, x, n - rank)
+
+
+def _learn(known: list, mat: RatMatrix, live, rows, pivots, images, z: Sequence[int], b: Sequence[int]) -> None:
+    """Put first in ``known``, of at most ``_CERTIFICATES``, the Farkas vector u that a QuasiOnly exit's cost row
+    ``z`` gives (module docstring), in the form of ``images``, once uᵀA_live >= 0 and uᵀb < 0 hold on ``mat``."""
+    m, a = mat.rows, math.lcm(*(row[p] for row, p in zip(rows, pivots)))
+    u = [0] * m
+    for row, p, (get, values) in zip(rows, pivots, images):  # u = sum_i z[p_i] lcm(a) / a_i T_i
+        for i, t in zip(get(range(m)), values):
+            u[i] += z[p] * (a // row[p]) * t
+    at, g = [i for i in range(m) if u[i]], math.gcd(*u)
+    if min(sum(u[i] * mat.entry(i, j) for i in at) for j in live) < 0 or sum(u[i] * b[i] for i in at) >= 0:
+        raise AssertionError("the exit cost row gives no Farkas certificate")
+    known[:] = [(operator.itemgetter(*at, at[0]), (*(u[i] // g for i in at), 0)), *known][:_CERTIFICATES]
 
 
 def solve_problem(prob: MarginalProblem) -> FeasibilityResult:

@@ -23,7 +23,8 @@ the family's closed form), ``equivalence_check``, which runs the
 package's three deciders on one input to compare them, and
 ``reference_scan_rows``, the scan's cell loop as it was when each cell
 called the Bell pair's private formula, ``min`` and ``cli._fmt``.
-``sweep_triples`` loads the benchmark's own exact-sweep inputs.
+``sweep_triples`` loads the benchmark's own exact-sweep inputs, and
+``criterion_3_triples`` builds the 10,000 inputs of acceptance criterion 3.
 """
 
 from __future__ import annotations
@@ -587,3 +588,32 @@ def sweep_triples(seed: int) -> list[CorrelationTriple]:
     margin exactly +-1e-10, in the acceptance-criterion-3 mix."""
     workloads = bench_module("workloads")
     return [CorrelationTriple(ab, ac, bc) for ab, ac, bc, _ in workloads.sweep_triples(random.Random(seed))]
+
+
+@lru_cache(maxsize=1)
+def criterion_3_triples() -> tuple[CorrelationTriple, ...]:
+    """The 10,000 exact-rational correlation triples of acceptance criterion
+    3: 9,900 harvested from random direction triples, 60 analytic boundary
+    cases (margin exactly 0), and 40 near-boundary cases (margin exactly
+    +/- 1e-10)."""
+    rng = random.Random(20240901)
+    triples = []
+    for _ in range(9900):
+        corr = correlations(*random_direction_triple(rng))
+        triples.append(CorrelationTriple(*(rationalize(v) for v in corr.as_tuple())))
+    # first reduced inequality tight: 1 + 0 = |(s + 1/2) - (s - 1/2)|
+    for k in range(30):
+        s = Fraction(2 * k - 29, 58)
+        triples.append(CorrelationTriple(Fraction(0), s + Fraction(1, 2), s - Fraction(1, 2)))
+    # second reduced inequality tight: 1 - u = |(1 - u)/2 + (1 - u)/2|
+    for k in range(30):
+        u = Fraction(2 * k - 29, 31)
+        triples.append(CorrelationTriple(u, (1 - u) / 2, (1 - u) / 2))
+    # split the second family off the boundary by exactly 1e-10 either way
+    delta = Fraction(1, 10**10)
+    for k in range(40):
+        u = Fraction(2 * k - 39, 41)
+        sign = 1 if k % 2 else -1
+        triples.append(CorrelationTriple(u, (1 - u) / 2, (1 - u) / 2 + sign * delta))
+    assert len(triples) == 10_000
+    return tuple(triples)

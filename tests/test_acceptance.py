@@ -25,7 +25,6 @@ from bellquasi.marginal_general import (
     Feasibility,
     MarginalProblem,
     build_constraint_system,
-    rationalize,
     solve_problem,
 )
 from bellquasi.quasi import (
@@ -64,30 +63,8 @@ def criterion(number: int, name: str):
 
 @pytest.fixture(scope="session")
 def rationalized_triples():
-    """10,000 exact-rational correlation triples: 9,900 harvested from random
-    direction triples, 60 analytic boundary cases (margin exactly 0), and 40
-    near-boundary cases (margin exactly +/- 1e-10)."""
-    rng = random.Random(20240901)
-    triples = []
-    for _ in range(9900):
-        corr = correlations(*oracles.random_direction_triple(rng))
-        triples.append(CorrelationTriple(*(rationalize(v) for v in corr.as_tuple())))
-    # first reduced inequality tight: 1 + 0 = |(s + 1/2) - (s - 1/2)|
-    for k in range(30):
-        s = F(2 * k - 29, 58)
-        triples.append(CorrelationTriple(F(0), s + F(1, 2), s - F(1, 2)))
-    # second reduced inequality tight: 1 - u = |(1 - u)/2 + (1 - u)/2|
-    for k in range(30):
-        u = F(2 * k - 29, 31)
-        triples.append(CorrelationTriple(u, (1 - u) / 2, (1 - u) / 2))
-    # split the second family off the boundary by exactly 1e-10 either way
-    delta = F(1, 10**10)
-    for k in range(40):
-        u = F(2 * k - 39, 41)
-        sign = 1 if k % 2 else -1
-        triples.append(CorrelationTriple(u, (1 - u) / 2, (1 - u) / 2 + sign * delta))
-    assert len(triples) == 10_000
-    return triples
+    """The 10,000 exact-rational triples of criterion 3 (``oracles.criterion_3_triples``)."""
+    return oracles.criterion_3_triples()
 
 
 def test_criterion_1_reference_matrix_regression():

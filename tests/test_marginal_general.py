@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bellquasi import exactla, marginal_general
+from bellquasi import bellcheck, exactla, marginal_general
+from bellquasi.bellcheck import bell_pair
 from bellquasi.cli import load_problem_document
 from bellquasi.exactla import RatMatrix, _pivot, rank
 from bellquasi.marginal_general import (
@@ -531,6 +532,7 @@ class TestLpFeasible:
         seen = Counter()
         for a, b in systems:
             steps.clear()
+            marginal_general._eliminated.cache_clear()  # cold: no certificate decides it without a pivot
             result = lp_feasible(RatMatrix.from_rows(a), [F(v) for v in b])
             status, witness, hom_dim, ref_steps = oracles.reference_lp_feasible(a, b)
             assert result == marginal_general.FeasibilityResult(Feasibility(status), witness, hom_dim), (a, b)
@@ -563,6 +565,7 @@ class TestLpFeasible:
                     problem.write(path)
                     mat, rhs = build_constraint_system(load_problem_document(path))
                     steps.clear()
+                    marginal_general._eliminated.cache_clear()  # cold: no certificate decides it without a pivot
                     result = lp_feasible(mat, rhs)
                     a = [list(mat.row(i)) for i in range(mat.rows)]
                     status, witness, hom_dim, ref_steps = oracles.reference_lp_feasible(a, list(rhs), run=run)
@@ -597,6 +600,7 @@ class TestLpFeasible:
                     problem.write(path)
                     prob = load_problem_document(path)
                     solved.clear()
+                    marginal_general._eliminated.cache_clear()  # cold: no certificate decides it without a pivot
                     assert solve_problem(prob).status.value == verdict, problem.label
                     [(mat, rhs, result, pivots)] = solved
                     assert mat is marginal_general._cover(*prob._shape)[2], problem.label
@@ -745,6 +749,7 @@ class TestPricing:
         for prob in problems:
             mat, rhs = build_constraint_system(prob)
             steps.clear()
+            marginal_general._eliminated.cache_clear()  # cold: no certificate decides it without a pivot
             result = lp_feasible(mat, rhs)
             a = [list(mat.row(i)) for i in range(mat.rows)]
             status, witness, hom_dim, ref_steps = oracles.reference_lp_feasible(a, list(rhs), run=0)
@@ -858,7 +863,10 @@ class TestEliminationCache:
         # lp_feasible eliminates each matrix once and then only transforms
         # each rhs: back-to-back calls on two fixed matrices, the verdicts
         # interleaved, must match a cold-cache call and the all-Fraction
-        # reference in status, witness, homogeneous dimension and pivots
+        # reference in status, witness, homogeneous dimension and pivots.
+        # The elimination alone: no Farkas certificate is kept, as a kept one
+        # decides a later QuasiOnly LP with no pivot (TestCertificates)
+        monkeypatch.setattr(marginal_general, "_CERTIFICATES", 0)
         steps = []
 
         def counted_pivot(rows, r, c):
@@ -969,6 +977,136 @@ class TestEliminationCache:
         assert seen["Proper"] >= 5 and seen["QuasiOnly"] >= 3, seen
 
 
+class TestCertificates:
+    """A QuasiOnly exit of the simplex keeps its Farkas vector u, read off the
+    exit cost row, in its elimination's entry: uᵀA >= 0 on the live columns
+    and uᵀb < 0, a Bell inequality that the data violate.  A later LP of the
+    same matrix and zero rhs pattern with uᵀb < 0 is then QuasiOnly with no
+    pivot, and no result depends on what was solved before."""
+
+    def test_the_lp_learns_the_bell_inequalities(self):
+        # from a cold cache, the exact_sweep round of seed 1 leaves four
+        # certificates on the Bell matrix; read as affine functions of
+        # (<AB>, <AC>, <BC>) through the rhs, each is a positive multiple of
+        # a distinct piece of the two Bell inequalities
+        rng = random.Random(3701)
+        pieces = {(1, 1, -1, 1), (1, 1, 1, -1), (1, -1, -1, -1), (1, -1, 1, 1)}  # 1 + u -+ (v - w), 1 - u -+ (v + w)
+        for _ in range(200):  # the two margins of bellcheck._inequalities are their pairwise minima
+            u, v, w = (F(rng.randint(-99, 99), 99) for _ in range(3))
+            lhs1, rhs1, lhs2, rhs2, _ = bellcheck._inequalities(u, v, w)
+            at = {p: p[0] + p[1] * u + p[2] * v + p[3] * w for p in pieces}
+            assert (min(at[p] for p in pieces if p[1] > 0), min(at[p] for p in pieces if p[1] < 0)) == (lhs1 - rhs1, lhs2 - rhs2)
+        marginal_general._eliminated.cache_clear()
+        triples = oracles.sweep_triples(1)
+        verdicts = Counter(solve_problem(bell_problem(corr)).status for corr in triples)
+        assert verdicts[Feasibility.QUASI_ONLY] == 360, verdicts
+        mat, _ = build_constraint_system(bell_problem(triples[0]))
+        known = marginal_general._eliminated(mat, ())[-1]
+        assert len(known) == 4
+
+        def value(cert, u, v, w):  # uᵀb at the correlations (u, v, w)
+            return next(marginal_general._applied([cert], CorrelationTriple(u, v, w).rhs))
+
+        found, half = set(), F(1, 2)
+        for cert in known:
+            c0 = value(cert, 0, 0, 0)
+            coeffs = tuple(2 * (value(cert, *(half * (i == j) for j in range(3))) - c0) for i in range(3))
+            assert c0 > 0 and (1, *(c / c0 for c in coeffs)) in pieces, (c0, coeffs)
+            for _ in range(20):  # affine in the correlations
+                u, v, w = (F(rng.randint(-99, 99), 99) for _ in range(3))
+                assert value(cert, u, v, w) == c0 + coeffs[0] * u + coeffs[1] * v + coeffs[2] * w
+            found.add(tuple(c / c0 for c in coeffs))
+        assert len(found) == 4
+
+    def test_certificates_are_sound_and_results_independent_of_history(self, monkeypatch):
+        # the bundled documents, both bench n-cycle panels and the 10,000
+        # criterion-3 triples, solved cold (a new cache for each problem),
+        # warm in order, warm in reverse order, and warm with two
+        # certificates kept per entry (the list full, its oldest dropped):
+        # the same results, every kept certificate passes the exact check,
+        # and a Proper LP that meets certificates keeps the cold witness
+        workloads = oracles.bench_module("workloads")
+        problems = [load_problem_document(str(path)) for path in sorted(PROBLEMS.glob("*.json"))]
+        for sizes, copies in ((workloads.SMALL_SIZES, workloads.SMALL_PER_CLASS), (workloads.LARGE_SIZES, 1)):
+            problems += [cycle_problem(p.k, p.tables) for p in workloads._cycle_problems(0, sizes, copies)]
+        triples = oracles.criterion_3_triples()
+        problems += [bell_problem(corr) for corr in triples]
+        eliminated, simplex = marginal_general._eliminated, marginal_general._phase_one_simplex
+        entries, met, lps = {}, [], []
+
+        def recorded_elimination(mat, zero_rows):
+            entry = eliminated(mat, zero_rows)
+            entries[id(entry)] = (mat, zero_rows, entry)
+            met[:] = [len(entry[-1])]  # the certificates the LP's last lookup meets
+            return entry
+
+        def recorded_simplex(*args):
+            met.append("simplex")
+            return simplex(*args)
+
+        def recorded_lp(mat, rhs):
+            met.clear()
+            result = lp_feasible(mat, rhs)
+            lps.append((mat, rhs, result, tuple(met)))
+            return result
+
+        monkeypatch.setattr(marginal_general, "_eliminated", recorded_elimination)
+        monkeypatch.setattr(marginal_general, "_phase_one_simplex", recorded_simplex)
+        monkeypatch.setattr(marginal_general, "lp_feasible", recorded_lp)
+
+        def solve_all(order, cold=False):
+            eliminated.cache_clear()
+            lps.clear()
+            results = {}
+            for i in order:
+                if cold:
+                    eliminated.cache_clear()
+                results[i] = solve_problem(problems[i])
+            return [results[i] for i in range(len(problems))], [lps[order.index(i)] for i in range(len(problems))]
+
+        order = list(range(len(problems)))
+        cold, cold_lps = solve_all(order, cold=True)
+        entries.clear()
+        warm, warm_lps = solve_all(order)
+        assert warm == cold
+        assert solve_all(order[::-1])[0] == cold
+        monkeypatch.setattr(marginal_general, "_CERTIFICATES", 2)
+        full, full_lps = solve_all(order)
+        assert full == cold
+        assert sum(result.status is Feasibility.PROPER and met[0] == 2 for _, _, result, met in full_lps) >= 3000
+        seen = Counter()
+        for (mat, rhs, result, met), (_, _, cold_result, _) in zip(warm_lps, cold_lps):
+            assert result == cold_result
+            seen[result.status, met[-1] == "simplex"] += 1
+            if result.status is Feasibility.PROPER and met[0]:
+                seen["Proper, certificates met"] += 1
+        for corr, (_, _, result, met) in zip(triples, warm_lps[-len(triples) :]):
+            if bell_pair(corr).margin == 0:  # on the boundary: no certificate holds, the simplex decides
+                assert result.status is Feasibility.PROPER and met[-1] == "simplex", corr
+                seen["margin 0"] += 1
+                seen["margin 0, four certificates met"] += met[0] == 4  # the others have a zero cell: a new pattern
+        assert seen["margin 0"] == 60 and seen["margin 0, four certificates met"] >= 50, seen
+        assert seen["Proper, certificates met"] >= 3000, seen
+        assert seen[Feasibility.QUASI_ONLY, False] >= 6000 and seen[Feasibility.QUASI_ONLY, True] <= 20, seen
+        kept = 0
+        for mat, zero_rows, (live, *_, known) in entries.values():
+            forcing = [i for i in zero_rows if min(mat.row(i)) >= 0 or max(mat.row(i)) <= 0]
+            for get, values in known:
+                u = [0] * mat.rows
+                for i, c in zip(get(range(mat.rows)), values):
+                    u[i] += c
+                assert any(u) and not any(u[i] for i in forcing)
+                assert min(sum(u[i] * mat.entry(i, j) for i in range(mat.rows)) for j in live) >= 0
+                kept += 1
+        assert kept >= 20, kept
+        learned = {}
+        for mat, zero_rows, (*_, known) in entries.values():
+            learned.setdefault((mat, zero_rows), []).extend(known)
+        for mat, rhs, result, _ in cold_lps:  # a certificate refutes only QuasiOnly LPs of its pattern
+            known = learned.get((mat, tuple(i for i, v in enumerate(rhs) if v == 0)), [])
+            assert result.status is Feasibility.QUASI_ONLY or min(marginal_general._applied(known, rhs), default=0) >= 0
+
+
 def ghz_mermin_problem() -> MarginalProblem:
     """X and Y of three parties, parity even on XXX and odd on XYY, YXY and
     YYX, each table uniform over its allowed outcomes."""
@@ -1025,6 +1163,7 @@ class TestForcingRows:
             if not all(b):
                 continue
             steps.clear()
+            marginal_general._eliminated.cache_clear()  # cold: no certificate decides it without a pivot
             result = lp_feasible(RatMatrix.from_rows(a), [F(v) for v in b])
             status, witness, hom_dim, ref_steps = oracles.reference_lp_feasible(a, b, presolve=False)
             assert result == marginal_general.FeasibilityResult(Feasibility(status), witness, hom_dim), (a, b)
@@ -1147,11 +1286,13 @@ class TestProblemRhs:
         for corr in oracles.sweep_triples(3302) + panel:
             prob = bell_problem(corr)
             steps.clear()
+            marginal_general._eliminated.cache_clear()  # cold, both: no certificate decides either without a pivot
             result = solve_problem(prob)
             kept = len(steps)
             mat, rhs = build_constraint_system(prob)
             assert type(rhs) is exactla._Scaled and rhs is corr.rhs
             steps.clear()
+            marginal_general._eliminated.cache_clear()
             assert result == lp_feasible(mat, tuple(rhs)), corr
             assert kept == len(steps), corr
             seen[result.status] += 1
