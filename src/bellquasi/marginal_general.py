@@ -46,13 +46,15 @@ the cliques' outcomes number fewer than half of the N joint outcomes, the
 LP has one column per clique outcome: each clique's tables and
 normalization, and on each separator S of the tree, the clique's marginal
 equal to its parent's.  Non-negative clique tables that agree on the
-separators glue to the joint p = prod p_C / prod p_S, 0 wherever p_S is 0
-(Vorob'ev 1962), and signed ones always glue to a signed joint (add the
-cliques one at a time: p'(u, e) = p(u) r(e) + (q_D(s, e) - q_S(s) r(e)) w(u),
-for any r summing to 1 and any w summing to 1 over each separator outcome
-s), so the clique LP decides all three verdicts exactly; the dimension is
-read from the shape.  Otherwise, as for the Bell triple (one clique), the
-LP is the dense one above.
+separators glue to a joint by any coupling of their conditionals given the
+separators (Vorob'ev 1962).  :func:`_coupled` takes the north-west-corner one:
+its support outcomes, each an assignment of every observable (Fine 1982), are
+no more than the clique solution's nonzeros.  Signed ones always glue to a
+signed joint (add the cliques one at a time: p'(u, e) = p(u) r(e) +
+(q_D(s, e) - q_S(s) r(e)) w(u), for any r summing to 1 and any w summing to 1
+over each separator outcome s), so the clique LP decides all three verdicts
+exactly; the dimension is read from the shape.  Otherwise, as for the Bell
+triple (one clique), the LP is the dense one above.
 """
 
 from __future__ import annotations
@@ -221,9 +223,6 @@ class MarginalProblem:
     def _rhs(self) -> tuple[Fraction, ...]:
         """The rhs of :func:`build_constraint_system`, built once: each table's entries but its last, then 1."""
         return _stacked([[table for _, table in self.constraints]])
-
-    def joint_size(self) -> int:
-        return math.prod(c for _, c in self.observables)
 
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(c for _, c in self.observables)
@@ -496,26 +495,25 @@ def _learn(known: list, mat: RatMatrix, live, rows, pivots, images, z: Sequence[
 
 def solve_problem(prob: MarginalProblem) -> FeasibilityResult:
     """Feasibility of a marginal problem (its tables are exact since construction): on the
-    clique LP of its shape's :func:`_cover` (rhs: :func:`_stacked`), the witness glued
-    (:func:`_glued`), or, when there is none, on :func:`build_constraint_system`."""
+    clique LP of its shape's :func:`_cover` (rhs: :func:`_stacked`), the witness coupled
+    along its tree (:func:`_coupled`), or, when there is none, on :func:`build_constraint_system`."""
     cover = _cover(*prob._shape)
     if cover is None:
         return lp_feasible(*build_constraint_system(prob))
-    _, held, mat, homogeneous_dim, glue = cover
+    cliques, held, mat, homogeneous_dim, links = cover
     result = lp_feasible(mat, _stacked([[prob.constraints[t][1] for t in tables] for tables in held], mat.rows))
-    witness = result.witness and _glued(glue, prob.cardinalities(), result.witness)
+    witness = result.witness and _coupled(cliques, links, prob.cardinalities(), result.witness)
     return FeasibilityResult(result.status, witness, homogeneous_dim)
 
 
 @functools.lru_cache(maxsize=8)
 def _cover(cards: tuple[int, ...], shape: tuple[tuple[int, ...], ...]) -> Optional[tuple]:
-    """The chordal cover of a shape, ``(cliques, held, matrix, homogeneous_dim, glue)``, or None
+    """The chordal cover of a shape, ``(cliques, held, matrix, homogeneous_dim, links)``, or None
     when its cliques have at least half as many outcomes as the joint, so the dense LP of
     :func:`_constraint_matrix` is used.  ``cliques`` are observable positions, ascending, the
     root first and each after its parent; ``held`` the tables each clique holds, by position in
-    the shape; ``matrix`` the clique LP (:func:`_clique_matrix`); ``glue``, per clique, its
-    separator with its parent (none for the root), its other observables, and for each of its
-    outcomes, row-major, their values on each and the joint index of the latter.
+    the shape; ``matrix`` the clique LP (:func:`_clique_matrix`); ``links``, for each clique but
+    the root, ``(parent, separator)``: its parent's position and the observables they share.
 
     Observables are eliminated greedily by least fill (pairs of remaining neighbours not yet
     joined; lowest position on ties), each with its remaining neighbours forming a clique, and
@@ -553,14 +551,7 @@ def _cover(cards: tuple[int, ...], shape: tuple[tuple[int, ...], ...]) -> Option
         held[next(i for i, c in enumerate(cliques) if c.issuperset(positions))].append(t)
     links = tuple((parent, tuple(sorted(cliques[child] & cliques[parent]))) for child, parent in enumerate(parents, 1))
     cliques, held = tuple(tuple(sorted(c)) for c in cliques), tuple(map(tuple, held))
-    strides = [math.prod(cards[i + 1 :]) for i in range(len(cards))]
-    glue = []
-    for clique, separator in zip(cliques, ((), *(s for _, s in links))):
-        new = tuple(p for p in clique if p not in separator)
-        outcomes = [dict(zip(clique, outcome)) for outcome in itertools.product(*(range(cards[p]) for p in clique))]
-        plan = [(tuple(o[p] for p in separator), tuple(o[p] for p in new), sum(o[p] * strides[p] for p in new)) for o in outcomes]
-        glue.append((separator, new, tuple(plan)))
-    return cliques, held, _clique_matrix(cards, shape, cliques, held, links), _homogeneous_dim(cards, shape), tuple(glue)
+    return cliques, held, _clique_matrix(cards, shape, cliques, held, links), _homogeneous_dim(cards, shape), links
 
 
 def _clique_matrix(cards, shape, cliques, held, links) -> RatMatrix:
@@ -591,33 +582,39 @@ def _homogeneous_dim(cards: tuple[int, ...], shape: tuple[tuple[int, ...], ...])
     return math.prod(cards) - sum(math.prod(cards[i] - 1 for i in t) for t in closure | {frozenset()})
 
 
-def _glued(glue: tuple, cards: tuple[int, ...], x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """The joint prod p_C / prod p_S of the clique LP's non-negative solution ``x``, built
-    outward from the root's support in integers (the entries of ``x`` over one lcm, which its
-    witness keeps) with one ``Fraction`` per joint outcome in its support, and 0 elsewhere: an
-    outcome whose separator marginal is 0 is not reached.  Each clique outcome in the support extends every partial
-    outcome that agrees with it on the separator (whose marginal, from either side, is the same)."""
-    _, ints = _over_lcm(x)
-    partials = [([0] * len(cards), 0, 1, 1)]  # (outcome so far, its joint index, numerator, denominator)
-    start = 0
-    for separator, new, outcomes in glue:
-        grow: dict[tuple[int, ...], list] = {}  # separator values: [their marginal, their extensions]
-        for o in itertools.compress(range(len(outcomes)), ints[start : start + len(outcomes)]):
-            key, values, step = outcomes[o]
-            entry = grow.setdefault(key, [0, []])
-            entry[0] += ints[start + o]
-            entry[1].append((values, step, ints[start + o]))
-        start += len(outcomes)
-        grown = []
-        for outcome, index, num, den in partials:
-            total, extensions = grow[tuple(outcome[p] for p in separator)]
-            for values, step, a in extensions:
-                nxt = outcome.copy()
-                for p, v in zip(new, values):
-                    nxt[p] = v
-                grown.append((nxt, index + step, num * a, den * total))
-        partials = grown
+def _coupled(cliques, links, cards: tuple[int, ...], x: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """A joint of the clique LP's non-negative solution ``x``, in its integers over one lcm: each
+    clique in tree order coupled with the outcomes glued so far by the north-west-corner rule, per
+    value of its separator with its parent, on which both weigh alike.  a and b weights couple in
+    at most a + b - 1 cells, so the support is no larger than that of ``x``.  An outcome is its joint
+    index, a clique outcome is decoded only in the support, and a support outcome gets one ``Fraction``."""
+    d, ints = _over_lcm(x)
+    strides = [math.prod(cards[p + 1 :]) for p in range(len(cards))]
+    glued, start = [(0, d)], 0  # (joint index, weight over d), from the empty outcome
+    for clique, separator in zip(cliques, ((), *(s for _, s in links))):
+        size, sides = math.prod(cards[p] for p in clique), {}  # per separator value (its part of the joint index): both sides
+        for index, w in glued:
+            key = 0
+            for p in separator:
+                key += index // strides[p] % cards[p] * strides[p]
+            sides.setdefault(key, ([], []))[0].append((index, w))
+        for o in itertools.compress(range(size), ints[start : start + size]):
+            parts, rest = [0, 0], o  # the outcome's part of the joint index off its separator and on it
+            for p in reversed(clique):
+                rest, v = divmod(rest, cards[p])
+                parts[p in separator] += v * strides[p]
+            sides[parts[1]][1].append((parts[0], ints[start + o]))
+        start, glued = start + size, []
+        for left, right in sides.values():
+            right, b = iter(right), 0
+            for index, a in left:
+                while a:
+                    if not b:
+                        step, b = next(right)
+                    m = min(a, b)
+                    glued.append((index + step, m))
+                    a, b = a - m, b - m
     joint = [Fraction(0)] * math.prod(cards)
-    for _, index, num, den in partials:
-        joint[index] = Fraction(num, den)
+    for index, w in glued:
+        joint[index] = Fraction(w, d)
     return tuple(joint)

@@ -572,6 +572,24 @@ def reference_scan_rows(ab: tuple[float, float, int], ac: tuple[float, float, in
             yield f"{fmt_ab},{fmt_ac},{fmt_u},{fmt_v},{fmt_w},{cli._fmt(margin)},{tag}\n"
 
 
+def reproduces(prob, witness) -> bool:
+    """Is ``witness`` a non-negative joint table whose marginals are exactly
+    every table of ``prob``?  One pass over its support."""
+    cards = prob.cardinalities()
+    index = {name: i for i, (name, _) in enumerate(prob.observables)}
+    if len(witness) != math.prod(cards) or min(witness) < 0:
+        return False
+    sums = [[0] * len(table) for _, table in prob.constraints]
+    for w, outcome in zip(witness, itertools.product(*map(range, cards))):
+        if w:
+            for (subset, _), cells in zip(prob.constraints, sums):
+                k = 0
+                for name in subset:
+                    k = k * cards[index[name]] + outcome[index[name]]
+                cells[k] += w
+    return all(tuple(cells) == table for cells, (_, table) in zip(sums, prob.constraints))
+
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 

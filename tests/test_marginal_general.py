@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import reproduces
 from bellquasi import bellcheck, exactla, marginal_general
 from bellquasi.bellcheck import bell_pair
 from bellquasi.cli import load_problem_document
@@ -201,9 +202,9 @@ class TestBuildConstraintSystem:
         with pytest.raises(ValueError, match=r"^negative entry in table of constraint 1$"):
             uniform, negative = (F(1, 1000),) * 1000, (2,) + (0,) * 998 + (-1,)
             MarginalProblem(observables=(("A", 1000), ("B", 1000)), constraints=((("A",), uniform), (("B",), negative)))
-        assert two_tables(100).joint_size() * 199 == 1_990_000 <= DENSE_SIZE_CAP
+        assert math.prod(two_tables(100).cardinalities()) * 199 == 1_990_000 <= DENSE_SIZE_CAP
         for n, k in ((12, 2), (7, 3)):
-            assert cycle(n, k).joint_size() == k**n
+            assert math.prod(cycle(n, k).cardinalities()) == k**n
 
     def test_elimination_size_cap(self):
         # the cap counts [A | I], rows x (joint outcomes + rows): one binary
@@ -1250,13 +1251,15 @@ class TestSolveProblem:
     def test_uniform_ternary_six_cycle_is_proper(self):
         # 729 joint outcomes: the largest bundled problem
         prob = load_problem_document(str(Path(__file__).resolve().parent.parent / "problems" / "uniform_ternary_6cycle.json"))
-        assert prob.joint_size() == 3**6
+        assert math.prod(prob.cardinalities()) == 3**6
         result = solve_problem(prob)
         assert result.status is Feasibility.PROPER
         assert all(type(v) is F and v >= 0 for v in result.witness)
         for subset, table in prob.constraints:
             assert table == (F(1, 9),) * 9
             assert joint_marginal(prob, result.witness, subset) == table
+        # coupled on its clique LP: nine assignments of weight 1/9 (the product of the clique tables had 36)
+        assert sorted(v for v in result.witness if v) == [F(1, 9)] * 9
 
     def test_redundant_rows_never_change_the_answer(self):
         # the dense LP with each table's last row kept gives the same answer,
@@ -1360,24 +1363,6 @@ class TestProblemRhs:
         assert min(seen.values()) >= 100, seen
 
 
-def reproduces(prob: MarginalProblem, witness) -> bool:
-    """Is ``witness`` a non-negative joint table whose marginals are exactly
-    every table of ``prob``?  One pass over its support."""
-    cards = prob.cardinalities()
-    index = {name: i for i, (name, _) in enumerate(prob.observables)}
-    if len(witness) != math.prod(cards) or min(witness) < 0:
-        return False
-    sums = [[0] * len(table) for _, table in prob.constraints]
-    for w, outcome in zip(witness, itertools.product(*map(range, cards))):
-        if w:
-            for (subset, _), cells in zip(prob.constraints, sums):
-                k = 0
-                for name in subset:
-                    k = k * cards[index[name]] + outcome[index[name]]
-                cells[k] += w
-    return all(tuple(cells) == table for cells, (_, table) in zip(sums, prob.constraints))
-
-
 def panel_problems() -> list:
     """The LP panel: the bundled documents, three ``exact_sweep`` rounds and
     108 bench n-cycles (binary n = 3-8, ternary n = 3-5, k = 4 n = 3-4,
@@ -1444,7 +1429,7 @@ def hypergraph_problem(rng: random.Random, kind: str) -> MarginalProblem:
 class TestChordalCover:
     """``solve_problem`` decides a problem whose chordal cover has fewer than
     half as many clique outcomes as joint outcomes on the clique LP, and
-    glues its witness; every other problem keeps the dense LP."""
+    couples its witness; every other problem keeps the dense LP."""
 
     def test_one_clique_cover_is_the_dense_matrix(self):
         rng = random.Random(3501)
@@ -1532,6 +1517,31 @@ class TestChordalCover:
         assert result.status is Feasibility.PROPER and reproduces(prob, result.witness)
         for w, outcome in zip(result.witness, itertools.product(range(k), repeat=4)):
             assert w == 0 or outcome[1] < k - 1
+
+    def test_coupled_witness_support_is_at_most_the_clique_solution_support(self):
+        # the bench n-cycle panels that are admitted (ternary n <= 10), the
+        # bundled 6-cycle and the hypergraphs: every Proper clique witness is
+        # exact, non-negative, gives every table, and has no more support
+        # outcomes than the clique LP's own solution has nonzeros (<= its rows)
+        ncycle = oracles.bench_module("ncycle")
+        problems = [load_problem_document(str(PROBLEMS / "uniform_ternary_6cycle.json"))]
+        for n, k in [(n, 2) for n in range(5, 13)] + [(n, 3) for n in range(5, 11)]:
+            problems += [cycle_problem(k, ncycle.generate(random.Random(f"panel-{n}-{k}-Proper-{c}"), n, k, "Proper").tables) for c in range(3)]
+        rng = random.Random(3801)
+        problems += [hypergraph_problem(rng, kind) for kind in ("chain", "star", "cycle", "disjoint", "triples") for _ in range(30)]
+        coupled = 0
+        for prob in problems:
+            cover = marginal_general._cover(*prob._shape)
+            result = solve_problem(prob)
+            if cover is None or result.status is not Feasibility.PROPER:
+                continue
+            _, held, mat, _, _ = cover
+            clique = lp_feasible(mat, marginal_general._stacked([[prob.constraints[t][1] for t in tables] for tables in held], mat.rows))
+            nonzeros = sum(1 for v in clique.witness if v)
+            assert all(type(v) is F and v >= 0 for v in result.witness) and reproduces(prob, result.witness), prob._shape
+            assert sum(1 for v in result.witness if v) <= nonzeros <= mat.rows, prob._shape
+            coupled += 1
+        assert coupled >= 60, coupled
 
 
 class TestRationalize:
